@@ -11,8 +11,11 @@ Every benchmark regenerates one figure, table or numeric claim of the paper
    doubles as a performance regression suite.
 
 Run with ``pytest benchmarks/ --benchmark-only`` (timings) or additionally
-``-s`` to see the reproduced series on stdout.  Each run also appends the
-printed tables to ``benchmarks/results/`` as CSV for re-plotting.
+``-s`` to see the reproduced series on stdout.  Each run also writes the
+printed tables as CSV for re-plotting, plus the perf trajectory, into a
+fresh temporary directory — so a test run never rewrites the committed
+``benchmarks/results/`` — or into ``--results-dir DIR`` when given (CI passes
+``--results-dir benchmarks/results`` to compare and upload them).
 """
 
 from __future__ import annotations
@@ -21,14 +24,24 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--results-dir",
+        type=Path,
+        default=None,
+        help="directory for the benchmark CSV series and perf trajectory (default: a temporary directory)",
+    )
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(request, tmp_path_factory) -> Path:
     """Directory where benchmarks drop their CSV series."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+    chosen = request.config.getoption("--results-dir", default=None)
+    if chosen is None:
+        return tmp_path_factory.mktemp("results")
+    chosen.mkdir(parents=True, exist_ok=True)
+    return chosen
 
 
 @pytest.fixture(scope="session")

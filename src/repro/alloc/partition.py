@@ -271,17 +271,18 @@ def profile_tenants(job: PartitionJob, composed: MultiTenantTrace, *, workers: i
     comparing methods (the ``partition`` experiment) profile once and pass
     the result to :func:`partition_composed` for each method.
     """
+    streams = split_by_tenant(composed.trace.accesses, composed.tenant_ids, composed.num_tenants)
     profile_jobs = [
         ProfileJob(
-            trace=composed.tenant_trace(t),
-            name=composed.names[t],
+            trace=stream,
+            name=name,
             mode=job.mode,
             rate=job.rate,
             smax=job.smax,
             seed=job.profile_seed,
             max_cache_size=job.budget,
         )
-        for t in range(composed.num_tenants)
+        for stream, name in zip(streams, composed.names)
     ]
     return run_jobs(profile_jobs, workers=check_workers(workers))
 

@@ -1,0 +1,208 @@
+"""Build, cache and load the native kernels (``_olken.c``).
+
+Nothing happens at import.  The first call of :func:`native_kernels`
+compiles the source with the platform C compiler (``sysconfig``'s ``CC``,
+else ``cc``) into a shared library cached in the user cache directory
+(``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``), named by the SHA-256 of
+the source, compiler, flags, platform and interpreter ABI (a home directory
+shared by machines of different architectures keeps one library per
+machine type), and loads it through :mod:`ctypes`.  The
+compiler writes to a unique temporary name that :func:`os.replace` moves
+into place, so concurrent processes never load a half-written library.  A
+cache directory that cannot be created or is writable by others is never
+used; the library is then built in a private temporary directory, as it
+is when a cached library fails to load.  When no
+compiler is found or the build fails, :func:`native_kernels` returns
+``None`` and callers keep their numpy paths.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+import zlib
+from collections.abc import Callable, Sequence
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_olken.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
+
+
+class NativeKernels(NamedTuple):
+    """The loaded kernels; each takes an integer trace and returns new ``int64`` arrays."""
+
+    #: ``stack_distances(trace) -> (distances, previous)``.
+    stack_distances: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    #: ``previous(trace)`` -> the previous position of each reference's item (``-1`` when cold).
+    previous: Callable[[np.ndarray], np.ndarray]
+    #: ``sample_positions(trace, tweaks, mask, thresholds)`` -> per (tweak, threshold) pair,
+    #: the sampled positions in order, from one pass over the trace.
+    sample_positions: Callable[[np.ndarray, Sequence[int], int, Sequence[int]], list[np.ndarray]]
+    #: ``crc32(bytes_view, value)`` -> ``zlib.crc32(bytes_view, value)``.
+    crc32: Callable[[memoryview, int], int]
+
+
+def compiler() -> list[str] | None:
+    """The C compiler command: ``sysconfig``'s ``CC`` if installed, else ``cc``, else ``None``."""
+    for command in (shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]):
+        if command and shutil.which(command[0]):
+            return command
+    return None
+
+
+def _cache_dir() -> Path | None:
+    """``repro/`` in the user cache directory, or ``None`` if it is unusable or writable by others."""
+    root = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    directory = root / "repro"
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = directory.stat()
+    except OSError:
+        return None
+    if info.st_uid != os.getuid() or info.st_mode & 0o022 or not os.access(directory, os.W_OK):
+        return None
+    return directory
+
+
+def _build(command: list[str], target: Path) -> bool:
+    """Compile :data:`SOURCE` to ``target`` through a unique temporary name; ``True`` on success."""
+    fd, partial = tempfile.mkstemp(dir=target.parent, prefix=target.stem + ".", suffix=".tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [*command, *FLAGS, "-o", partial, str(SOURCE)], capture_output=True, timeout=120, check=False
+        )
+        if done.returncode != 0:
+            return False
+        os.replace(partial, target)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _load(command: list[str], target: Path) -> ctypes.CDLL | None:
+    """Load ``target``, compiling it first when it does not exist yet."""
+    try:
+        if not target.exists() and not _build(command, target):
+            return None
+        return ctypes.CDLL(str(target))
+    except OSError:
+        return None
+
+
+def _library() -> ctypes.CDLL | None:
+    command = compiler()
+    if command is None:
+        return None
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update("\0".join([*command, *FLAGS, sysconfig.get_platform(), sys.implementation.cache_tag]).encode())
+    name = f"olken-{digest.hexdigest()[:20]}.so"
+    cache = _cache_dir()
+    library = None if cache is None else _load(command, cache / name)
+    if library is None:
+        # No usable cache, or its library would not load: build privately.
+        private = Path(tempfile.mkdtemp(prefix="repro-kernel-"))
+        try:
+            library = _load(command, private / name)
+        finally:  # the mapping outlives the file
+            shutil.rmtree(private, ignore_errors=True)
+    return library
+
+
+@functools.cache
+def native_kernels() -> NativeKernels | None:
+    """The native kernels, or ``None`` where this machine cannot build them (resolved once per process)."""
+    library = _library()
+    if library is None:
+        return None
+    olken = library.olken_stack_distances
+    olken.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    olken.restype = ctypes.c_int
+    shards = library.shards_sample
+    shards.argtypes = (
+        ctypes.c_void_p,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+        ctypes.c_uint64,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+    )
+    shards.restype = None
+    bulk = library.crc32_bulk
+    bulk.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_uint32))
+    bulk.restype = ctypes.c_int64
+
+    # The kernels read and write C-contiguous int64 buffers of the trace's
+    # length; these wrappers are the only code that hands them pointers.
+    def stack_distances(trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        distances = np.empty(trace.size, dtype=np.int64)
+        previous = np.empty(trace.size, dtype=np.int64)
+        if olken(trace.ctypes.data, trace.size, distances.ctypes.data, previous.ctypes.data) != 0:
+            raise MemoryError(f"stack-distance kernel could not allocate for {trace.size} references")
+        return distances, previous
+
+    def previous(trace: np.ndarray) -> np.ndarray:
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        previous = np.empty(trace.size, dtype=np.int64)
+        if olken(trace.ctypes.data, trace.size, None, previous.ctypes.data) != 0:
+            raise MemoryError(f"previous-occurrence kernel could not allocate for {trace.size} references")
+        return previous
+
+    def sample_positions(
+        trace: np.ndarray, tweaks: Sequence[int], mask: int, thresholds: Sequence[int]
+    ) -> list[np.ndarray]:
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        tweaks = np.asarray(tweaks, dtype=np.uint64)
+        thresholds = np.asarray(thresholds, dtype=np.uint64)
+        positions = np.empty((tweaks.size, trace.size), dtype=np.int64)
+        counts = np.empty(tweaks.size, dtype=np.int64)
+        shards(
+            trace.ctypes.data,
+            trace.size,
+            tweaks.size,
+            tweaks.ctypes.data,
+            mask,
+            thresholds.ctypes.data,
+            positions.ctypes.data,
+            counts.ctypes.data,
+        )
+        # Copies, so the results do not pin the seeds x trace scratch buffer.
+        return [row[:count].copy() for row, count in zip(positions, counts.tolist())]
+
+    def crc32(view: memoryview, value: int) -> int:
+        running = ctypes.c_uint32(value)
+        done = bulk(np.frombuffer(view, dtype=np.uint8).ctypes.data, view.nbytes, ctypes.byref(running))
+        return zlib.crc32(view[done:], running.value)
+
+    return NativeKernels(stack_distances, previous, sample_positions, crc32)
+
+
+def crc32(data, value: int = 0) -> int:
+    """``zlib.crc32(data, value)`` of a contiguous buffer, its bulk folded natively where available."""
+    native = native_kernels()
+    view = memoryview(data).cast("B")
+    if native is None or view.nbytes < 64:
+        return zlib.crc32(view, value)
+    return native.crc32(view, value)
+
+
+def kernel_name() -> str:
+    """``"native"`` when the C kernels serve this process, else ``"numpy"``."""
+    return "numpy" if native_kernels() is None else "native"

@@ -14,14 +14,19 @@ periodic special case can be cross-validated:
   tree over access times marks the *last* access of every item, so the number
   of distinct items touched since the previous access of the current item is a
   suffix sum — ``O(N log N)`` overall.
-* :func:`stack_distances_vectorized` — the same exact distances without a
-  per-access Python loop: each reuse pair becomes an *arc* ``(j, next(j))``,
-  the distance is ``next(j) - j`` minus the number of arcs strictly nested
-  inside, and nested-arc counting is "count smaller elements to the right"
-  of the arc-end sequence — computed by a level-by-level vectorised merge
-  sort (``O(N log^2 N)`` NumPy work, no Python-level per-access steps).  This
-  is the fast path behind :func:`stack_distance_histogram` and the
-  single-pass LRU capacity sweep in :mod:`repro.sim`.
+* :func:`stack_distances_with_previous` — the one fast entry point every
+  consumer goes through (:func:`stack_distances_vectorized`,
+  :func:`hit_counts`, the SHARDS sketch, the per-tenant distance passes and
+  :class:`StackDistanceStream`).  It runs the same Olken algorithm as a C
+  kernel (``_olken.c``: an open-addressing label table plus a Fenwick tree
+  over time, ``O(N log N)`` in one pass, ~7–10M refs/s), compiled on first
+  use and loaded through :mod:`ctypes` by :mod:`repro.cache._native`.  Where
+  no C compiler is available it falls back to a loop-free numpy form: each
+  reuse pair becomes an *arc* ``(j, next(j))``, the distance is
+  ``next(j) - j`` minus the number of arcs strictly nested inside, and
+  nested-arc counting is "count smaller elements to the right" of the
+  arc-end sequence — a level-by-level vectorised merge sort
+  (``O(N log^2 N)`` NumPy work, ~0.7–1M refs/s).  Both are bit-identical.
 * :func:`stack_distance_histogram` and :func:`hit_counts` — aggregate forms
   used by the miss-ratio-curve construction in :mod:`repro.cache.mrc`.
 * :class:`StackDistanceStream` — the *chunked* form of the vectorised
@@ -45,6 +50,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.inversions import FenwickTree
+from ._native import native_kernels
 
 __all__ = [
     "COLD",
@@ -220,8 +226,10 @@ def stack_distances_vectorized(trace: Sequence[int] | np.ndarray) -> np.ndarray:
     ``distance(t) = t - p - #{arcs (j, next(j)) : p < j, next(j) < t}``.
 
     Arc starts are increasing, so the nested count per arc is "count smaller
-    elements to the right" over the arc-end sequence.  Bit-identical to
-    :func:`stack_distances` (cross-validated in the test-suite).
+    elements to the right" over the arc-end sequence — the numpy fallback of
+    :func:`stack_distances_with_previous`, whose C kernel runs the Fenwick
+    algorithm of :func:`stack_distances` instead.  Bit-identical to
+    :func:`stack_distances` either way (cross-validated in the test-suite).
     """
     return stack_distances_with_previous(trace)[0]
 
@@ -238,6 +246,22 @@ def stack_distances_with_previous(trace: Sequence[int] | np.ndarray) -> tuple[np
     it), and an access with ``previous < s`` is simply cold there — the
     identity behind the free per-phase oracle profiles in
     :mod:`repro.online.replay`.
+
+    Served by the C kernel when this machine can build it (see
+    :mod:`repro.cache._native`), else by the bit-identical numpy path.
+    """
+    arr = _as_trace(trace)
+    native = native_kernels() if arr.size else None
+    if native is None:
+        return _stack_distances_with_previous_numpy(arr)
+    return native.stack_distances(arr)
+
+
+def _stack_distances_with_previous_numpy(trace: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stack_distances_with_previous` by the nested-arc identity, in numpy only.
+
+    The fallback where the C kernel cannot be built, and the differential
+    reference the test-suite holds the kernel to.
     """
     arr = _as_trace(trace)
     n = arr.size
@@ -391,11 +415,8 @@ def stack_distance_histogram(
     distances = stack_distances_vectorized(arr)
     finite = distances[distances != COLD]
     cold = int(arr.size - finite.size)
-    limit = int(max_distance) if max_distance is not None else (int(finite.max()) if finite.size else 0)
-    hist = np.zeros(max(limit, 0), dtype=np.int64)
-    if finite.size:
-        clipped = finite[finite <= limit] if limit else finite[:0]
-        np.add.at(hist, clipped - 1, 1)
+    limit = max(int(max_distance) if max_distance is not None else (int(finite.max()) if finite.size else 0), 0)
+    hist = np.bincount(finite[finite <= limit] - 1, minlength=limit).astype(np.int64, copy=False)
     return hist, cold
 
 
@@ -407,10 +428,7 @@ def hit_counts(trace: Sequence[int] | np.ndarray, *, max_cache_size: int | None 
     cumulative sum of the stack-distance histogram.  The default cache-size
     range extends to the number of distinct items in the trace.
     """
-    arr = _as_trace(trace)
-    distinct = int(np.unique(arr).size) if arr.size else 0
-    limit = int(max_cache_size) if max_cache_size is not None else distinct
-    hist, _cold = stack_distance_histogram(arr, max_distance=limit)
-    if hist.size < limit:
-        hist = np.concatenate([hist, np.zeros(limit - hist.size, dtype=np.int64)])
-    return np.cumsum(hist)
+    # Every distinct item has exactly one cold (first) access.
+    hist, distinct = stack_distance_histogram(trace)
+    limit = max(int(max_cache_size), 0) if max_cache_size is not None else distinct
+    return np.cumsum(np.concatenate([hist[:limit], np.zeros(max(limit - hist.size, 0), dtype=np.int64)]))

@@ -10,8 +10,9 @@ whole-trace and per-phase-window profiles), the batch replay lanes, and any
 future consumer simultaneously.
 
 * :func:`tenant_positions` / :func:`split_by_tenant` — the one columnar
-  split (previously hand-rolled as ``items[ids == t]`` loops in three
-  modules).
+  split: one stable radix sort of the tenant ids, cut at ``bincount``
+  offsets, so splitting costs one pass for any tenant count (per-tenant
+  ``ids == t`` masks cost ``O(T·N)``).
 * :class:`TenantDistancePasses` — the full per-tenant distance pass
   (distances plus previous-access positions), with
   :meth:`~TenantDistancePasses.whole_stream_curve` and
@@ -62,10 +63,19 @@ def check_tenant_ids(tenant_ids: np.ndarray, num_tenants: int) -> None:
 
 
 def tenant_positions(tenant_ids: np.ndarray, num_tenants: int) -> list[np.ndarray]:
-    """Per-tenant event positions (sorted ascending) in a composed trace."""
+    """Per-tenant event positions (sorted ascending) in a composed trace.
+
+    The ids are cast to the smallest unsigned type that holds them, where
+    numpy's stable sort is a radix sort; the sorted positions are then cut
+    into per-tenant runs at the cumulative tenant counts.
+    """
     tenant_ids = np.asarray(tenant_ids)
-    check_tenant_ids(tenant_ids, int(num_tenants))
-    return [np.flatnonzero(tenant_ids == t) for t in range(int(num_tenants))]
+    num_tenants = int(num_tenants)
+    check_tenant_ids(tenant_ids, num_tenants)
+    small = tenant_ids.astype(np.min_scalar_type(num_tenants - 1))
+    order = np.argsort(small, kind="stable")
+    ends = np.cumsum(np.bincount(small, minlength=num_tenants)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def split_by_tenant(items: np.ndarray, tenant_ids: np.ndarray, num_tenants: int) -> list[np.ndarray]:
@@ -74,8 +84,7 @@ def split_by_tenant(items: np.ndarray, tenant_ids: np.ndarray, num_tenants: int)
     tenant_ids = np.asarray(tenant_ids)
     if items.shape != tenant_ids.shape:
         raise ValueError(f"items and tenant_ids must align, got {items.shape} vs {tenant_ids.shape}")
-    check_tenant_ids(tenant_ids, int(num_tenants))
-    return [items[tenant_ids == t] for t in range(int(num_tenants))]
+    return [items[positions] for positions in tenant_positions(tenant_ids, num_tenants)]
 
 
 # --------------------------------------------------------------------------- #
@@ -214,12 +223,8 @@ class TenantDistanceStreams:
 
     def feed(self, items: np.ndarray, tenant_ids: np.ndarray) -> list[np.ndarray]:
         """Split one composed segment and return per-tenant distance arrays."""
-        items = np.asarray(items)
-        tenant_ids = np.asarray(tenant_ids)
-        if items.shape != tenant_ids.shape:
-            raise ValueError(f"items and tenant_ids must align, got {items.shape} vs {tenant_ids.shape}")
-        check_tenant_ids(tenant_ids, len(self._streams))
-        return [self._streams[t].feed(items[tenant_ids == t]) for t in range(len(self._streams))]
+        streams = split_by_tenant(items, tenant_ids, len(self._streams))
+        return [stream.feed(tenant_items) for stream, tenant_items in zip(self._streams, streams)]
 
     def state_dict(self) -> dict:
         """Picklable snapshot of every tenant stream's carried state."""
@@ -246,14 +251,10 @@ class PrecomputedTenantDistances:
     """
 
     def __init__(self, items: np.ndarray, tenant_ids: np.ndarray, num_tenants: int):
-        items = np.asarray(items)
-        tenant_ids = np.asarray(tenant_ids)
-        if items.shape != tenant_ids.shape:
-            raise ValueError(f"items and tenant_ids must align, got {items.shape} vs {tenant_ids.shape}")
         if int(num_tenants) < 1:
             raise ValueError(f"num_tenants must be >= 1, got {num_tenants}")
-        check_tenant_ids(tenant_ids, int(num_tenants))
-        self._distances = [stack_distances_vectorized(items[tenant_ids == t]) for t in range(int(num_tenants))]
+        streams = split_by_tenant(items, tenant_ids, num_tenants)
+        self._distances = [stack_distances_vectorized(stream) for stream in streams]
         self._cursors = [0] * int(num_tenants)
 
     @classmethod
@@ -285,9 +286,9 @@ class PrecomputedTenantDistances:
         """Per-tenant distance slices for the next chunk of the composed trace."""
         chunk_ids = np.asarray(chunk_ids)
         check_tenant_ids(chunk_ids, len(self._distances))
+        counts = np.bincount(chunk_ids, minlength=len(self._distances)).tolist()
         out = []
-        for tenant, distances in enumerate(self._distances):
-            count = int(np.count_nonzero(chunk_ids == tenant))
+        for tenant, (distances, count) in enumerate(zip(self._distances, counts)):
             cursor = self._cursors[tenant]
             if cursor + count > distances.size:
                 raise ValueError(f"tenant {tenant} fed past the precomputed stream ({distances.size} references)")

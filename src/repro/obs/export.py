@@ -167,6 +167,7 @@ def summarize_records(records: list[dict[str, object]]) -> str:
             f"git={manifest.get('git') or 'n/a'}",
             f"python={manifest.get('python')}",
             f"numpy={manifest.get('numpy')}",
+            f"kernel={manifest.get('kernel') or 'n/a'}",
             f"time={manifest.get('timestamp')}",
         ]
         if manifest.get("seed") is not None:

@@ -1,7 +1,8 @@
 """Run manifests: what produced a metrics file.
 
 A :class:`RunManifest` pins the provenance of one run — command, argv, seed,
-git commit, interpreter/numpy versions, platform, UTC timestamp — so a
+git commit, interpreter/numpy versions, platform, UTC timestamp, and the
+stack-distance kernel that served it (``native`` or ``numpy``) — so a
 metrics JSONL is reproducible evidence rather than a bag of numbers.  It is
 written as the first line of every exported metrics file (``"type":
 "manifest"``), and the ``repro metrics`` scoreboard prints it back.
@@ -48,6 +49,7 @@ class RunManifest:
     numpy: str = ""
     platform: str = ""
     timestamp: str = ""
+    kernel: str = ""
     extra: dict[str, object] = field(default_factory=dict)
 
     @classmethod
@@ -62,6 +64,8 @@ class RunManifest:
         """Capture the environment of the current process."""
         import numpy as np
 
+        from ..cache._native import kernel_name
+
         return cls(
             command=command,
             argv=tuple(argv or ()),
@@ -71,6 +75,7 @@ class RunManifest:
             numpy=np.__version__,
             platform=platform.platform(),
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            kernel=kernel_name(),
             extra=dict(extra),
         )
 
@@ -86,6 +91,7 @@ class RunManifest:
             "numpy": self.numpy,
             "platform": self.platform,
             "timestamp": self.timestamp,
+            "kernel": self.kernel,
         }
         if self.extra:
             record["extra"] = dict(self.extra)

@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..alloc.curves import DiscretizedMRC, discretize_curve
-from ..engine.columnar import TenantDistancePasses, exact_discretized_curve, idle_curve
+from ..cache._native import crc32
+from ..engine.columnar import TenantDistancePasses, exact_discretized_curve, idle_curve, split_by_tenant
 from ..engine.job import check_choice, check_fraction, check_non_negative, check_positive, check_unit
 from ..engine.lanes import LANE_ENGINES, LaneSet, PartitionedLRU
 from ..engine.runner import check_workers, pool_map
@@ -284,8 +284,8 @@ def replay_fingerprint(workload: DriftingWorkload, job: OnlineJob, engine: str) 
         "accesses": int(items.size),
         "tenants": list(composed.names),
         "boundaries": [int(b) for b in workload.boundaries],
-        "items_crc": zlib.crc32(items.tobytes()) & 0xFFFFFFFF,
-        "ids_crc": zlib.crc32(ids.tobytes()) & 0xFFFFFFFF,
+        "items_crc": crc32(items),
+        "ids_crc": crc32(ids),
     }
     digest = hashlib.sha256(json.dumps(basis, sort_keys=True).encode("utf-8")).hexdigest()
     return f"online/1/{digest[:32]}"
@@ -437,13 +437,12 @@ def run_replay(
         chunk_items = items[start:end]
         chunk_ids = ids[start:end]
         lanes.advance(chunk_items, chunk_ids, counters)
-        for t in range(num_tenants):
-            tenant_items = chunk_items[chunk_ids == t]
-            sketches[t].update(tenant_items)
+        for sketch, tenant_items in zip(sketches, split_by_tenant(chunk_items, chunk_ids, num_tenants)):
+            sketch.update(tenant_items)
             # Keep every sketch on the composed timeline: advancing past the
             # other tenants' events makes windows age in shared time, so a
             # tenant that goes quiet drains out of its own window.
-            sketches[t].advance(int(chunk_items.size - tenant_items.size))
+            sketch.advance(int(chunk_items.size - tenant_items.size))
 
     with span("online.replay", engine=engine):
         for stop in stops:

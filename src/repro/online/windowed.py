@@ -41,7 +41,7 @@ import numpy as np
 
 from ..cache.mrc import MissRatioCurve
 from ..cache.stack_distance import COLD, stack_distances_vectorized
-from ..profiling.shards import HASH_SPACE, histogram_to_mrc, rate_threshold, spatial_hash
+from ..profiling.shards import HASH_SPACE, histogram_to_mrc, rate_threshold, sampled_positions
 
 __all__ = ["WindowSnapshot", "WindowedShardsSketch", "curve_of_snapshot", "pooled_curve"]
 
@@ -114,8 +114,6 @@ class WindowedShardsSketch:
         self.decay = float(decay)
         self.seed = int(seed)
         self._threshold = rate_threshold(rate)
-        # Pre-boxed once: update() compares hashes against it on every batch.
-        self._threshold_u64 = np.uint64(self._threshold)
         self.effective_rate = self._threshold / HASH_SPACE
         self._items: np.ndarray = np.zeros(0, dtype=np.int64)
         self._positions: np.ndarray = np.zeros(0, dtype=np.int64)
@@ -148,10 +146,10 @@ class WindowedShardsSketch:
             self._segments[-1][1] += int(arr.size)
         else:
             self._segments.append([start, int(arr.size)])
-        mask = spatial_hash(arr, self.seed) < self._threshold_u64
-        if mask.any():
-            self._items = np.concatenate([self._items, arr[mask]])
-            self._positions = np.concatenate([self._positions, start + np.nonzero(mask)[0].astype(np.int64)])
+        (sampled,) = sampled_positions(arr, [self._threshold], [self.seed])
+        if sampled.size:
+            self._items = np.concatenate([self._items, arr[sampled]])
+            self._positions = np.concatenate([self._positions, start + sampled])
         self._evict()
 
     def state_dict(self) -> dict:

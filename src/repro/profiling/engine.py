@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..cache._native import native_kernels
 from ..cache.mrc import MissRatioCurve, mrc_from_trace
 from ..engine.job import PROFILE_MODES, check_choice
 from ..engine.runner import check_workers, pool_map
@@ -192,6 +193,29 @@ class ChunkPartial:
     last_access: dict[int, int] = field(default_factory=dict)
 
 
+def _previous_occurrences(arr: np.ndarray) -> np.ndarray:
+    """Position of each reference's previous access to its item (``-1`` when first)."""
+    native = native_kernels()
+    if native is not None:
+        return native.previous(arr)
+    # A stable sort puts equal items next to each other in access order.
+    order = np.argsort(arr, kind="stable")
+    sorted_items = arr[order]
+    same = sorted_items[1:] == sorted_items[:-1]
+    prev = np.full(arr.size, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _within_chunk(arr: np.ndarray, fine_limit: int, coarse_per_octave: int) -> tuple[ReuseTimeHistogram, np.ndarray]:
+    """The histogram of a chunk's within-chunk reuse times, and each reference's previous position."""
+    histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
+    prev = _previous_occurrences(arr)
+    repeat = prev >= 0
+    histogram.record_reuses(np.flatnonzero(repeat) - prev[repeat])
+    return histogram, prev
+
+
 def chunk_partial(
     chunk: np.ndarray,
     offset: int,
@@ -201,28 +225,18 @@ def chunk_partial(
 ) -> ChunkPartial:
     """Profile one chunk independently of every other chunk (vectorised)."""
     arr = np.asarray(chunk, dtype=np.int64)
-    histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
     n = arr.size
     if n == 0:
+        histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
         return ChunkPartial(offset=int(offset), length=0, histogram=histogram)
-    # Previous occurrence of each reference within the chunk, via a stable
-    # sort: equal items end up adjacent in access order.
-    order = np.argsort(arr, kind="stable")
-    sorted_items = arr[order]
-    same = sorted_items[1:] == sorted_items[:-1]
-    prev = np.full(n, -1, dtype=np.int64)
-    prev[order[1:][same]] = order[:-1][same]
-
-    repeat = prev >= 0
-    histogram.record_reuses(np.nonzero(repeat)[0] - prev[repeat])
-
-    first_positions = np.nonzero(~repeat)[0]
+    histogram, prev = _within_chunk(arr, fine_limit, coarse_per_octave)
+    first_positions = np.flatnonzero(prev < 0)
     last_mask = np.ones(n, dtype=bool)
-    last_mask[order[:-1][same]] = False
-    last_positions = np.nonzero(last_mask)[0]
+    last_mask[prev[prev >= 0]] = False
+    last_positions = np.flatnonzero(last_mask)
     offset = int(offset)
-    first_access = {int(arr[i]): offset + int(i) for i in first_positions}
-    last_access = {int(arr[i]): offset + int(i) for i in last_positions}
+    first_access = dict(zip(arr[first_positions].tolist(), (first_positions + offset).tolist()))
+    last_access = dict(zip(arr[last_positions].tolist(), (last_positions + offset).tolist()))
     return ChunkPartial(
         offset=offset,
         length=int(n),
@@ -247,12 +261,10 @@ def merge_partials(partials: list[ChunkPartial]) -> ReuseTimeHistogram:
         merged.merge(partial.histogram)
         # Resolve this chunk's first accesses against everything before it;
         # each item only reads its own last_seen entry, so order is free.
-        for item, position in partial.first_access.items():
-            previous = last_seen.get(item)
-            if previous is None:
-                merged.record_cold()
-            else:
-                merged.record_reuse(position - previous)
+        seen = [(position, last_seen.get(item)) for item, position in partial.first_access.items()]
+        reuses = [position - last for position, last in seen if last is not None]
+        merged.record_cold(len(seen) - len(reuses))
+        merged.record_reuses(np.asarray(reuses, dtype=np.int64))
         last_seen.update(partial.last_access)
     return merged
 
@@ -281,6 +293,11 @@ def parallel_reuse_histogram(
         raise ValueError("cannot profile an empty trace")
     pieces = max(1, int(chunks) if chunks is not None else workers)
     pieces = min(pieces, arr.size)
+    if pieces == 1:
+        # One chunk leaves nothing to merge: every first access is cold.
+        histogram, prev = _within_chunk(arr, fine_limit, coarse_per_octave)
+        histogram.record_cold(int(np.count_nonzero(prev < 0)))
+        return histogram
     splits = np.array_split(arr, pieces)
     offsets = np.cumsum([0] + [len(s) for s in splits[:-1]])
     tasks = [(split, int(offset), fine_limit, coarse_per_octave) for split, offset in zip(splits, offsets)]

@@ -123,6 +123,14 @@ class ReuseTimeHistogram:
         width = (1 << k) // self.coarse_per_octave
         return (1 << k) + (j + 1) * width - 1
 
+    def bucket_upper_edges(self, indices: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`bucket_upper_edge` (bit-identical to the scalar form)."""
+        index = np.asarray(indices, dtype=np.int64)
+        octave, j = np.divmod(np.maximum(index - self.fine_limit, 0), self.coarse_per_octave)
+        k = (self.fine_limit.bit_length() - 1) + octave
+        coarse = (np.int64(1) << k) + (j + 1) * ((np.int64(1) << k) // self.coarse_per_octave) - 1
+        return np.where(index < self.fine_limit, index + 1, coarse)
+
     # ----------------------------------------------------------------- #
     # Recording and merging
     # ----------------------------------------------------------------- #
@@ -144,9 +152,17 @@ class ReuseTimeHistogram:
         t = np.asarray(reuse_times, dtype=np.int64)
         if t.size == 0:
             return
-        indices = self.bucket_indices(t)
-        self._ensure(int(indices.max()))
-        np.add.at(self.counts, indices, 1)
+        if int(t.min()) < 1:
+            raise ValueError("reuse times must be >= 1")
+        longest = int(t.max())
+        top = self.bucket_index(longest)
+        self._ensure(top)
+        if longest <= 4 * t.size:
+            # Dense: count each reuse time, then sum every bucket's range of times.
+            starts = np.concatenate([[1], self.bucket_upper_edges(np.arange(top)) + 1])
+            self.counts[: top + 1] += np.add.reduceat(np.bincount(t), starts)
+        else:
+            self.counts += np.bincount(self.bucket_indices(t), minlength=self.counts.size)
         self.accesses += int(t.size)
 
     def record_cold(self, n: int = 1) -> None:
@@ -196,29 +212,28 @@ class ReuseTimeHistogram:
         if limit < 1:
             raise ValueError(f"max_cache_size must be >= 1, got {max_cache_size}")
 
+        # Walk the non-empty buckets in order.  Bucket i has survival
+        # s_i = P(reuse time >= its first value) and raises the AET integral
+        # to I_i = I_(i-1) + s_i * width_i (a sequential float sum, as
+        # np.cumsum computes it).  Cache size c takes the survival of the
+        # first bucket with I_(i-1) >= c or I_i > c; sizes past the last
+        # bucket take the cold-miss floor.
         n = float(self.accesses)
-        tail = int(self.counts.sum())
-        ratios: list[float] = []
-        integral = 0.0
-        prev_edge = 0
-        for index in np.nonzero(self.counts)[0]:
-            count = int(self.counts[index])
-            survival = (self.cold + tail) / n
-            # Cache sizes whose AET landed exactly on the previous edge see the
-            # post-edge survival probability.
-            while len(ratios) < limit and integral >= len(ratios) + 1:
-                ratios.append(survival)
-            edge = self.bucket_upper_edge(int(index))
-            width = edge - prev_edge
-            while len(ratios) < limit and integral + survival * width > len(ratios) + 1:
-                ratios.append(survival)
-            integral += survival * width
-            tail -= count
-            prev_edge = edge
-        floor = self.cold / n
-        while len(ratios) < limit:
-            ratios.append(floor if self.cold else 0.0)
-        return MissRatioCurve(ratios=tuple(ratios), accesses=int(self.accesses))
+        index = np.flatnonzero(self.counts)
+        count = self.counts[index]
+        tail = int(count.sum()) - (np.cumsum(count) - count)
+        survival = (self.cold + tail) / n
+        edges = self.bucket_upper_edges(index)
+        integral = np.cumsum(survival * np.diff(edges, prepend=0))
+        before = np.concatenate([[0.0], integral])[:-1]
+        sizes = np.arange(1, limit + 1)
+        first = np.minimum(
+            np.searchsorted(before, sizes, side="left"),
+            np.searchsorted(integral, sizes, side="right"),
+        )
+        floor = self.cold / n if self.cold else 0.0
+        ratios = np.append(survival, floor)[first]
+        return MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(self.accesses))
 
 
 class ReuseTimeProfiler:

@@ -41,6 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..cache._native import native_kernels
 from ..cache.mrc import MissRatioCurve
 from ..cache.stack_distance import stack_distance_histogram
 
@@ -72,6 +73,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _tweak(seed: int) -> int:
+    return (0xABCD0123 + int(seed) * _GOLDEN) & _MASK64
+
+
 def spatial_hash(items: Sequence[int] | np.ndarray, seed: int = 0) -> np.ndarray:
     """Hash item labels into ``[0, HASH_SPACE)`` deterministically.
 
@@ -80,9 +85,22 @@ def spatial_hash(items: Sequence[int] | np.ndarray, seed: int = 0) -> np.ndarray
     in the sub-trace or none is.
     """
     arr = np.asarray(items).astype(np.uint64, copy=False)
-    tweak = np.uint64((0xABCD0123 + int(seed) * _GOLDEN) & _MASK64)
-    hashed = _splitmix64((arr << np.uint64(20)) ^ tweak)
+    hashed = _splitmix64((arr << np.uint64(20)) ^ np.uint64(_tweak(seed)))
     return hashed & np.uint64(HASH_SPACE - 1)
+
+
+def sampled_positions(items: np.ndarray, thresholds: Sequence[int], seeds: Sequence[int]) -> list[np.ndarray]:
+    """Per ``(threshold, seed)`` pair, the positions of the references whose item hashes below it, in order.
+
+    ``spatial_hash(items, seed) < threshold`` as positions: one pass of the
+    native kernel over the trace for every pair where it is available, else
+    the numpy hash per pair.
+    """
+    native = native_kernels()
+    if native is None:
+        return [np.flatnonzero(spatial_hash(items, s) < np.uint64(t)) for t, s in zip(thresholds, seeds)]
+    tweaks = [_tweak(s) for s in seeds]
+    return native.sample_positions(np.asarray(items), tweaks, HASH_SPACE - 1, [int(t) for t in thresholds])
 
 
 @lru_cache(maxsize=256)
@@ -108,8 +126,7 @@ def sample_trace(trace: Sequence[int] | np.ndarray, rate: float, *, seed: int = 
     """
     arr = np.asarray(trace)
     threshold = rate_threshold(rate)
-    mask = spatial_hash(arr, seed) < np.uint64(threshold)
-    return arr[mask], threshold / HASH_SPACE
+    return arr[sampled_positions(arr, [threshold], [seed])[0]], threshold / HASH_SPACE
 
 
 def adaptive_rate(
@@ -154,7 +171,7 @@ def scaled_distance_histogram(sub_trace: np.ndarray, effective_rate: float) -> t
     distances = np.arange(1, hist.size + 1, dtype=np.float64)
     scaled = np.ceil(distances / effective_rate).astype(np.int64)
     full = np.zeros(int(scaled.max()), dtype=np.float64)
-    np.add.at(full, scaled - 1, hist.astype(np.float64))
+    full[scaled - 1] = hist  # rate <= 1, so distinct distances stay distinct
     return full, cold, int(sub_trace.size)
 
 
@@ -173,8 +190,10 @@ def histogram_to_mrc(
     ``denominator`` is the reference mass the cumulative hit counts are
     normalised by (expected sample size under the SHARDS-adj correction).
     """
-    ratios = 1.0 - np.cumsum(histogram) / denominator
-    ratios = np.minimum.accumulate(np.clip(ratios, 0.0, 1.0))
+    ratios = np.cumsum(histogram, dtype=np.float64)
+    ratios /= denominator
+    np.subtract(1.0, ratios, out=ratios)
+    np.minimum.accumulate(np.clip(ratios, 0.0, 1.0, out=ratios), out=ratios)
     # ndarray.tolist() builds plain floats in one C pass — the per-element
     # generator version showed up in online-replay profiles, where this runs
     # for every tenant on every epoch.
@@ -227,17 +246,20 @@ def shards_mrc(
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
 
-    distinct = np.unique(arr) if smax is not None else None
+    seeds = range(seed, seed + n_seeds)
+    if smax is None:
+        thresholds = [rate_threshold(rate)] * n_seeds
+    else:
+        distinct = np.unique(arr)
+        thresholds = [rate_threshold(adaptive_rate(distinct, smax, seed=s, assume_distinct=True)) for s in seeds]
     histograms: list[np.ndarray] = []
     sampled_total = 0
     expected_total = 0.0
-    for offset in range(n_seeds):
-        sub_seed = seed + offset
-        sub_rate = adaptive_rate(distinct, smax, seed=sub_seed, assume_distinct=True) if smax is not None else rate
-        sub, effective = sample_trace(arr, sub_rate, seed=sub_seed)
-        if sub.size == 0:
+    for positions, threshold in zip(sampled_positions(arr, thresholds, seeds), thresholds):
+        if positions.size == 0:
             continue
-        hist, _cold, sampled = scaled_distance_histogram(sub, effective)
+        effective = threshold / HASH_SPACE
+        hist, _cold, sampled = scaled_distance_histogram(arr[positions], effective)
         histograms.append(hist)
         sampled_total += sampled
         expected_total += arr.size * effective

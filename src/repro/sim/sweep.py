@@ -31,13 +31,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..cache._native import crc32
 from ..engine.job import check_positive
 from ..engine.runner import check_workers, fork_available, pool_map, published_arrays, resolve_array
 from ..obs import get_registry, span
@@ -259,7 +259,7 @@ def _sweep_fingerprint(job: SweepJob, trace: np.ndarray) -> str:
         "ways": int(job.ways),
         "seed": int(job.seed),
         "accesses": int(trace.size),
-        "trace_crc": zlib.crc32(np.ascontiguousarray(trace, dtype=np.int64).tobytes()) & 0xFFFFFFFF,
+        "trace_crc": crc32(np.ascontiguousarray(trace, dtype=np.int64)),
     }
     digest = hashlib.sha256(json.dumps(basis, sort_keys=True).encode("utf-8")).hexdigest()
     return f"sweep/1/{digest[:32]}"

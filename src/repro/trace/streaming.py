@@ -31,14 +31,15 @@ open; they simply get the structural checks only.
 from __future__ import annotations
 
 import json
+import math
 import os
-import zlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..cache._native import crc32
 from ..obs import get_registry
 from ..resilience.errors import TraceIntegrityError
 from .trace import Trace
@@ -184,13 +185,36 @@ def _stem_of(items_path: Path) -> Path:
     return items_path.with_name(name[: -len(suffix)])
 
 
-def _crc32_of(path: Path) -> int:
-    """Streamed CRC-32 of a whole file (1 MiB blocks, nothing fully resident)."""
+def _read_column_header(handle) -> tuple[tuple[int, ...], np.dtype]:
+    """Shape and dtype of the ``.npy`` column open in ``handle``, from its header alone.
+
+    Raises ``ValueError`` on a malformed header or on a payload shorter than
+    the header promises, as mapping the column would.
+    """
+    version = np.lib.format.read_magic(handle)
+    if version == (1, 0):
+        shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+    else:
+        shape, _, dtype = np.lib.format.read_array_header_2_0(handle)
+    data_bytes = os.fstat(handle.fileno()).st_size - handle.tell()
+    if data_bytes < math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"payload is {data_bytes} bytes, the header promises shape {shape} of {dtype}")
+    return shape, dtype
+
+
+def _crc32_of_handle(handle) -> int:
+    """Streamed CRC-32 of a whole open file (1 MiB blocks, nothing fully resident)."""
+    handle.seek(0)
     crc = 0
+    for block in iter(lambda: handle.read(1 << 20), b""):
+        crc = crc32(block, crc)
+    return crc
+
+
+def _crc32_of(path: Path) -> int:
+    """Streamed CRC-32 of a whole file."""
     with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            crc = zlib.crc32(block, crc)
-    return crc & 0xFFFFFFFF
+        return _crc32_of_handle(handle)
 
 
 def write_trace_manifest(path: str | Path) -> Path:
@@ -219,41 +243,29 @@ def write_trace_manifest(path: str | Path) -> Path:
     return manifest_path
 
 
-def _verify_against_manifest(path: str | Path) -> None:
-    """Check column files against the sidecar manifest, if one exists."""
+def _read_trace_manifest(path: str | Path) -> dict | None:
+    """The sidecar manifest's column entries, or ``None`` for a pre-sidecar trace."""
     manifest_path = _manifest_path(path)
-    if not manifest_path.exists():
-        return  # pre-sidecar trace: structural checks only
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
+        text = manifest_path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    except OSError as error:
+        raise TraceIntegrityError(str(manifest_path), reason=f"unreadable manifest: {error}") from error
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as error:
         raise TraceIntegrityError(str(manifest_path), reason=f"unreadable manifest: {error}") from error
     schema = manifest.get("schema")
     if schema != TRACE_MANIFEST_SCHEMA:
         raise TraceIntegrityError(
             str(manifest_path), reason="manifest schema mismatch", expected=TRACE_MANIFEST_SCHEMA, found=schema
         )
-    for name, file in zip(("items", "tenants"), _column_paths(path)):
-        recorded = manifest.get("columns", {}).get(name)
-        if recorded is None:
+    columns = manifest.get("columns", {})
+    for name in ("items", "tenants"):
+        if name not in columns:
             raise TraceIntegrityError(str(manifest_path), reason=f"manifest lists no {name!r} column")
-        size = os.path.getsize(file)
-        expected_size = recorded["length"] * np.dtype(recorded["dtype"]).itemsize
-        if size < expected_size:  # cheap truncation check before hashing
-            raise TraceIntegrityError(
-                str(file),
-                reason=f"column file is shorter than its {recorded['length']}-element manifest entry",
-                expected=f">= {expected_size} data bytes",
-                found=f"{size} file bytes",
-            )
-        found = _crc32_of(file)
-        if found != recorded["crc32"]:
-            raise TraceIntegrityError(
-                str(file),
-                reason="column checksum mismatch (file changed since flush)",
-                expected=f"crc32={recorded['crc32']}",
-                found=f"crc32={found}",
-            )
+    return columns
 
 
 def verify_memmap_trace(path: str | Path) -> None:
@@ -262,36 +274,65 @@ def verify_memmap_trace(path: str | Path) -> None:
     Raises :class:`~repro.resilience.errors.TraceIntegrityError` on missing
     column files, unreadable/truncated ``.npy`` payloads, shape or dtype
     disagreements, and — when the ``<stem>.manifest.json`` sidecar exists —
-    checksum mismatches.  Returns ``None`` when the trace is sound.
+    checksum mismatches.  Returns ``None`` when the trace is sound.  Each
+    column file is opened once: its header is checked, then its bytes are
+    checksummed against the manifest.
     """
     items_path, tenants_path = _column_paths(path)
     for file in (items_path, tenants_path):
         if not file.exists():
             raise TraceIntegrityError(str(file), reason="column file is missing")
-    columns = {}
-    for file in (items_path, tenants_path):
+    manifest = _read_trace_manifest(path)
+    shapes = {}
+    for name, file in zip(("items", "tenants"), (items_path, tenants_path)):
         try:
-            columns[file] = np.load(file, mmap_mode="r")
-        except (ValueError, OSError) as error:
+            handle = open(file, "rb")
+        except OSError as error:
             raise TraceIntegrityError(str(file), reason=f"unreadable .npy column: {error}") from error
-    items, tenants = columns[items_path], columns[tenants_path]
-    for file, column in columns.items():
-        if column.ndim != 1:
-            raise TraceIntegrityError(
-                str(file), reason="column is not one-dimensional", expected="1-d", found=f"shape {column.shape}"
-            )
-        if not np.issubdtype(column.dtype, np.integer):
-            raise TraceIntegrityError(
-                str(file), reason="column dtype is not integral", expected="integer dtype", found=str(column.dtype)
-            )
-    if items.shape != tenants.shape:
+        with handle:
+            try:
+                shape, dtype = _read_column_header(handle)
+            except (ValueError, OSError) as error:
+                raise TraceIntegrityError(str(file), reason=f"unreadable .npy column: {error}") from error
+            if len(shape) != 1:
+                raise TraceIntegrityError(
+                    str(file), reason="column is not one-dimensional", expected="1-d", found=f"shape {shape}"
+                )
+            if not np.issubdtype(dtype, np.integer):
+                raise TraceIntegrityError(
+                    str(file), reason="column dtype is not integral", expected="integer dtype", found=str(dtype)
+                )
+            shapes[file] = shape
+            if manifest is not None:
+                _check_against_manifest(file, handle, manifest[name])
+    if shapes[items_path] != shapes[tenants_path]:
         raise TraceIntegrityError(
             str(tenants_path),
             reason=f"column lengths disagree with {items_path.name}",
-            expected=f"shape {items.shape}",
-            found=f"shape {tenants.shape}",
+            expected=f"shape {shapes[items_path]}",
+            found=f"shape {shapes[tenants_path]}",
         )
-    _verify_against_manifest(path)
+
+
+def _check_against_manifest(file: Path, handle, recorded: dict) -> None:
+    """Check one open column file's size and CRC-32 against its manifest entry."""
+    size = os.fstat(handle.fileno()).st_size
+    expected_size = recorded["length"] * np.dtype(recorded["dtype"]).itemsize
+    if size < expected_size:  # cheap truncation check before hashing
+        raise TraceIntegrityError(
+            str(file),
+            reason=f"column file is shorter than its {recorded['length']}-element manifest entry",
+            expected=f">= {expected_size} data bytes",
+            found=f"{size} file bytes",
+        )
+    found = _crc32_of_handle(handle)
+    if found != recorded["crc32"]:
+        raise TraceIntegrityError(
+            str(file),
+            reason="column checksum mismatch (file changed since flush)",
+            expected=f"crc32={recorded['crc32']}",
+            found=f"crc32={found}",
+        )
 
 
 def create_memmap_trace(path: str | Path, length: int, *, segment: int = DEFAULT_SEGMENT) -> StreamingTrace:

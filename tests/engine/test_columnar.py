@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine.columnar import (
     TenantDistancePasses,
@@ -34,6 +36,24 @@ class TestSplits:
         positions = tenant_positions(ids, 3)
         for t, idx in enumerate(positions):
             np.testing.assert_array_equal(items[idx], items[ids == t])
+
+    @given(
+        tenants=st.integers(1, 300),
+        length=st.integers(0, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sorted_split_matches_per_tenant_masks(self, tenants, length, seed):
+        # Up to 300 tenants covers both the uint8 and the uint16 radix keys;
+        # short traces leave many tenants empty.
+        ids = np.random.default_rng(seed).integers(0, tenants, size=length)
+        positions = tenant_positions(ids, tenants)
+        assert len(positions) == tenants
+        for t, idx in enumerate(positions):
+            np.testing.assert_array_equal(idx, np.flatnonzero(ids == t))
+
+    def test_empty_trace_splits_into_empty_tenants(self):
+        streams = split_by_tenant(np.array([], dtype=np.int64), np.array([]), 4)
+        assert [s.size for s in streams] == [0, 0, 0, 0]
 
     def test_rejects_out_of_range_tenant(self):
         with pytest.raises(ValueError, match="tenant ids"):

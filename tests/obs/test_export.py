@@ -109,6 +109,13 @@ class TestManifest:
         assert record["argv"] == ["a", "b"]
         assert record["extra"] == {"extra_key": "v"}
 
+    def test_records_the_distance_kernel(self):
+        from repro.cache._native import kernel_name
+
+        record = RunManifest.collect("cmd").to_record()
+        assert record["kernel"] == kernel_name() in ("native", "numpy")
+        assert f"kernel={record['kernel']}" in summarize_records([record])
+
 
 class TestTrajectory:
     def test_record_perf_replaces_by_key(self, tmp_path):

@@ -111,6 +111,16 @@ class TestChunkPartials:
         with pytest.raises(ValueError):
             parallel_reuse_histogram(np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("chunks", [1, 5])
+    def test_numpy_fallback_is_identical(self, monkeypatch, chunks):
+        from repro.profiling import engine
+
+        trace = zipfian_trace(20_000, 1_024, rng=6).accesses
+        native, native_partial = parallel_reuse_histogram(trace, workers=1, chunks=chunks), chunk_partial(trace, 10)
+        monkeypatch.setattr(engine, "native_kernels", lambda: None)  # as on a machine without a compiler
+        assert parallel_reuse_histogram(trace, workers=1, chunks=chunks) == native
+        assert chunk_partial(trace, 10) == native_partial
+
 
 class TestParallelCurve:
     def test_parallel_curve_matches_reuse_mrc(self):

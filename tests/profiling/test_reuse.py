@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache.mrc import mrc_from_trace
 from repro.profiling import (
@@ -45,6 +47,21 @@ class TestBucketArithmetic:
             edge = hist.bucket_upper_edge(index)
             assert edge >= t
             assert hist.bucket_index(edge) == index
+
+    def test_vector_upper_edges_match_scalar(self):
+        hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
+        indices = np.arange(64 + 16 * 40)
+        assert hist.bucket_upper_edges(indices).tolist() == [hist.bucket_upper_edge(int(i)) for i in indices]
+
+    @pytest.mark.parametrize("high", [300, 1 << 40], ids=["dense", "sparse"])
+    def test_recording_matches_per_reuse_buckets(self, high):
+        # Dense reuse times are counted per time and summed per bucket range;
+        # sparse ones are bucketed one by one.  Both give the same counts.
+        hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
+        times = np.random.default_rng(5).integers(1, high, size=1_000)
+        hist.record_reuses(times)
+        want = np.bincount(hist.bucket_indices(times))
+        assert np.array_equal(hist.counts, want) and hist.accesses == times.size
 
     def test_edges_strictly_ordered_across_nonempty_buckets(self):
         hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
@@ -106,7 +123,46 @@ class TestProfiler:
         assert a.histogram == b.histogram
 
 
+def _aet_walk(hist: ReuseTimeHistogram, limit: int) -> tuple[float, ...]:
+    """The AET model as a sequential walk over the non-empty buckets (the reference form)."""
+    n = float(hist.accesses)
+    tail = int(hist.counts.sum())
+    ratios: list[float] = []
+    integral = 0.0
+    prev_edge = 0
+    for index in np.nonzero(hist.counts)[0]:
+        survival = (hist.cold + tail) / n
+        while len(ratios) < limit and integral >= len(ratios) + 1:
+            ratios.append(survival)
+        edge = hist.bucket_upper_edge(int(index))
+        width = edge - prev_edge
+        while len(ratios) < limit and integral + survival * width > len(ratios) + 1:
+            ratios.append(survival)
+        integral += survival * width
+        tail -= int(hist.counts[index])
+        prev_edge = edge
+    while len(ratios) < limit:
+        ratios.append(hist.cold / n if hist.cold else 0.0)
+    return tuple(ratios)
+
+
 class TestAETModel:
+    @given(
+        counts=st.lists(st.integers(0, 6), max_size=80),
+        cold=st.integers(0, 60),
+        limit=st.integers(1, 300),
+    )
+    def test_vectorised_curve_matches_sequential_walk(self, counts, cold, limit):
+        accesses = sum(counts) + cold
+        hist = ReuseTimeHistogram(fine_limit=16, coarse_per_octave=4, cold=cold, accesses=accesses, counts=counts)
+        if hist.accesses:
+            assert hist.to_mrc(limit).ratios == _aet_walk(hist, limit)
+
+    def test_zipfian_curve_matches_sequential_walk(self):
+        trace = zipfian_trace(60_000, 4_096, exponent=0.8, rng=7).accesses
+        hist = ReuseTimeProfiler().feed(trace).histogram
+        assert hist.to_mrc(hist.cold).ratios == _aet_walk(hist, hist.cold)
+
     def test_cyclic_trace_is_exact(self):
         """All reuse times equal m: AET reproduces the LRU cliff exactly."""
         m, passes = 16, 5

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 import numpy as np
@@ -13,6 +15,7 @@ from repro.resilience import (
     load_checkpoint,
     write_checkpoint,
 )
+from repro.resilience import checkpoint
 
 
 class TestRoundTrip:
@@ -58,6 +61,25 @@ class TestPruning:
         snapshots = sorted(p.name for p in tmp_path.glob("step-*.ckpt"))
         assert snapshots == ["step-00000004.ckpt", "step-00000005.ckpt", "step-00000006.ckpt"]
         assert latest_step(tmp_path) == 6
+
+    def test_a_new_process_prunes_snapshots_it_did_not_write(self, tmp_path, monkeypatch):
+        for step in range(1, 4):
+            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp", keep=3)
+        monkeypatch.setattr(checkpoint, "_OPEN_STORES", {})  # as a resumed run in a fresh process
+        write_checkpoint(tmp_path, 4, {"s": 4}, fingerprint="fp", keep=3)
+        assert [p.name for p in sorted(tmp_path.glob("step-*.ckpt"))] == [
+            "step-00000002.ckpt",
+            "step-00000003.ckpt",
+            "step-00000004.ckpt",
+        ]
+
+    def test_a_store_removed_mid_run_is_started_afresh(self, tmp_path):
+        store = tmp_path / "store"
+        write_checkpoint(store, 1, {"s": 1}, fingerprint="fp")
+        shutil.rmtree(store)
+        write_checkpoint(store, 2, {"s": 2}, fingerprint="fp")
+        assert latest_step(store) == 2
+        assert load_checkpoint(store, fingerprint="fp").state == {"s": 2}
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
