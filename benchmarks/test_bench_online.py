@@ -6,8 +6,7 @@ re-partitioning from windowed-SHARDS profiles achieves a *strictly lower*
 overall miss ratio than the best static whole-trace partition, while the
 windowed profiler touches at most **2x** the references a single whole-trace
 exact profile would (so the adaptation is not bought with unbounded
-profiling), and results are bit-identical across ``--workers``.  The
-per-epoch miss-ratio series of static vs. adaptive vs. oracle-per-phase
+profiling).  The per-epoch miss-ratio series of static vs. adaptive vs. oracle-per-phase
 lands in ``benchmarks/results/`` for re-plotting.
 """
 
@@ -56,11 +55,6 @@ def test_adaptive_beats_static_within_bounded_profiling_work(benchmark, results_
     # The engine adapted for real, and the oracle brackets it from below.
     assert result.reallocations >= 2
     assert result.oracle_miss_ratio <= result.adaptive_miss_ratio
-
-    # Bit-identical across worker counts (workers only fan profile extraction).
-    parallel = run_replay(workload, JOB, workers=4)
-    assert parallel.summary() == result.summary()
-    assert parallel.rows() == result.rows()
 
     rows = result.rows()
     print()

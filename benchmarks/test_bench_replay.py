@@ -3,10 +3,11 @@
 The acceptance claims of the batch data plane (``repro.sim.partitioned``),
 asserted on the canonical 72k-reference 3-phase two-tenant seesaw:
 
-1. **Bit-identical** — the ``batch`` and ``reference`` engines of
-   :func:`repro.online.run_replay` produce identical per-epoch miss-ratio
-   series for all three lanes (static, adaptive, oracle), identical
-   scoreboards, and identical results across ``--workers``.
+1. **Bit-identical** — :func:`repro.online.run_replay` and the per-event
+   oracle of ``tests/oracles.py`` (from-scratch exact profiles, one
+   ``OrderedDict`` partition per tenant and lane) produce identical
+   allocations and per-epoch miss-ratio series for all three lanes (static,
+   adaptive, oracle).
 2. **≥10x** — replaying the three lanes through the batch kernels is at
    least 10x faster than the seed per-event ``OrderedDict`` replay of the
    very same capacity schedules.  The per-tenant stack-distance pass the
@@ -29,23 +30,27 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from repro.analysis import format_table, write_csv
 from repro.cache.stack_distance import stack_distances_with_previous
+from repro.engine import PrecomputedTenantDistances
 from repro.obs import record_perf
 from repro.online import OnlineJob, run_replay
-from repro.online.replay import PartitionedLRU, _initial_split
-from repro.sim.partitioned import (
-    BatchPartitionedLRU,
-    PrecomputedTenantDistances,
-    replay_partitioned,
-)
+from repro.online.replay import _initial_split
+from repro.sim.partitioned import BatchPartitionedLRU, replay_partitioned
 from repro.trace import create_memmap_trace, open_memmap_trace
 from repro.trace.drift import three_phase_pair
+
+
+# The per-event oracle lives with the test suite (``tests/oracles.py``).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracles  # noqa: E402
 
 LENGTH_PER_PHASE = 12_000
 SEED = 7
@@ -58,7 +63,7 @@ JOB = OnlineJob(
     move_cost=1.0,
     name="bench-replay",
 )
-LANES = ("static", "adaptive", "oracle")
+LANES = oracles.LANES
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 MEMMAP_REFS = 2_000_000 if QUICK else 10_000_000
@@ -75,78 +80,28 @@ def _record(results_dir, section: str, payload: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _lane_schedule(workload, result):
-    """The chunk stops and per-lane resize schedules one replay actually ran."""
-    n = result.accesses
-    epoch_ends = set(range(JOB.epoch, n, JOB.epoch)) | {n}
-    boundaries = {b for b in workload.boundaries if b > 0}
-    stops = sorted(epoch_ends | boundaries)
-    adaptive_at = {epoch.end: epoch.adaptive_allocation for epoch in result.epochs}
-    oracle_at = {int(workload.boundaries[p]): result.oracle_allocations[p] for p in range(1, workload.num_phases)}
-    return stops, epoch_ends, adaptive_at, oracle_at
-
-
-def _drive(simulators, advance, stops, epoch_ends, adaptive_at, oracle_at):
-    """Run one data plane over the recorded schedule; per-epoch misses per lane."""
-    series = {lane: [] for lane in LANES}
-    epoch_misses = {lane: 0 for lane in LANES}
-    position = 0
-    for stop in stops:
-        deltas = advance(position, stop)
-        for lane in LANES:
-            epoch_misses[lane] += deltas[lane]
-        position = stop
-        if position in oracle_at:
-            simulators["oracle"].resize(oracle_at[position])
-        if position in epoch_ends:
-            if position in adaptive_at:
-                simulators["adaptive"].resize(adaptive_at[position])
-            for lane in LANES:
-                series[lane].append(epoch_misses[lane])
-                epoch_misses[lane] = 0
-    return series
-
-
 def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajectory):
     workload = three_phase_pair(LENGTH_PER_PHASE, seed=SEED)
     composed = workload.composed
     items, ids = composed.trace.accesses, composed.tenant_ids
     num_tenants = composed.num_tenants
 
-    # --- end-to-end: both engines, bit-identical results ------------------ #
+    # --- end-to-end: the replay against the per-event oracle --------------- #
     start = time.perf_counter()
     result = run_replay(workload, JOB)
     batch_end_to_end = time.perf_counter() - start
     start = time.perf_counter()
-    reference_result = run_replay(workload, JOB, engine="reference")
+    oracles.replay_lanes(workload, result, JOB)  # asserts allocations and every lane's series
     reference_end_to_end = time.perf_counter() - start
-    assert reference_result.rows() == result.rows(), "per-epoch series must be bit-identical across engines"
-    assert reference_result.summary() == result.summary()
-    parallel = run_replay(workload, JOB, workers=4)
-    assert parallel.rows() == result.rows(), "workers must never change results"
-    assert parallel.summary() == result.summary()
 
     # --- data plane: the same three lane schedules, both planes ----------- #
-    stops, epoch_ends, adaptive_at, oracle_at = _lane_schedule(workload, result)
+    schedule = oracles.lane_schedule(workload, result)
     initial = _initial_split(num_tenants, JOB.budget, JOB.unit)
     allocations = {"static": result.static_allocation, "adaptive": initial, "oracle": result.oracle_allocations[0]}
 
     def run_per_event():
-        sims = {lane: PartitionedLRU(allocations[lane]) for lane in LANES}
-
-        def advance(start, stop):
-            pairs = list(zip(ids[start:stop].tolist(), items[start:stop].tolist()))
-            deltas = {}
-            for lane in LANES:
-                sim = sims[lane]
-                before = sim.misses
-                access = sim.access
-                for tenant, item in pairs:
-                    access(tenant, item)
-                deltas[lane] = sim.misses - before
-            return deltas
-
-        return _drive(sims, advance, stops, epoch_ends, adaptive_at, oracle_at)
+        sims = {lane: oracles.PartitionedLRU(allocations[lane]) for lane in LANES}
+        return oracles.drive(sims, oracles.per_event_advance(sims, items, ids), schedule)
 
     # The distance pass is charged to profiling: run_replay computes it once
     # and derives the static and oracle profiles from the same arrays, so the
@@ -156,14 +111,14 @@ def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajector
     distance_pass_seconds = time.perf_counter() - start
 
     def run_batch():
-        provider = PrecomputedTenantDistances.from_arrays(shared_distances)
+        provider = PrecomputedTenantDistances(shared_distances)
         sims = {lane: BatchPartitionedLRU(allocations[lane]) for lane in LANES}
 
         def advance(start, stop):
             distances = provider.feed(items[start:stop], ids[start:stop])
             return {lane: sims[lane].run_segment(distances)[1] for lane in LANES}
 
-        return _drive(sims, advance, stops, epoch_ends, adaptive_at, oracle_at)
+        return oracles.drive(sims, advance, schedule)
 
     per_event_series = run_per_event()
     batch_series = run_batch()
@@ -202,7 +157,7 @@ def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajector
         format_table(
             table,
             title=(
-                f"replay data plane — {items.size} refs x 3 lanes, {len(stops)} segments, "
+                f"replay data plane — {items.size} refs x 3 lanes, {len(schedule.stops)} segments, "
                 f"budget {JOB.budget}, epoch {JOB.epoch} (distance pass {distance_pass_seconds * 1e3:.1f}ms, "
                 f"shared with profile extraction)"
             ),

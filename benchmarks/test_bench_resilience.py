@@ -75,7 +75,7 @@ def test_checkpoint_and_integrity_overhead_below_5_percent(results_dir, perf_tra
     # clocks would drown a ~5ms signal in this-machine scheduling noise.
     # The store is pre-created so the one-time manifest write (which shells
     # out to git for provenance) stays out of the steady-state claim.
-    fingerprint = replay_fingerprint(workload, JOB, "batch")
+    fingerprint = replay_fingerprint(workload, JOB)
     snapshots, snapshot_seconds = 0, float("inf")
     for round_index in range(3):
         store = tmp_path / f"ck-{round_index}"
@@ -91,7 +91,7 @@ def test_checkpoint_and_integrity_overhead_below_5_percent(results_dir, perf_tra
                 snapshots = stats[0]
                 snapshot_seconds = min(snapshot_seconds, stats[2])
     checkpoint_seconds = snapshot_seconds * snapshots
-    fingerprint_seconds = min(_timed(lambda: replay_fingerprint(workload, JOB, "batch")) for _ in range(3))
+    fingerprint_seconds = min(_timed(lambda: replay_fingerprint(workload, JOB)) for _ in range(3))
 
     # Integrity verification of the same workload serialised as a memmap
     # trace: the cost a resumed run pays before trusting on-disk columns.

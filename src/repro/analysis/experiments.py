@@ -548,7 +548,6 @@ def run_online_adaptation(
     method: str = "hull",
     rate: float = 0.5,
     move_cost: float = 1.0,
-    workers: int = 1,
     rng: int = 7,
 ) -> dict:
     """Online adaptive re-partitioning on the 3-phase drifting pair.
@@ -577,7 +576,7 @@ def run_online_adaptation(
         profile_seed=rng,
         name="online-adaptation",
     )
-    result = run_replay(workload, job, workers=workers)
+    result = run_replay(workload, job)
     return {
         "accesses": result.accesses,
         "budget": result.budget,

@@ -18,11 +18,12 @@ protocols).  This module is the facade over that contract:
 * :func:`export_csv` — write any result's rows with the per-type CSV
   convention the CLI has always used (byte-identical files).
 
-Every entry point takes the same cross-cutting keywords: ``workers`` (fan
-independent tasks over the engine's process pool — never changes a result),
-``csv_path`` (export rows after the run) and ``metrics_path`` (record
-counters/spans/series into a JSONL file via :mod:`repro.obs`).  The CLI
-subcommands are thin wrappers over these functions.
+Every entry point takes the same cross-cutting keywords ``csv_path``
+(export rows after the run) and ``metrics_path`` (record counters/spans/series
+into a JSONL file via :mod:`repro.obs`); the profile, sweep and partition
+entry points also take ``workers`` (fan independent tasks over the engine's
+process pool — never changes a result).  The CLI subcommands are thin
+wrappers over these functions.
 
 Examples
 --------
@@ -124,7 +125,6 @@ def run(
     *,
     workload: "DriftingWorkload | None" = None,
     workers: int = 1,
-    engine: str = "batch",
     policy: "RetryPolicy | None" = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 1,
@@ -138,29 +138,28 @@ def run(
     :class:`~repro.sim.sweep.SweepJob`,
     :class:`~repro.alloc.partition.PartitionJob` or
     :class:`~repro.online.replay.OnlineJob`).  ``workload`` is required for —
-    and only accepted by — online jobs; ``engine`` selects the online replay
-    data plane.  ``workers`` never changes any result.
+    and only accepted by — online jobs.  ``workers`` never changes any
+    result; the online replay runs in one process and rejects it.
 
     The fault-tolerance knobs apply to the job types that support them:
     ``policy`` (a :class:`repro.resilience.RetryPolicy`) hardens the process
-    pool of online and sweep jobs, and ``checkpoint_dir`` /
-    ``checkpoint_every`` / ``resume`` give those two crash-safe progress
-    snapshots and bit-identical resumption (see :mod:`repro.resilience`).
-    Passing any of them with a profile or partition job is an error.
+    pool of sweep jobs, and ``checkpoint_dir`` / ``checkpoint_every`` /
+    ``resume`` give online and sweep jobs crash-safe progress snapshots and
+    bit-identical resumption (see :mod:`repro.resilience`).  Passing any of
+    them with a job type that does not support it is an error.
     """
     ProfileJob, SweepJob, PartitionJob, OnlineJob = _jobs_module()
     resilient = policy is not None or checkpoint_dir is not None or resume
     if isinstance(job, OnlineJob):
         if workload is None:
             raise ValueError("online jobs need a workload= (a DriftingWorkload or preset)")
+        if workers != 1 or policy is not None:
+            raise ValueError("workers=/policy= do not apply to online jobs: the replay never uses the process pool")
         from .online.replay import run_replay
 
         runner = lambda: run_replay(  # noqa: E731
             workload,
             job,
-            workers=workers,
-            engine=engine,
-            policy=policy,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             resume=resume,
@@ -355,9 +354,6 @@ def online(
     unit: int = 1,
     profile_seed: int = 0,
     name: str | None = None,
-    workers: int = 1,
-    engine: str = "batch",
-    policy: "RetryPolicy | None" = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 1,
     resume: bool = False,
@@ -369,10 +365,9 @@ def online(
     ``workload`` is a :class:`~repro.trace.drift.DriftingWorkload` or one of
     the presets ``"three-phase"`` / ``"churn"`` (built with ``length`` and
     ``seed``; both are ignored for an already-built workload).  The remaining
-    knobs mirror :class:`~repro.online.replay.OnlineJob`; ``engine`` selects
-    the replay data plane (``batch`` | ``reference``, bit-identical);
-    ``policy`` / ``checkpoint_dir`` / ``checkpoint_every`` / ``resume`` are
-    the fault-tolerance knobs of :func:`repro.online.replay.run_replay`.
+    knobs mirror :class:`~repro.online.replay.OnlineJob`;
+    ``checkpoint_dir`` / ``checkpoint_every`` / ``resume`` are the
+    fault-tolerance knobs of :func:`repro.online.replay.run_replay`.
     """
     from .online.replay import OnlineJob
 
@@ -404,9 +399,6 @@ def online(
     return run(
         job,
         workload=workload,
-        workers=workers,
-        engine=engine,
-        policy=policy,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         resume=resume,

@@ -428,8 +428,6 @@ def _cmd_online(args: argparse.Namespace) -> int:
             realloc_epochs=args.realloc_epochs,
             unit=args.unit,
             profile_seed=args.profile_seed,
-            workers=args.workers,
-            engine=args.engine,
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
@@ -629,20 +627,25 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------------- #
-def _engine_flags(*, seed_default: int, seed_help: str, workers_help: str, csv_help: str) -> argparse.ArgumentParser:
+def _engine_flags(*, seed_default: int, seed_help: str, csv_help: str) -> argparse.ArgumentParser:
     """Parent parser carrying the flags every engine subcommand shares.
 
     One definition keeps the names, types and defaults of ``--seed`` /
-    ``--workers`` / ``--csv`` / ``--metrics`` aligned across the
-    profile/sweep/partition/online subcommands (the per-subcommand help
-    strings stay specific), mirroring the unified keyword names of
-    :mod:`repro.api`.
+    ``--csv`` / ``--metrics`` aligned across the profile/sweep/partition/online
+    subcommands (the per-subcommand help strings stay specific), mirroring
+    the unified keyword names of :mod:`repro.api`.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--seed", type=int, default=seed_default, help=seed_help)
-    parent.add_argument("--workers", type=int, default=1, help=workers_help)
     parent.add_argument("--csv", default=None, help=csv_help)
     parent.add_argument("--metrics", default=None, help="record run metrics to this JSONL file")
+    return parent
+
+
+def _workers_flag(help_text: str) -> argparse.ArgumentParser:
+    """Parent parser with ``--workers``, for the subcommands that fan work over the process pool."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--workers", type=int, default=1, help=help_text)
     return parent
 
 
@@ -689,7 +692,6 @@ def _alloc_flags() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     from .engine.job import PROFILE_MODES
-    from .engine.lanes import LANE_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -714,9 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
             _engine_flags(
                 seed_default=0,
                 seed_help="base hash seed for sampling",
-                workers_help="process pool size (batch of traces, or chunks of one trace in reuse mode)",
                 csv_help="write the curve to this CSV file (single trace only)",
-            )
+            ),
+            _workers_flag("process pool size (batch of traces, or chunks of one trace in reuse mode)"),
         ],
     )
     profile.add_argument("trace_files", nargs="+", help="text trace file(s)")
@@ -744,9 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
             _engine_flags(
                 seed_default=0,
                 seed_help="seed of the random-replacement policy",
-                workers_help="process pool size (never changes the results)",
                 csv_help="write the sweep rows to this CSV file",
             ),
+            _workers_flag("process pool size (never changes the results)"),
             _checkpoint_flags(),
         ],
     )
@@ -771,9 +773,9 @@ def build_parser() -> argparse.ArgumentParser:
             _engine_flags(
                 seed_default=0,
                 seed_help="seed of the tenant interleaving",
-                workers_help="process pool size for per-tenant profiling",
                 csv_help="write per-tenant rows plus a TOTAL row to this CSV file",
             ),
+            _workers_flag("process pool size for per-tenant profiling"),
             _alloc_flags(),
         ],
     )
@@ -803,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
             _engine_flags(
                 seed_default=7,
                 seed_help="seed of the drifting workload",
-                workers_help="process pool size (never changes the results)",
                 csv_help="write per-epoch rows plus a TOTAL row to this CSV file",
             ),
             _alloc_flags(),
@@ -835,12 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="fixed re-allocation cadence; between these epochs only a phase-change flag consults the controller",
-    )
-    online.add_argument(
-        "--engine",
-        choices=list(LANE_ENGINES),
-        default="batch",
-        help="replay data plane: vectorised batch kernels or the per-event reference (bit-identical)",
     )
     online.set_defaults(func=_cmd_online)
 

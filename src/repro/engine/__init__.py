@@ -13,8 +13,7 @@ same four-stage pipeline over it:
    pass per tenant (:class:`~repro.engine.columnar.TenantDistancePasses`),
    shared by MRC extraction, sweep kernels and replay lanes alike.
 3. **lanes** (:mod:`repro.engine.lanes`) — any number of cache
-   configurations measured over one data plane, with a bit-identical
-   per-event reference mode.
+   configurations measured over one shared distance pass per tenant.
 4. **runner** (:mod:`repro.engine.runner`) — one worker-pool fan-out with
    one bit-identical single-process reference mode (``workers=1``).
 
@@ -41,7 +40,6 @@ from .columnar import (
     TenantDistanceStreams,
     check_tenant_ids,
     discretized_from_distances,
-    exact_discretized_curve,
     idle_curve,
     split_by_tenant,
     tenant_positions,
@@ -57,18 +55,16 @@ from .job import (
     check_positive,
     check_unit,
 )
-from .lanes import LANE_ENGINES, LaneSet, PartitionedLRU
+from .lanes import LaneSet
 from .runner import check_workers, fork_available, fork_pool, pool_map, published_arrays, resolve_array
 from .segments import chunk_spans, phase_of_event, phase_of_last_event, replay_stops, strided_spans
 
 __all__ = [
     "ALLOC_METHODS",
-    "LANE_ENGINES",
     "PROFILE_MODES",
     "ExperimentJob",
     "ExperimentResult",
     "LaneSet",
-    "PartitionedLRU",
     "PrecomputedTenantDistances",
     "TenantDistancePasses",
     "TenantDistanceStreams",
@@ -81,7 +77,6 @@ __all__ = [
     "check_workers",
     "chunk_spans",
     "discretized_from_distances",
-    "exact_discretized_curve",
     "fork_available",
     "fork_pool",
     "idle_curve",

@@ -22,9 +22,9 @@ future consumer simultaneously.
   with ``O(footprint)`` carried state, for traces too large to hold.
 * :class:`PrecomputedTenantDistances` — whole-stream distances sliced out
   chunk by chunk (the in-memory replay fast path).
-* :func:`exact_discretized_curve` / :func:`discretized_from_distances` —
-  exact discretized MRC extraction from a stream or from precomputed
-  distances, bit-identical to each other on the same stream.
+* :func:`discretized_from_distances` — exact discretized MRC extraction from
+  precomputed distances, bit-identical to a from-scratch pass over the same
+  stream (asserted in the test suite).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..cache.stack_distance import COLD, StackDistanceStream, stack_distances_vectorized
+from ..cache.stack_distance import COLD, StackDistanceStream
 
 __all__ = [
     "PrecomputedTenantDistances",
@@ -41,7 +41,6 @@ __all__ = [
     "TenantDistanceStreams",
     "check_tenant_ids",
     "discretized_from_distances",
-    "exact_discretized_curve",
     "idle_curve",
     "split_by_tenant",
     "tenant_positions",
@@ -52,8 +51,8 @@ def check_tenant_ids(tenant_ids: np.ndarray, num_tenants: int) -> None:
     """Reject tenant ids outside ``[0, num_tenants)``.
 
     Splitting with boolean masks would otherwise silently *drop* the events
-    of an out-of-range tenant — wrong totals instead of an error, where the
-    per-event reference simulator raises.
+    of an out-of-range tenant — wrong totals instead of an error, where a
+    per-event simulator raises.
     """
     if tenant_ids.size and not 0 <= int(tenant_ids.min()) <= int(tenant_ids.max()) < num_tenants:
         raise ValueError(
@@ -100,30 +99,13 @@ def idle_curve(unit: int):
     return DiscretizedMRC(misses=np.zeros(1, dtype=np.float64), unit=unit, accesses=_IDLE_CURVE_ACCESSES)
 
 
-def exact_discretized_curve(stream: np.ndarray, budget: int, unit: int):
-    """Exact whole-stream MRC of one tenant stream, discretized to units.
-
-    The pool-dispatchable profile extractor of the reference engine: one
-    stack-distance pass over ``stream``, a miss-ratio curve up to ``budget``
-    blocks, discretized to allocation ``unit``\\ s.  An empty stream maps to
-    the :func:`idle_curve`.
-    """
-    from ..alloc.curves import discretize_curve
-    from ..cache.mrc import mrc_from_trace
-
-    stream = np.asarray(stream)
-    if stream.size == 0:
-        return idle_curve(unit)
-    curve = mrc_from_trace(stream, max_cache_size=budget)
-    return discretize_curve(curve, budget, unit=unit)
-
-
 def discretized_from_distances(distances: np.ndarray, budget: int, unit: int):
     """Exact discretized MRC straight from precomputed stack distances.
 
-    Bit-identical to :func:`exact_discretized_curve` on the stream the
-    distances were measured over (same histogram, same cumulative hits, same
-    float ops) — but free once the engine has done its one distance pass per
+    Bit-identical to :func:`~repro.cache.mrc.mrc_from_trace` plus
+    :func:`~repro.alloc.curves.discretize_curve` on the stream the distances
+    were measured over (same histogram, same cumulative hits, same float
+    ops) — but free once the engine has done its one distance pass per
     tenant.  Cold accesses carry the
     :data:`~repro.cache.stack_distance.COLD` sentinel, which is beyond any
     budget and falls out of the histogram.
@@ -139,12 +121,6 @@ def discretized_from_distances(distances: np.ndarray, budget: int, unit: int):
     ratios = 1.0 - np.cumsum(hist).astype(np.float64) / n
     curve = MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=n)
     return discretize_curve(curve, budget, unit=unit)
-
-
-def _exact_discretized_task(task: tuple[np.ndarray, int, int]):
-    """Pool worker: :func:`exact_discretized_curve` over one ``(stream, budget, unit)``."""
-    stream, budget, unit = task
-    return exact_discretized_curve(stream, budget, unit)
 
 
 class TenantDistancePasses:
@@ -245,37 +221,19 @@ class PrecomputedTenantDistances:
     The in-memory fast path of the replay data plane: when the composed
     trace is fully resident anyway, one vectorised distance pass per tenant
     up front beats re-running the (overhead-bound) chunked pass on every
-    small epoch segment.  ``feed`` has the same surface as
+    small epoch segment.  The provider wraps those already-computed
+    per-tenant arrays (no extra pass): the replay engine amortises its one
+    :class:`TenantDistancePasses` across the static and per-phase oracle
+    profiles and then all three lanes.  ``feed`` has the same surface as
     :class:`TenantDistanceStreams` and yields bit-identical arrays — the
     streaming variant exists for traces too large to hold in memory.
     """
 
-    def __init__(self, items: np.ndarray, tenant_ids: np.ndarray, num_tenants: int):
-        if int(num_tenants) < 1:
-            raise ValueError(f"num_tenants must be >= 1, got {num_tenants}")
-        streams = split_by_tenant(items, tenant_ids, num_tenants)
-        self._distances = [stack_distances_vectorized(stream) for stream in streams]
-        self._cursors = [0] * int(num_tenants)
-
-    @classmethod
-    def from_arrays(cls, distances: Sequence[np.ndarray]) -> "PrecomputedTenantDistances":
-        """Wrap already-computed per-tenant distance arrays (no extra pass).
-
-        This is how the replay engine amortises its one distance pass per
-        tenant across *every* consumer: the same arrays produce the static
-        and per-phase oracle profiles and then drive all three lanes.
-        """
+    def __init__(self, distances: Sequence[np.ndarray]):
         if not distances:
             raise ValueError("need at least one tenant distance array")
-        provider = cls.__new__(cls)
-        provider._distances = [np.asarray(d) for d in distances]
-        provider._cursors = [0] * len(provider._distances)
-        return provider
-
-    @classmethod
-    def from_passes(cls, passes: TenantDistancePasses) -> "PrecomputedTenantDistances":
-        """Wrap the distance arrays of a :class:`TenantDistancePasses`."""
-        return cls.from_arrays(passes.distances)
+        self._distances = [np.asarray(d) for d in distances]
+        self._cursors = [0] * len(self._distances)
 
     @property
     def num_tenants(self) -> int:

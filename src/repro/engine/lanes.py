@@ -4,177 +4,49 @@ A *lane* is one partitioned-LRU cache configuration measured while a trace
 streams by — the online replay runs three at once (static, adaptive,
 oracle-per-phase), and a fleet or policy experiment can run any number.
 :class:`LaneSet` holds the lanes of one replay behind a single
-advance/resize surface, driven by either of two interchangeable data planes:
-
-``batch``
-    The vectorised plane: one stack-distance pass per tenant
-    (:class:`~repro.engine.columnar.PrecomputedTenantDistances`) shared by
-    *all* lanes, with per-segment occupancy kernels
-    (:class:`~repro.sim.partitioned.BatchPartitionedLRU`) instead of
-    per-event dictionary bookkeeping.
-``reference``
-    The per-event :class:`PartitionedLRU` loop — the slow, readable oracle.
-    Both planes produce bit-identical per-epoch series (asserted in the
-    differential suite).
+advance/resize surface over the vectorised data plane: one stack-distance
+pass per tenant (:class:`~repro.engine.columnar.PrecomputedTenantDistances`)
+shared by *all* lanes, with per-segment occupancy kernels
+(:class:`~repro.sim.partitioned.BatchPartitionedLRU`) instead of per-event
+dictionary bookkeeping.  The test suite holds it bit-identical to a
+per-event ``OrderedDict`` simulator.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
 
 from .columnar import PrecomputedTenantDistances
 
-__all__ = ["LANE_ENGINES", "LaneSet", "PartitionedLRU"]
-
-#: The selectable lane data planes (see :class:`LaneSet`).
-LANE_ENGINES: tuple[str, ...] = ("batch", "reference")
-
-
-class PartitionedLRU:
-    """Per-tenant LRU partitions of one shared cache, resizable online.
-
-    Each tenant owns an isolated LRU partition of ``capacities[t]`` blocks.
-    :meth:`resize` applies a new split immediately: a shrunk partition evicts
-    from its least-recently-used end (so the move's warm-up cost surfaces as
-    ordinary misses on the next accesses), a grown one simply gains headroom.
-    A capacity of 0 bypasses the cache entirely (every access misses).
-
-    This per-event simulator is the *slow-path reference*: the engine drives
-    its lanes through the batch kernels of
-    :class:`repro.sim.partitioned.BatchPartitionedLRU` by default, and the
-    differential suite holds the two bit-identical on every schedule of
-    accesses and resizes.
-    """
-
-    def __init__(self, capacities: Sequence[int]):
-        self._capacities = [int(c) for c in capacities]
-        if any(c < 0 for c in self._capacities):
-            raise ValueError("partition capacities must be >= 0")
-        self._entries: list[OrderedDict[int, None]] = [OrderedDict() for _ in self._capacities]
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def capacities(self) -> tuple[int, ...]:
-        """Current per-tenant partition sizes in blocks."""
-        return tuple(self._capacities)
-
-    @property
-    def occupancies(self) -> tuple[int, ...]:
-        """Resident blocks per tenant (what a shrink eviction truncates)."""
-        return tuple(len(entries) for entries in self._entries)
-
-    def access(self, tenant: int, item: int) -> bool:
-        """Access ``item`` in tenant ``tenant``'s partition; ``True`` on a hit."""
-        capacity = self._capacities[tenant]
-        entries = self._entries[tenant]
-        if item in entries:
-            entries.move_to_end(item)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if capacity == 0:
-            return False
-        if len(entries) >= capacity:
-            entries.popitem(last=False)
-        entries[item] = None
-        return False
-
-    def resize(self, capacities: Sequence[int]) -> None:
-        """Apply a new split; shrunk partitions evict their LRU blocks now."""
-        capacities = [int(c) for c in capacities]
-        if len(capacities) != len(self._capacities):
-            raise ValueError(f"got {len(capacities)} capacities for {len(self._capacities)} partitions")
-        if any(c < 0 for c in capacities):
-            raise ValueError("partition capacities must be >= 0")
-        for entries, capacity in zip(self._entries, capacities):
-            while len(entries) > capacity:
-                entries.popitem(last=False)
-        self._capacities = capacities
-
-    @property
-    def miss_ratio(self) -> float:
-        """Miss ratio over everything accessed so far (0 when nothing was)."""
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot: capacities, per-tenant recency stacks, totals."""
-        return {
-            "capacities": list(self._capacities),
-            "entries": [list(entries) for entries in self._entries],
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict` (order-preserving)."""
-        capacities = [int(c) for c in state["capacities"]]
-        entries = state["entries"]
-        if len(entries) != len(capacities):
-            raise ValueError(f"state holds {len(entries)} partitions for {len(capacities)} capacities")
-        self._capacities = capacities
-        self._entries = [OrderedDict((int(item), None) for item in items) for items in entries]
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
+__all__ = ["LaneSet"]
 
 
 class LaneSet:
-    """Named lane simulators behind one data plane.
+    """Named lane simulators sharing one distance pass per tenant.
 
-    ``batch`` shares one distance pass per tenant across every lane
-    (distances are a property of the tenant stream alone, so one
+    Distances are a property of the tenant stream alone, so one
     :class:`~repro.engine.columnar.PrecomputedTenantDistances` serves any
-    number of capacity schedules); ``reference`` steps one per-event
-    :class:`PartitionedLRU` per lane.  Both expose the same advance/resize
-    surface so replay control loops above them are engine-agnostic.
+    number of capacity schedules; each lane is one
+    :class:`~repro.sim.partitioned.BatchPartitionedLRU`.
     """
 
-    def __init__(
-        self,
-        engine: str,
-        distance_arrays: Sequence[np.ndarray] | None,
-        allocations: dict[str, Sequence[int]],
-    ):
-        if engine not in LANE_ENGINES:
-            raise ValueError(f"engine must be one of {LANE_ENGINES}, got {engine!r}")
-        if engine == "reference":
-            self._distances = None
-            self._sims = {name: PartitionedLRU(capacities) for name, capacities in allocations.items()}
-        else:
-            from ..sim.partitioned import BatchPartitionedLRU
+    def __init__(self, distance_arrays: Sequence[np.ndarray], allocations: dict[str, Sequence[int]]):
+        from ..sim.partitioned import BatchPartitionedLRU
 
-            # The per-tenant distance pass already ran (it produced the static
-            # and oracle profiles); chunks slice the same arrays for free.
-            self._distances = PrecomputedTenantDistances.from_arrays(distance_arrays)
-            self._sims = {name: BatchPartitionedLRU(capacities) for name, capacities in allocations.items()}
+        # The per-tenant distance pass already ran (it produced the static
+        # and oracle profiles); chunks slice the same arrays for free.
+        self._distances = PrecomputedTenantDistances(distance_arrays)
+        self._sims = {name: BatchPartitionedLRU(capacities) for name, capacities in allocations.items()}
 
     def advance(self, chunk_items: np.ndarray, chunk_ids: np.ndarray, counters: dict[str, list[int]]) -> None:
         """Feed one chunk to every lane, folding hit/miss deltas into ``counters``."""
-        if self._distances is None:
-            # The per-event loop is the reference plane's hot path; plain
-            # Python ints (one tolist() per chunk) hash and compare much
-            # faster in the OrderedDict partitions than per-event numpy
-            # scalar unboxing.
-            event_pairs = list(zip(chunk_ids.tolist(), chunk_items.tolist()))
-            for key, sim in self._sims.items():
-                hits_before, misses_before = sim.hits, sim.misses
-                access = sim.access
-                for tenant, item in event_pairs:
-                    access(tenant, item)
-                counters[key][0] += sim.hits - hits_before
-                counters[key][1] += sim.misses - misses_before
-        else:
-            # One distance pass per tenant serves every capacity schedule:
-            # distances are a property of the tenant stream alone.
-            distances = self._distances.feed(chunk_items, chunk_ids)
-            for key, sim in self._sims.items():
-                hits, misses = sim.run_segment(distances)
-                counters[key][0] += hits
-                counters[key][1] += misses
+        distances = self._distances.feed(chunk_items, chunk_ids)
+        for key, sim in self._sims.items():
+            hits, misses = sim.run_segment(distances)
+            counters[key][0] += hits
+            counters[key][1] += misses
 
     def resize(self, lane: str, capacities: Sequence[int]) -> None:
         """Apply a new split to one lane (shrink evictions included)."""
@@ -195,10 +67,10 @@ class LaneSet:
         function of the trace, recomputed on resume — only the per-tenant
         cursors needed to seek the shared provider back to the checkpoint.
         """
-        state = {"lanes": {name: sim.state_dict() for name, sim in self._sims.items()}}
-        if self._distances is not None:
-            state["distances"] = self._distances.state_dict()
-        return state
+        return {
+            "lanes": {name: sim.state_dict() for name, sim in self._sims.items()},
+            "distances": self._distances.state_dict(),
+        }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore lane and cursor state captured by :meth:`state_dict`."""
@@ -207,5 +79,4 @@ class LaneSet:
             raise ValueError(f"state holds lanes {sorted(lanes)}, this set has {sorted(self._sims)}")
         for name, sim in self._sims.items():
             sim.load_state_dict(lanes[name])
-        if self._distances is not None:
-            self._distances.load_state_dict(state["distances"])
+        self._distances.load_state_dict(state["distances"])

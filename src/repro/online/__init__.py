@@ -30,7 +30,7 @@ Examples
 
 from .controller import ReallocationController, ReallocationDecision
 from .phases import PhaseChangeDetector, PhaseObservation
-from .replay import EpochStats, OnlineJob, PartitionedLRU, ReplayResult, run_replay
+from .replay import EpochStats, OnlineJob, ReplayResult, run_replay
 from .windowed import WindowedShardsSketch, WindowSnapshot, curve_of_snapshot, pooled_curve
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "ReallocationDecision",
     "OnlineJob",
     "EpochStats",
-    "PartitionedLRU",
     "ReplayResult",
     "run_replay",
 ]

@@ -23,40 +23,32 @@ three partitioned LRU lanes at once:
 
 All three run in the same event loop, so their per-epoch miss-ratio series
 are directly comparable.  Every quantity is a pure function of the workload
-and the job, so results are bit-identical for every worker count (asserted
-in ``tests/online/test_replay.py``); under the ``reference`` engine
-``workers`` fans the up-front exact profile extractions (whole-trace and
-per-phase) across the engine's process pool, while the default ``batch``
-engine derives them from its own distance pass and never needs the pool.
+and the job.
 
-The replay is built on the :mod:`repro.engine` substrate: the
-static/adaptive/oracle lanes are a :class:`repro.engine.lanes.LaneSet`
-(batch and per-event reference data planes, bit-identical), the per-tenant
-profile extraction is one :class:`repro.engine.columnar.TenantDistancePasses`
-distance pass per tenant, and the merged epoch/phase stop schedule comes
-from :func:`repro.engine.segments.replay_stops`.
+The replay is built on the :mod:`repro.engine` substrate: one
+:class:`repro.engine.columnar.TenantDistancePasses` distance pass per tenant
+yields the static and per-phase oracle profiles and then drives the
+static/adaptive/oracle lanes of a :class:`repro.engine.lanes.LaneSet`, and
+the merged epoch/phase stop schedule comes from
+:func:`repro.engine.segments.replay_stops`.  The test suite re-drives every
+lane event by event through a per-event ``OrderedDict`` simulator and holds
+the two bit-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from ..alloc.curves import DiscretizedMRC, discretize_curve
-from ..cache._native import crc32
-from ..engine.columnar import TenantDistancePasses, exact_discretized_curve, idle_curve, split_by_tenant
+from ..alloc.curves import discretize_curve
+from ..engine.columnar import TenantDistancePasses, idle_curve, split_by_tenant
 from ..engine.job import check_choice, check_fraction, check_non_negative, check_positive, check_unit
-from ..engine.lanes import LANE_ENGINES, LaneSet, PartitionedLRU
-from ..engine.runner import check_workers, pool_map
+from ..engine.lanes import LaneSet
 from ..engine.segments import phase_of_last_event, replay_stops
 from ..obs import get_registry, span
+from ..resilience.checkpoint import fingerprint as run_fingerprint
 from ..resilience.checkpoint import latest_step, load_checkpoint, write_checkpoint
 from ..resilience.faults import fire as _fire_fault
-from ..resilience.policy import RetryPolicy
 from ..trace.drift import DriftingWorkload
 from .controller import ReallocationController
 from .phases import PhaseChangeDetector
@@ -66,14 +58,9 @@ __all__ = [
     "OnlineJob",
     "EpochStats",
     "ReplayResult",
-    "PartitionedLRU",
     "replay_fingerprint",
     "run_replay",
-    "REPLAY_ENGINES",
 ]
-
-#: The selectable replay data planes (see :func:`run_replay`).
-REPLAY_ENGINES: tuple[str, ...] = LANE_ENGINES
 
 
 @dataclass(frozen=True)
@@ -240,12 +227,6 @@ class ReplayResult:
         }
 
 
-def _exact_discretized(task: tuple[np.ndarray, int, int]) -> DiscretizedMRC:
-    """Pool worker: exact whole-stream MRC, discretized to allocation units."""
-    stream, budget, unit = task
-    return exact_discretized_curve(stream, budget, unit)
-
-
 def _windowed_profile(task: tuple[WindowSnapshot, int, int]):
     """Windowed-sketch curve (for the detector) plus its discretization.
 
@@ -267,49 +248,33 @@ def _initial_split(num_tenants: int, budget: int, unit: int) -> tuple[int, ...]:
     return tuple((base + (1 if t < extra else 0)) * unit for t in range(num_tenants))
 
 
-def replay_fingerprint(workload: DriftingWorkload, job: OnlineJob, engine: str) -> str:
-    """Stable identity of one logical replay (workload + job + engine).
+def replay_fingerprint(workload: DriftingWorkload, job: OnlineJob) -> str:
+    """Stable identity of one logical replay (workload + job).
 
-    Pins a checkpoint store to exactly one run: the job knobs, the engine,
-    the phase boundaries and a CRC of both trace columns all feed a SHA-256,
-    so resuming with *any* different configuration is rejected up front
-    instead of silently continuing somebody else's state.
+    Pins a checkpoint store to exactly one run: the job knobs, the phase
+    boundaries and a CRC of both trace columns all feed the
+    :func:`~repro.resilience.checkpoint.fingerprint`, so resuming with *any*
+    different configuration is rejected up front.
     """
     composed = workload.composed
-    items = np.ascontiguousarray(composed.trace.accesses, dtype=np.int64)
-    ids = np.ascontiguousarray(composed.tenant_ids, dtype=np.int64)
     basis = {
-        "engine": str(engine),
         "job": asdict(job),
-        "accesses": int(items.size),
+        "accesses": int(composed.trace.accesses.size),
         "tenants": list(composed.names),
         "boundaries": [int(b) for b in workload.boundaries],
-        "items_crc": crc32(items),
-        "ids_crc": crc32(ids),
     }
-    digest = hashlib.sha256(json.dumps(basis, sort_keys=True).encode("utf-8")).hexdigest()
-    return f"online/1/{digest[:32]}"
+    return run_fingerprint("online", basis, {"items": composed.trace.accesses, "ids": composed.tenant_ids})
 
 
 def run_replay(
     workload: DriftingWorkload,
     job: OnlineJob,
     *,
-    workers: int = 1,
-    engine: str = "batch",
-    policy: RetryPolicy | None = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 1,
     resume: bool = False,
 ) -> ReplayResult:
     """Replay a drifting workload under static, adaptive and oracle partitioning.
-
-    ``engine`` selects the data plane driving the three simulators:
-    ``"batch"`` (vectorised kernels, the default) or ``"reference"`` (the
-    per-event ``OrderedDict`` loop).  The result is bit-identical either way.
-    ``policy`` (a :class:`repro.resilience.RetryPolicy`) hardens the up-front
-    profile fan-out under the ``reference`` engine: per-task timeouts, bounded
-    retries and an inline fallback instead of a hang when a worker dies.
 
     With ``checkpoint_dir`` the replay snapshots its full dynamic state every
     ``checkpoint_every`` completed epochs (atomic, checksummed, fingerprinted
@@ -319,10 +284,6 @@ def run_replay(
     ``tests/resilience/``).  ``resume=True`` with an empty or absent store
     simply runs from the start, so the flag is safe to pass unconditionally.
     """
-    workers = check_workers(workers)
-    if engine not in REPLAY_ENGINES:
-        # Fail before the expensive up-front profiling, like OnlineJob does.
-        raise ValueError(f"engine must be one of {REPLAY_ENGINES}, got {engine!r}")
     check_positive("checkpoint_every", checkpoint_every)
     checkpoint_every = int(checkpoint_every)
     if resume and checkpoint_dir is None:
@@ -337,41 +298,25 @@ def run_replay(
     controller = ReallocationController(budget=budget, method=job.method, unit=unit, move_cost=job.move_cost)
 
     # Whole-trace (static) and per-phase (oracle) exact profiles — both are
-    # method-independent inputs computed up front.
-    with span("online.profiles", engine=engine):
-        if engine == "reference":
-            # The seed path: every profile re-processes its stream from scratch,
-            # fanned over the pool.
-            static_tasks = [(composed.tenant_trace(t), budget, unit) for t in range(num_tenants)]
-            phase_tasks = [
-                (workload.tenant_phase_trace(t, p), budget, unit)
-                for p in range(workload.num_phases)
-                for t in range(num_tenants)
-            ]
-            static_curves = pool_map(_exact_discretized, static_tasks, workers=workers, policy=policy)
-            phase_curves = pool_map(_exact_discretized, phase_tasks, workers=workers, policy=policy)
-            distance_arrays = None
-        else:
-            # The batch data plane: ONE distance pass per tenant yields the static
-            # profiles (histogram of the whole array), the per-phase oracle
-            # profiles (an access whose previous access predates the phase is
-            # simply cold there — no re-processing), and then drives every lane.
-            passes = TenantDistancePasses(items, ids, num_tenants)
-            distance_arrays = passes.distances
-            static_curves = [passes.whole_stream_curve(t, budget, unit) for t in range(num_tenants)]
-            phase_curves = [
-                passes.window_curve(t, workload.phase_slice(p), budget, unit)
-                for p in range(workload.num_phases)
-                for t in range(num_tenants)
-            ]
+    # method-independent inputs computed up front.  ONE distance pass per
+    # tenant yields the static profiles (histogram of the whole array), the
+    # per-phase oracle profiles (an access whose previous access predates the
+    # phase is simply cold there — no re-processing), and then drives every lane.
+    with span("online.profiles"):
+        passes = TenantDistancePasses(items, ids, num_tenants)
+        static_curves = [passes.whole_stream_curve(t, budget, unit) for t in range(num_tenants)]
+        phase_curves = [
+            passes.window_curve(t, workload.phase_slice(p), budget, unit)
+            for p in range(workload.num_phases)
+            for t in range(num_tenants)
+        ]
     static_allocation = controller.propose(static_curves)
     oracle_allocations = []
     for p in range(workload.num_phases):
         oracle_allocations.append(controller.propose(phase_curves[p * num_tenants : (p + 1) * num_tenants]))
 
     lanes = LaneSet(
-        engine,
-        distance_arrays,
+        passes.distances,
         {
             "static": static_allocation,
             "adaptive": _initial_split(num_tenants, budget, unit),
@@ -390,7 +335,7 @@ def run_replay(
     # there); chunks between stops are processed with batched sketch updates.
     stops, epoch_ends = replay_stops(n, job.epoch, workload.boundaries)
 
-    fingerprint = replay_fingerprint(workload, job, engine) if checkpoint_dir is not None else None
+    fingerprint = replay_fingerprint(workload, job) if checkpoint_dir is not None else None
 
     epochs: list[EpochStats] = []
     profiled_references = 0
@@ -444,7 +389,7 @@ def run_replay(
             # tenant that goes quiet drains out of its own window.
             sketch.advance(int(chunk_items.size - tenant_items.size))
 
-    with span("online.replay", engine=engine):
+    with span("online.replay"):
         for stop in stops:
             if stop <= position:  # already replayed before the resume point
                 continue
@@ -458,9 +403,7 @@ def run_replay(
 
             # Epoch end: refresh windowed profiles, consult detector + controller.
             # The per-epoch extractions are tiny (the sampled window buffers), so
-            # they run inline — forking a pool every epoch would cost more than
-            # the two stack-distance passes it parallelises; `workers` fans only
-            # the heavy up-front exact profiling above.
+            # they run inline.
             snapshots = [sketch.snapshot() for sketch in sketches]
             profiled_references += sum(snap.sampled for snap in snapshots)
             profiles = []
@@ -537,22 +480,11 @@ def run_replay(
             )
             registry = get_registry()
             if registry.enabled:
-                # The per-epoch time series mirrors EpochStats.row() plus the
+                # The per-epoch time series is EpochStats.row() plus the
                 # controller's pricing of the epoch's decision and the sketch
                 # sample volume — purely observational, never read back.
                 registry.series("online.epochs").record(
-                    epoch=epoch_index,
-                    start=epoch_start,
-                    end=position,
-                    phase=last_event_phase,
-                    static=counters["static"][1] / total,
-                    adaptive=counters["adaptive"][1] / total,
-                    oracle=counters["oracle"][1] / total,
-                    distance=distance,
-                    phase_change=changed,
-                    reallocated=applied,
-                    moved_blocks=moved_blocks,
-                    allocation="/".join(str(c) for c in lanes.capacities("adaptive")),
+                    **epochs[-1].row(),
                     sketch_sampled=sum(snap.sampled for snap in snapshots),
                     gain=predicted_gain,
                     penalty=move_penalty,
@@ -570,7 +502,7 @@ def run_replay(
                 counters[key] = [0, 0]
 
             if checkpoint_dir is not None and epoch_index % checkpoint_every == 0:
-                with span("online.checkpoint", engine=engine):
+                with span("online.checkpoint"):
                     state = {
                         "position": position,
                         "phase": phase,
@@ -595,7 +527,7 @@ def run_replay(
                 _fire_fault("online.checkpoint", epoch_index)
 
     registry = get_registry()
-    registry.counter("online.events", engine=engine).add(n)
+    registry.counter("online.events").add(n)
     registry.counter("online.profiled_references").add(profiled_references)
     registry.gauge("online.tenants").set(num_tenants)
     return ReplayResult(

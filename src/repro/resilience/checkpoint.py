@@ -15,8 +15,8 @@ trusts payloads whose recorded checksum matches the bytes on disk; anything
 else raises :class:`~repro.resilience.errors.CheckpointIntegrityError`
 naming the file and the expected vs. found digest.
 
-The *fingerprint* pins a store to one logical run (job knobs + workload +
-engine).  Resuming with a different configuration is a
+The *fingerprint* (:func:`fingerprint`) pins a store to one logical run
+(job knobs + input contents).  Resuming with a different configuration is a
 :class:`~repro.resilience.errors.CheckpointError`, not a silently wrong
 bit-for-bit "resumption" of somebody else's state.
 
@@ -43,12 +43,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from ..obs import get_registry
 from .errors import CheckpointError, CheckpointIntegrityError
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "Checkpoint",
+    "fingerprint",
     "latest_step",
     "load_checkpoint",
     "write_checkpoint",
@@ -67,6 +70,24 @@ class Checkpoint:
     step: int
     state: Any
     path: Path
+
+
+def fingerprint(kind: str, basis: dict, arrays: dict[str, np.ndarray]) -> str:
+    """Stable identity of one logical run, ``"<kind>/1/<digest>"``.
+
+    ``basis`` holds the JSON-serialisable knobs that define the run; every
+    entry of ``arrays`` adds the CRC-32 of its int64 contents as
+    ``<name>_crc``.  One SHA-256 over the sorted JSON covers it all, so a
+    store resumed under any different configuration or input is rejected up
+    front instead of silently continuing somebody else's state.
+    """
+    from ..cache._native import crc32  # keeps ``import repro.resilience`` free of the cache package
+
+    basis = dict(basis)
+    for name, array in arrays.items():
+        basis[f"{name}_crc"] = crc32(np.ascontiguousarray(array, dtype=np.int64))
+    digest = hashlib.sha256(json.dumps(basis, sort_keys=True).encode("utf-8")).hexdigest()
+    return f"{kind}/1/{digest[:32]}"
 
 
 def _atomic_write(path: str, *chunks: bytes, durable: bool = False) -> None:

@@ -1,19 +1,19 @@
 """Batch partitioned-LRU simulation: whole segments per kernel call.
 
 The online replay engine (:mod:`repro.online.replay`) measures three
-partitioned LRU systems at once.  Its reference simulator
-(:class:`repro.online.replay.PartitionedLRU`) steps one ``OrderedDict`` per
-tenant one reference at a time — correct, readable, and the dominant cost of
-a replay once profiling is vectorised.  This module is the batch data plane
-that replaces it on the hot path.
+partitioned LRU systems at once.  A per-event simulator steps one
+``OrderedDict`` per tenant one reference at a time — correct, readable, and
+the dominant cost of a replay once profiling is vectorised.  This module is
+the batch data plane that replaces it (the per-event simulator survives as
+the test suite's oracle).
 
 The kernel rests on one invariant of a *resizable* LRU partition: at every
 instant the resident blocks are exactly the top-``L`` items of the tenant's
 recency stack, where ``L`` is the partition's current occupancy.  Every
-operation of the reference simulator preserves it — a hit moves the item to
+operation of a per-event LRU partition preserves it — a hit moves the item to
 the stack top (set unchanged), a miss inserts at the top (evicting the rank
-``L`` item when full), and a shrink :meth:`~repro.online.replay.PartitionedLRU.resize`
-evicts from the least-recent end, which is precisely a truncation of the
+``L`` item when full), and a shrink resize evicts from the least-recent
+end, which is precisely a truncation of the
 stack to the new capacity.  An access therefore hits **iff its stack
 distance is at most the current occupancy**, and the occupancy itself
 follows a tiny recursion: it grows by one per miss until it reaches the
@@ -24,10 +24,10 @@ not depend on the capacity schedule at all, so one distance pass per tenant
 
 * :func:`partitioned_lru_segment` — misses and final occupancy of one
   tenant's partition over one segment of pre-computed distances, bit-identical
-  to the per-event reference (asserted in ``tests/test_differential.py``).
-* :class:`BatchPartitionedLRU` — the multi-tenant wrapper with the same
-  ``resize`` / ``capacities`` / ``miss_ratio`` surface as the reference, but
-  advancing a whole segment per call.
+  to the per-event simulator (asserted in ``tests/test_differential.py``).
+* :class:`BatchPartitionedLRU` — the multi-tenant wrapper with the
+  ``resize`` / ``capacities`` / ``miss_ratio`` surface of a per-event
+  partitioned LRU, but advancing a whole segment per call.
 * :func:`replay_partitioned` — a bounded-memory streaming replay: segments
   in, hit/miss totals out; pairs with :mod:`repro.trace.streaming` to replay
   ``numpy.memmap``-backed traces of ``10^7+`` references.
@@ -44,10 +44,6 @@ from ..obs import get_registry, span
 
 __all__ = ["partitioned_lru_segment", "BatchPartitionedLRU", "replay_partitioned"]
 
-#: Names that moved into :mod:`repro.engine.columnar`; kept importable here
-#: through a deprecation shim (see ``__getattr__`` below).
-_MOVED_TO_ENGINE = ("TenantDistanceStreams", "PrecomputedTenantDistances")
-
 
 def partitioned_lru_segment(distances: np.ndarray, capacity: int, occupancy: int = 0) -> tuple[int, int]:
     """Misses and final occupancy of one LRU partition over one segment.
@@ -57,7 +53,7 @@ def partitioned_lru_segment(distances: np.ndarray, capacity: int, occupancy: int
     for cold accesses); ``capacity`` is the partition size in blocks and
     ``occupancy`` the number of resident blocks at segment start (at most
     ``capacity`` — a shrink clamps occupancy *before* the segment runs, which
-    is exactly the reference simulator's eviction of its least-recent
+    is exactly a per-event simulator's eviction of its least-recent
     blocks).  Returns ``(misses, occupancy_after)``.
 
     An access hits iff its distance is at most the current occupancy; a miss
@@ -102,13 +98,13 @@ def partitioned_lru_segment(distances: np.ndarray, capacity: int, occupancy: int
 class BatchPartitionedLRU:
     """Per-tenant LRU partitions advanced a whole segment per call.
 
-    The batch twin of :class:`repro.online.replay.PartitionedLRU`: same
-    constructor, same ``resize`` semantics (a shrink evicts least-recent
-    blocks — here, an occupancy clamp), same ``hits`` / ``misses`` /
-    ``miss_ratio`` accounting, but driven by per-tenant stack-distance
-    segments (:class:`TenantDistanceStreams`) instead of single references.
-    Bit-identical to the reference on every schedule of segments and resizes
-    (asserted in ``tests/test_differential.py``).
+    The batch twin of a per-event partitioned LRU: per-tenant capacities,
+    ``resize`` semantics where a shrink evicts least-recent blocks — here, an
+    occupancy clamp — and ``hits`` / ``misses`` / ``miss_ratio`` accounting,
+    but driven by per-tenant stack-distance segments
+    (:class:`~repro.engine.columnar.TenantDistanceStreams`) instead of single
+    references.  Bit-identical to the per-event simulator on every schedule
+    of segments and resizes (asserted in ``tests/test_differential.py``).
     """
 
     def __init__(self, capacities: Sequence[int]):
@@ -130,7 +126,7 @@ class BatchPartitionedLRU:
 
     @property
     def occupancies(self) -> tuple[int, ...]:
-        """Resident blocks per tenant (mirrors the reference's entry counts)."""
+        """Resident blocks per tenant (a per-event simulator's entry counts)."""
         return tuple(self._occupancies)
 
     def run_segment(self, distances: Sequence[np.ndarray]) -> tuple[int, int]:
@@ -219,19 +215,3 @@ def replay_partitioned(
     registry.counter("replay.events").add(simulator.hits + simulator.misses)
     return simulator
 
-
-def __getattr__(name: str):
-    """Forward the distance providers that moved to :mod:`repro.engine.columnar`."""
-    if name in _MOVED_TO_ENGINE:
-        import warnings
-
-        from ..engine import columnar
-
-        warnings.warn(
-            f"repro.sim.partitioned.{name} moved to repro.engine.columnar.{name}; "
-            "the repro.sim.partitioned alias will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(columnar, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

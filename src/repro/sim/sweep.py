@@ -29,18 +29,16 @@ is not — its results match simulating the user's actual trace.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..cache._native import crc32
 from ..engine.job import check_positive
 from ..engine.runner import check_workers, fork_available, pool_map, published_arrays, resolve_array
 from ..obs import get_registry, span
+from ..resilience.checkpoint import fingerprint as run_fingerprint
 from ..resilience.checkpoint import latest_step, load_checkpoint, write_checkpoint
 from ..resilience.faults import fire as _fire_fault
 from ..resilience.policy import RetryPolicy
@@ -259,10 +257,8 @@ def _sweep_fingerprint(job: SweepJob, trace: np.ndarray) -> str:
         "ways": int(job.ways),
         "seed": int(job.seed),
         "accesses": int(trace.size),
-        "trace_crc": crc32(np.ascontiguousarray(trace, dtype=np.int64)),
     }
-    digest = hashlib.sha256(json.dumps(basis, sort_keys=True).encode("utf-8")).hexdigest()
-    return f"sweep/1/{digest[:32]}"
+    return run_fingerprint("sweep", basis, {"trace": trace})
 
 
 def _task_key(task: tuple) -> str:

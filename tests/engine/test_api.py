@@ -57,6 +57,16 @@ class TestRunDispatch:
         with pytest.raises(ValueError, match="workload"):
             api.run(OnlineJob(budget=16, window=64, epoch=32))
 
+    def test_online_rejects_pool_knobs(self):
+        from repro.online.replay import OnlineJob
+        from repro.resilience import RetryPolicy
+        from repro.trace.drift import three_phase_pair
+
+        job, workload = OnlineJob(budget=16, window=64, epoch=32), three_phase_pair(100, seed=1)
+        for knobs in ({"workers": 2}, {"policy": RetryPolicy()}):
+            with pytest.raises(ValueError, match="do not apply to online jobs"):
+                api.run(job, workload=workload, **knobs)
+
     def test_workload_rejected_for_offline_jobs(self):
         from repro.sim.sweep import SweepJob
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import exact_discretized_curve
 
 from repro.engine.columnar import (
     TenantDistancePasses,
     check_tenant_ids,
     discretized_from_distances,
-    exact_discretized_curve,
     idle_curve,
     split_by_tenant,
     tenant_positions,

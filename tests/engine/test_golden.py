@@ -4,7 +4,8 @@ The fixtures under ``tests/fixtures/golden/`` were recorded from the
 pre-engine code (before ``src/repro/engine/`` existed).  These tests hold
 the engine-backed experiment paths to *bit-identical* reproductions of
 those outputs — across ``workers`` counts and, for the online replay,
-across the ``batch`` and ``reference`` data planes.  JSON float round-trips
+across checkpoint cadences and against the per-event oracle of
+``tests/oracles.py``.  JSON float round-trips
 are exact (``repr`` ↔ parse), so every comparison is ``==``, never
 ``approx``.
 """
@@ -99,23 +100,31 @@ class TestGoldenPartition:
 
 
 class TestGoldenOnline:
-    @pytest.mark.parametrize("engine", ["batch", "reference"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_replay_matches_recorded(self, engine, workers):
+    # ``plane="batch"`` checks the production replay against the fixture;
+    # ``plane="reference"`` also re-drives its lanes through the per-event
+    # oracle.  Both write checkpoints at each cadence, which must not change
+    # a single recorded value.
+    @pytest.mark.parametrize("plane", ["batch", "reference"])
+    @pytest.mark.parametrize("checkpoint_every", [1, 2])
+    def test_replay_matches_recorded(self, plane, checkpoint_every, tmp_path):
+        from oracles import replay_lanes
+
         from repro import api
+        from repro.online import OnlineJob
+        from repro.trace.drift import three_phase_pair
 
         knobs = GEN.ONLINE
+        workload = three_phase_pair(knobs["length"], seed=knobs["seed"])
+        budget, window, epoch, rate = knobs["budget"], knobs["window"], knobs["epoch"], knobs["rate"]
         result = api.online(
-            "three-phase",
-            knobs["budget"],
-            knobs["window"],
-            knobs["epoch"],
-            length=knobs["length"],
-            seed=knobs["seed"],
-            rate=knobs["rate"],
+            workload,
+            budget,
+            window,
+            epoch,
+            rate=rate,
             name="golden",
-            workers=workers,
-            engine=engine,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=checkpoint_every,
         )
         want = _fixture("online")
         assert GEN._jsonable(result.rows()) == want["rows"]
@@ -123,3 +132,7 @@ class TestGoldenOnline:
         assert list(result.static_allocation) == want["static_allocation"]
         assert list(result.final_allocation) == want["final_allocation"]
         assert [list(a) for a in result.oracle_allocations] == want["oracle_allocations"]
+        assert any(tmp_path.iterdir())
+        if plane == "reference":
+            job = OnlineJob(budget=budget, window=window, epoch=epoch, rate=rate)
+            replay_lanes(workload, result, job)

@@ -5,8 +5,9 @@ profile curves, sweep rows, partition rows/summary/allocation, online replay
 rows/summary — so refactors of the execution substrate can be held to
 bit-identical results.  They were first recorded from the pre-engine code
 (before ``src/repro/engine/`` existed); ``tests/engine/test_golden.py``
-asserts the engine-backed paths still reproduce them exactly, across
-``engine='reference'`` and batch modes and across worker counts.
+asserts the engine-backed paths still reproduce them exactly, across worker
+counts and, for the online replay, against the per-event oracle of
+``tests/oracles.py``.
 
 Run from the repository root to regenerate after a *reviewed* behaviour
 change::
@@ -144,7 +145,7 @@ def golden_online() -> dict:
         rate=ONLINE["rate"],
         name="golden",
     )
-    result = run_replay(workload, job, workers=1, engine="batch")
+    result = run_replay(workload, job)
     return {
         "job": ONLINE,
         "rows": result.rows(),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -209,9 +211,19 @@ class TestMerge:
         def clone(r):
             return MetricsRegistry().merge(r)
 
-        left_first = clone(a1).merge(b1).merge(c1)
-        right_first = clone(a1).merge(clone(b1).merge(c1))
-        assert left_first.snapshot() == right_first.snapshot()
+        left_first = clone(a1).merge(b1).merge(c1).snapshot()
+        right_first = clone(a1).merge(clone(b1).merge(c1)).snapshot()
+        assert left_first.keys() == right_first.keys()
+        for key, left in left_first.items():
+            right = right_first[key]
+            if key[0] == "span":
+                # float sums of span seconds may differ by one rounding step
+                # between groupings; count, min and max are exact
+                (left_count, left_total, *left_extremes), (right_count, right_total, *right_extremes) = left, right
+                assert (left_count, left_extremes) == (right_count, right_extremes)
+                assert math.isclose(left_total, right_total, rel_tol=1e-12, abs_tol=1e-12)
+            else:
+                assert left == right, key
 
     @given(registries())
     def test_merge_into_empty_is_identity(self, registry):

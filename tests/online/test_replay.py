@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from oracles import PartitionedLRU, replay_lanes
 
-from repro.online import OnlineJob, PartitionedLRU, run_replay
+from repro.online import OnlineJob, run_replay
 from repro.trace.drift import tenant_churn, three_phase_pair
 
 # One moderate workload shared by the expensive end-to-end assertions.  The
@@ -94,19 +95,11 @@ class TestReplayEndToEnd:
         summary = result.summary()
         assert summary["win_vs_static"] == pytest.approx(result.static_miss_ratio - result.adaptive_miss_ratio)
 
-    def test_workers_never_change_results(self, workload, result):
-        parallel = run_replay(workload, JOB, workers=3)
-        assert parallel.summary() == result.summary()
-        assert parallel.rows() == result.rows()
-
     def test_reference_engine_is_bit_identical(self, workload, result):
-        """The per-event OrderedDict data plane and the batch kernels must
-        agree on every epoch of every lane (and across worker counts)."""
-        reference = run_replay(workload, JOB, engine="reference", workers=2)
-        assert reference.rows() == result.rows()
-        assert reference.summary() == result.summary()
-        assert reference.static_allocation == result.static_allocation
-        assert reference.oracle_allocations == result.oracle_allocations
+        """The per-event OrderedDict oracle, re-driving the recorded lane
+        schedules from from-scratch profiles, agrees with the batch kernels on
+        every epoch of every lane."""
+        replay_lanes(workload, result, JOB)
 
     def test_oracle_allocations_are_per_phase_and_respect_budget(self, workload, result):
         assert len(result.oracle_allocations) == workload.num_phases
@@ -114,7 +107,8 @@ class TestReplayEndToEnd:
             assert sum(allocation) <= JOB.budget
 
     def test_unknown_engine_rejected_before_any_work(self, workload):
-        with pytest.raises(ValueError):
+        """There is one data plane: no engine= keyword is accepted."""
+        with pytest.raises(TypeError):
             run_replay(workload, JOB, engine="turbo")
 
 

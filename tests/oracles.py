@@ -1,0 +1,206 @@
+"""Slow, from-scratch oracles for the online replay's fast paths.
+
+The production replay (:func:`repro.online.run_replay`) derives every
+profile from one stack-distance pass per tenant and drives its lanes
+through occupancy kernels.  This module is the independent re-implementation
+the tests hold it to, built only from the per-event definition of an LRU
+partition and the exact MRC pipeline:
+
+* :class:`PartitionedLRU` — per-tenant ``OrderedDict`` LRU partitions,
+  stepped one reference at a time and resizable online;
+* :func:`exact_discretized_curve` — one tenant stream's exact MRC,
+  re-processed from scratch and discretized to allocation units;
+* :func:`replay_lanes` — re-drives the static, adaptive and oracle lane
+  schedules a :class:`~repro.online.ReplayResult` recorded, event by event,
+  after re-deriving the static and per-phase oracle allocations from
+  from-scratch exact profiles, and asserts every recorded miss ratio and
+  allocation.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.alloc.curves import discretize_curve
+from repro.cache.mrc import mrc_from_trace
+from repro.engine.columnar import idle_curve
+from repro.online.controller import ReallocationController
+from repro.online.replay import _initial_split
+
+LANES = ("static", "adaptive", "oracle")
+
+
+class PartitionedLRU:
+    """Per-tenant LRU partitions of one shared cache, resizable online.
+
+    Each tenant owns an isolated LRU partition of ``capacities[t]`` blocks.
+    :meth:`resize` applies a new split immediately: a shrunk partition evicts
+    from its least-recently-used end (so the move's warm-up cost surfaces as
+    ordinary misses on the next accesses), a grown one simply gains headroom.
+    A capacity of 0 bypasses the cache entirely (every access misses).
+    """
+
+    def __init__(self, capacities: Sequence[int]):
+        self._capacities = [int(c) for c in capacities]
+        if any(c < 0 for c in self._capacities):
+            raise ValueError("partition capacities must be >= 0")
+        self._entries: list[OrderedDict[int, None]] = [OrderedDict() for _ in self._capacities]
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def capacities(self) -> tuple[int, ...]:
+        return tuple(self._capacities)
+
+    @property
+    def occupancies(self) -> tuple[int, ...]:
+        return tuple(len(entries) for entries in self._entries)
+
+    def access(self, tenant: int, item: int) -> bool:
+        """Access ``item`` in tenant ``tenant``'s partition; ``True`` on a hit."""
+        capacity = self._capacities[tenant]
+        entries = self._entries[tenant]
+        if item in entries:
+            entries.move_to_end(item)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if capacity == 0:
+            return False
+        if len(entries) >= capacity:
+            entries.popitem(last=False)
+        entries[item] = None
+        return False
+
+    def resize(self, capacities: Sequence[int]) -> None:
+        """Apply a new split; shrunk partitions evict their LRU blocks now."""
+        capacities = [int(c) for c in capacities]
+        if len(capacities) != len(self._capacities):
+            raise ValueError(f"got {len(capacities)} capacities for {len(self._capacities)} partitions")
+        if any(c < 0 for c in capacities):
+            raise ValueError("partition capacities must be >= 0")
+        for entries, capacity in zip(self._entries, capacities):
+            while len(entries) > capacity:
+                entries.popitem(last=False)
+        self._capacities = capacities
+
+    @property
+    def miss_ratio(self) -> float:
+        total = self.hits + self.misses
+        return self.misses / total if total else 0.0
+
+
+def exact_discretized_curve(stream: np.ndarray, budget: int, unit: int):
+    """Exact whole-stream MRC of one tenant stream, discretized to units.
+
+    A from-scratch stack-distance pass over ``stream`` (an empty stream maps
+    to the idle zero-demand curve).
+    """
+    stream = np.asarray(stream)
+    if stream.size == 0:
+        return idle_curve(unit)
+    return discretize_curve(mrc_from_trace(stream, max_cache_size=budget), budget, unit=unit)
+
+
+@dataclass(frozen=True)
+class LaneSchedule:
+    """The chunk stops and per-lane resizes one replay actually ran."""
+
+    stops: list[int]
+    epoch_ends: set[int]
+    adaptive_at: dict[int, tuple[int, ...]]
+    oracle_at: dict[int, tuple[int, ...]]
+
+
+def lane_schedule(workload, result) -> LaneSchedule:
+    """Read the schedule off a result: epoch ends, phase boundaries, resizes."""
+    epoch_ends = {epoch.end for epoch in result.epochs}
+    boundaries = {int(b) for b in workload.boundaries if 0 < b < result.accesses}
+    oracle_at = {int(workload.boundaries[p]): result.oracle_allocations[p] for p in range(1, workload.num_phases)}
+    return LaneSchedule(
+        stops=sorted(epoch_ends | boundaries),
+        epoch_ends=epoch_ends,
+        adaptive_at={epoch.end: epoch.adaptive_allocation for epoch in result.epochs},
+        oracle_at=oracle_at,
+    )
+
+
+def drive(simulators: dict, advance: Callable[[int, int], dict[str, int]], schedule: LaneSchedule):
+    """Run one data plane over a recorded schedule; per-epoch misses per lane.
+
+    ``advance(start, stop)`` feeds events ``start .. stop`` to every lane and
+    returns each lane's misses; resizes land at the recorded positions.
+    """
+    series = {lane: [] for lane in LANES}
+    epoch_misses = dict.fromkeys(LANES, 0)
+    position = 0
+    for stop in schedule.stops:
+        for lane, misses in advance(position, stop).items():
+            epoch_misses[lane] += misses
+        position = stop
+        if position in schedule.oracle_at:
+            simulators["oracle"].resize(schedule.oracle_at[position])
+        if position in schedule.epoch_ends:
+            simulators["adaptive"].resize(schedule.adaptive_at[position])
+            for lane in LANES:
+                series[lane].append(epoch_misses[lane])
+                epoch_misses[lane] = 0
+    return series
+
+
+def per_event_advance(simulators: dict, items: np.ndarray, tenant_ids: np.ndarray):
+    """``advance`` for :func:`drive` over :class:`PartitionedLRU` lanes."""
+
+    def advance(start: int, stop: int) -> dict[str, int]:
+        # Plain Python ints hash and compare much faster in the OrderedDict
+        # partitions than per-event numpy scalars.
+        pairs = list(zip(tenant_ids[start:stop].tolist(), items[start:stop].tolist()))
+        deltas = {}
+        for lane in LANES:
+            sim = simulators[lane]
+            before = sim.misses
+            access = sim.access
+            for tenant, item in pairs:
+                access(tenant, item)
+            deltas[lane] = sim.misses - before
+        return deltas
+
+    return advance
+
+
+def replay_lanes(workload, result, job) -> dict[str, list[int]]:
+    """Re-drive a replay's three lanes event by event and check the result.
+
+    The static and per-phase oracle allocations are re-derived from
+    from-scratch exact profiles of each tenant's whole stream and phase
+    sub-streams; the adaptive lane replays the splits ``result`` recorded.
+    Asserts the allocations, every per-epoch miss ratio of every lane and the
+    overall miss ratios against ``result``; returns per-epoch misses per lane.
+    """
+    composed = workload.composed
+    items, ids = composed.trace.accesses, composed.tenant_ids
+    tenants = range(composed.num_tenants)
+    controller = ReallocationController(budget=job.budget, method=job.method, unit=job.unit, move_cost=job.move_cost)
+
+    def allocate(streams):
+        return controller.propose([exact_discretized_curve(stream, job.budget, job.unit) for stream in streams])
+
+    static = allocate(composed.tenant_trace(t) for t in tenants)
+    oracle = [allocate(workload.tenant_phase_trace(t, p) for t in tenants) for p in range(workload.num_phases)]
+    assert tuple(static) == result.static_allocation
+    assert tuple(tuple(a) for a in oracle) == result.oracle_allocations
+
+    initial = _initial_split(composed.num_tenants, job.budget, job.unit)
+    sims = {"static": PartitionedLRU(static), "adaptive": PartitionedLRU(initial), "oracle": PartitionedLRU(oracle[0])}
+    series = drive(sims, per_event_advance(sims, items, ids), lane_schedule(workload, result))
+
+    for lane in LANES:
+        recorded = [getattr(epoch, f"{lane}_miss_ratio") for epoch in result.epochs]
+        assert [misses / (e.end - e.start) for misses, e in zip(series[lane], result.epochs)] == recorded, lane
+        assert sims[lane].miss_ratio == getattr(result, f"{lane}_miss_ratio"), lane
+    assert sims["adaptive"].capacities == result.final_allocation
+    return series

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import numpy as np
+from oracles import replay_lanes
 
 from repro.online.replay import OnlineJob, replay_fingerprint, run_replay
 from repro.resilience import CheckpointError
@@ -62,13 +63,14 @@ class TestReplayCheckpointing:
         assert resumed.summary() == baseline.summary()
         assert resumed == baseline
 
-    def test_resume_is_engine_faithful(self, workload, tmp_path):
-        reference = run_replay(workload, JOB, engine="reference")
+    def test_resume_is_engine_faithful(self, workload, baseline, tmp_path):
+        """A resumed run's lanes still agree with the per-event oracle."""
         plan = FaultPlan((FaultSpec(site="online.checkpoint", index=2, kind="error"),))
         with install_faults(plan), pytest.raises(FaultInjected):
-            run_replay(workload, JOB, engine="reference", checkpoint_dir=tmp_path, checkpoint_every=1)
-        resumed = run_replay(workload, JOB, engine="reference", checkpoint_dir=tmp_path, resume=True)
-        assert resumed == reference
+            run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
+        resumed = run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
+        assert resumed == baseline
+        replay_lanes(workload, resumed, JOB)
 
     def test_resume_against_empty_store_runs_fresh(self, workload, baseline, tmp_path):
         resumed = run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
@@ -85,10 +87,9 @@ class TestReplayCheckpointing:
             run_replay(workload, other, checkpoint_dir=tmp_path, resume=True)
 
     def test_fingerprint_separates_engines_and_jobs(self, workload):
-        batch = replay_fingerprint(workload, JOB, "batch")
-        assert batch == replay_fingerprint(workload, JOB, "batch")
-        assert batch != replay_fingerprint(workload, JOB, "reference")
-        assert batch != replay_fingerprint(workload, OnlineJob(budget=241, window=1_000, epoch=400), "batch")
+        fingerprint = replay_fingerprint(workload, JOB)
+        assert fingerprint == replay_fingerprint(workload, JOB)
+        assert fingerprint != replay_fingerprint(workload, OnlineJob(budget=241, window=1_000, epoch=400))
 
 
 class TestReplaySigkill:

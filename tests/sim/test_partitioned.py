@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import PartitionedLRU
 
 from repro.cache.stack_distance import COLD, StackDistanceStream, stack_distances_vectorized
-from repro.engine import PartitionedLRU, PrecomputedTenantDistances, TenantDistanceStreams
+from repro.engine import PrecomputedTenantDistances, TenantDistanceStreams, split_by_tenant
 from repro.sim.partitioned import BatchPartitionedLRU, partitioned_lru_segment, replay_partitioned
 from repro.trace import as_streaming
 
@@ -94,13 +95,19 @@ class TestBatchPartitionedLRU:
             batch.run_segment([np.zeros(0, dtype=np.int64)])
 
 
+def _precomputed(items, tenant_ids, num_tenants):
+    """Wrap one whole-stream distance pass per tenant (what the replay does)."""
+    streams = split_by_tenant(items, tenant_ids, num_tenants)
+    return PrecomputedTenantDistances([stack_distances_vectorized(stream) for stream in streams])
+
+
 class TestDistanceProviders:
     def test_streams_and_precomputed_agree(self):
         rng = np.random.default_rng(1)
         items = rng.integers(0, 30, size=500)
         ids = rng.integers(0, 3, size=500)
         streams = TenantDistanceStreams(3)
-        precomputed = PrecomputedTenantDistances(items, ids, 3)
+        precomputed = _precomputed(items, ids, 3)
         for start in range(0, 500, 120):
             chunk_items = items[start : start + 120]
             chunk_ids = ids[start : start + 120]
@@ -112,7 +119,7 @@ class TestDistanceProviders:
     def test_precomputed_rejects_overrun(self):
         items = np.asarray([1, 2, 3], dtype=np.int64)
         ids = np.zeros(3, dtype=np.int64)
-        provider = PrecomputedTenantDistances(items, ids, 1)
+        provider = _precomputed(items, ids, 1)
         provider.feed(items, ids)
         with pytest.raises(ValueError):
             provider.feed(items, ids)
@@ -121,9 +128,12 @@ class TestDistanceProviders:
         with pytest.raises(ValueError):
             TenantDistanceStreams(0)
         with pytest.raises(ValueError):
-            PrecomputedTenantDistances(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), 1)
+            PrecomputedTenantDistances([])
+        provider = PrecomputedTenantDistances([np.zeros(3, dtype=np.int64)])
         with pytest.raises(ValueError):
-            PrecomputedTenantDistances.from_arrays([])
+            provider.load_state_dict({"cursors": [4]})  # past the stream
+        with pytest.raises(ValueError):
+            provider.load_state_dict({"cursors": [0, 0]})  # one cursor per tenant
         with pytest.raises(ValueError):
             TenantDistanceStreams(1).feed(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))
 
@@ -136,8 +146,8 @@ class TestDistanceProviders:
         with pytest.raises(ValueError):
             TenantDistanceStreams(2).feed(items, bad_ids)
         with pytest.raises(ValueError):
-            PrecomputedTenantDistances(items, bad_ids, 2)
-        provider = PrecomputedTenantDistances(items, np.zeros(6, dtype=np.int64), 1)
+            _precomputed(items, bad_ids, 2)
+        provider = _precomputed(items, np.zeros(6, dtype=np.int64), 1)
         with pytest.raises(ValueError):
             provider.feed(items, np.asarray([0, 0, 0, 0, 0, -1], dtype=np.int64))
 

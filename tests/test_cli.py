@@ -257,20 +257,18 @@ class TestOnline:
         assert code == 0
         assert "resident/visitor" in capsys.readouterr().out
 
-    def test_online_workers_do_not_change_the_csv(self, tmp_path):
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert main([*self.ARGS, "--csv", str(serial)]) == 0
-        assert main([*self.ARGS, "--workers", "3", "--csv", str(parallel)]) == 0
-        assert serial.read_text() == parallel.read_text()
-
     def test_online_rejects_bad_parameters(self, capsys):
         bad = ["online", "--length", "1000", "--budget", "100", "--window", "500", "--epoch", "250"]
         assert main([*bad, "--unit", "200"]) == 2
         assert "unit" in capsys.readouterr().err
         assert main([*bad, "--rate", "2.0"]) == 2
         assert "rate" in capsys.readouterr().err
-        assert main([*bad, "--workers", "0"]) == 2
-        assert "workers" in capsys.readouterr().err
+        # the replay runs in one process: online takes no --workers or --engine
+        for flag, value in (("--workers", "2"), ("--engine", "batch")):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*bad, flag, value])
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 class TestMainModuleEntryPoint:

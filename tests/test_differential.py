@@ -18,8 +18,8 @@ This module pits them against each other:
   drifting traffic with random reallocation schedules (hits, misses,
   occupancies at shrink boundaries, per-segment counts), the chunked
   :class:`~repro.cache.stack_distance.StackDistanceStream` against the
-  whole-array pass, and the ``batch`` vs ``reference`` replay engines end to
-  end;
+  whole-array pass, and a full online replay against the per-event oracle
+  of ``tests/oracles.py`` end to end;
 * metamorphic properties: the optimal partition *value* is invariant under
   tenant order permutation, MRCs are monotone non-increasing in capacity,
   and a windowed profile of a concatenated trace with decay → 0 equals the
@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import PartitionedLRU, replay_lanes
 
 from repro.alloc import DiscretizedMRC, dp_allocate, total_misses
 from repro.alloc.partition import PartitionJob, run_partition
@@ -46,7 +47,7 @@ from repro.cache.stack_distance import (
     stack_distances_with_previous,
 )
 from repro.obs import MetricsRegistry, recording
-from repro.online import OnlineJob, PartitionedLRU, WindowedShardsSketch, pooled_curve, run_replay
+from repro.online import OnlineJob, WindowedShardsSketch, pooled_curve, run_replay
 from repro.profiling.accuracy import compare_curves
 from repro.sim.kernels import (
     _DEVIATE_SALT,
@@ -56,7 +57,8 @@ from repro.sim.kernels import (
     random_sweep_hits,
     set_associative_sweep_hits,
 )
-from repro.sim.partitioned import BatchPartitionedLRU, TenantDistanceStreams
+from repro.engine import TenantDistanceStreams
+from repro.sim.partitioned import BatchPartitionedLRU
 from repro.sim.sweep import SweepJob, run_sweep
 from repro.trace import zipfian_trace
 from repro.trace.drift import three_phase_pair
@@ -279,16 +281,13 @@ class TestPartitionedKernelDifferential:
 
 class TestReplayEngineDifferential:
     def test_batch_and_reference_engines_agree_end_to_end(self):
-        """The full online run — profiles, detector, controller, all three
-        lanes — is bit-identical between the vectorised and per-event data
-        planes, per epoch and in aggregate."""
+        """A full online run's static and oracle allocations match
+        from-scratch profiles, and all three lanes match the per-event
+        OrderedDict oracle on the recorded schedules, per epoch and in
+        aggregate."""
         workload = three_phase_pair(3000, seed=7)
         job = OnlineJob(budget=600, window=3000, epoch=1000, method="hull", rate=0.5)
-        batch = run_replay(workload, job)
-        reference = run_replay(workload, job, engine="reference")
-        assert batch.rows() == reference.rows()
-        assert batch.summary() == reference.summary()
-        assert batch.oracle_allocations == reference.oracle_allocations
+        replay_lanes(workload, run_replay(workload, job), job)
 
 
 # --------------------------------------------------------------------------- #

@@ -109,6 +109,12 @@ class TestMetricsFlag:
             for key in ("epoch", "static", "adaptive", "oracle", "phase_change", "reallocated",
                         "moved_blocks", "allocation", "sketch_sampled", "gain", "penalty"):
                 assert key in row
+        # each series row is the epoch's result row plus four observational keys
+        from repro import api
+
+        result = api.online("three-phase", 256, 2000, 1000, length=2000)
+        extra = ("sketch_sampled", "gain", "penalty", "profile_failures")
+        assert [{k: v for k, v in r["row"].items() if k not in extra} for r in series] == result.rows()
         # the three lanes each replay every composed event
         events = next(r["value"] for r in records if r.get("name") == "online.events")
         lane_refs = next(r["value"] for r in records if r.get("name") == "replay.lane_refs")
