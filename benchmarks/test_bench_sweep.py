@@ -12,14 +12,20 @@ lives in ``tests/sim/``.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.analysis import format_table, write_csv
 from repro.obs import record_perf
-from repro.sim import compact_trace, fifo_sweep_hits, lru_sweep_hits, naive_sweep_hits
+from repro.sim import compact_trace, fifo_sweep_hits, lru_sweep_hits
 from repro.trace import zipfian_trace
+
+# The naive per-capacity replay oracle lives with the test suite (``tests/oracles.py``).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import naive_sweep_hits  # noqa: E402
 
 TRACE_LENGTH = 100_000
 FOOTPRINT = 8192

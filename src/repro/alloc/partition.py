@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.job import ALLOC_METHODS, check_choice, check_positive, check_unit
+from ..engine.job import ALLOC_METHODS, PROFILE_MODES, check_choice, check_positive, check_unit, knob
 from ..engine.columnar import split_by_tenant
 from ..engine.runner import check_workers
 from ..obs import get_registry, span
@@ -84,13 +84,15 @@ class PartitionJob:
 
     tenants: tuple[TenantSpec, ...]
     budget: int
-    method: str = "hull"
-    mode: str = "exact"
-    rate: float = 0.01
-    smax: int | None = None
-    profile_seed: int = 0
-    unit: int = 1
-    seed: int = 0
+    method: str = knob(
+        "hull", "allocator: marginal-gain greedy, exact DP, or Talus-style convex hull", choices=ALLOC_METHODS
+    )
+    mode: str = knob("exact", "per-tenant MRC profiling mode (see the profile subcommand)", choices=PROFILE_MODES)
+    rate: float = knob(0.01, "SHARDS sampling rate R (mode shards)")
+    smax: int | None = knob(None, "fixed-size SHARDS: max distinct sampled items")
+    profile_seed: int = knob(0, "base hash seed for SHARDS sampling")
+    unit: int = knob(1, "allocation granularity in blocks")
+    seed: int = knob(0, "seed of the tenant interleaving")
     name: str = "partition"
 
     def __post_init__(self):

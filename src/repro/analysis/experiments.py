@@ -412,7 +412,10 @@ def run_sampling_ablation(
 
     ``repeats`` reruns every timed pipeline that many times and keeps the
     fastest sample, so speedup ratios reflect the profilers rather than
-    whatever else the machine was doing during a single shot.
+    whatever else the machine was doing during a single shot.  The repeats
+    run round-robin (exact, every SHARDS rate, reuse, then again), so a
+    stretch of machine load slows every pipeline's samples alike instead of
+    landing on one side of a ratio.
     """
     from ..cache.mrc import mrc_from_trace
     from ..profiling.accuracy import compare_curves
@@ -423,55 +426,34 @@ def run_sampling_ablation(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
-    def timed(fn):
-        best_result, best_seconds = None, float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = fn()
-            seconds = time.perf_counter() - start
-            if seconds < best_seconds:
-                best_result, best_seconds = result, seconds
-        return best_result, best_seconds
-
     trace = zipfian_trace(length, footprint, exponent=exponent, rng=rng).accesses
+    pipelines = [("exact", 1.0, lambda: mrc_from_trace(trace))]
+    pipelines += [("shards", float(rate), lambda rate=rate: shards_mrc(trace, float(rate))) for rate in rates]
+    pipelines.append(("reuse", 1.0, lambda: reuse_mrc(trace)))
 
-    exact, exact_seconds = timed(lambda: mrc_from_trace(trace))
+    # Every pipeline is deterministic, so any sample's curve is the curve.
+    curves = [None] * len(pipelines)
+    best = [float("inf")] * len(pipelines)
+    for _ in range(repeats):
+        for i, (_, _, fn) in enumerate(pipelines):
+            start = time.perf_counter()
+            curves[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - start)
 
-    rows = [
-        {
-            "mode": "exact",
-            "rate": 1.0,
-            "seconds": exact_seconds,
-            "speedup": 1.0,
-            "mae": 0.0,
-            "max_error": 0.0,
-        }
-    ]
-    for rate in rates:
-        approx, seconds = timed(lambda rate=rate: shards_mrc(trace, float(rate)))
-        comparison = compare_curves(approx, exact)
+    exact, exact_seconds = curves[0], best[0]
+    rows = []
+    for (mode, rate, _), curve, seconds in zip(pipelines, curves, best):
+        comparison = compare_curves(curve, exact)
         rows.append(
             {
-                "mode": "shards",
-                "rate": float(rate),
+                "mode": mode,
+                "rate": rate,
                 "seconds": seconds,
                 "speedup": exact_seconds / max(seconds, 1e-9),
                 "mae": comparison.mean_absolute_error,
                 "max_error": comparison.max_absolute_error,
             }
         )
-    streamed, seconds = timed(lambda: reuse_mrc(trace))
-    comparison = compare_curves(streamed, exact)
-    rows.append(
-        {
-            "mode": "reuse",
-            "rate": 1.0,
-            "seconds": seconds,
-            "speedup": exact_seconds / max(seconds, 1e-9),
-            "mae": comparison.mean_absolute_error,
-            "max_error": comparison.max_absolute_error,
-        }
-    )
     return rows
 
 
@@ -545,10 +527,9 @@ def run_online_adaptation(
     budget: int = 1150,
     window: int = 6000,
     epoch: int = 2000,
-    method: str = "hull",
     rate: float = 0.5,
-    move_cost: float = 1.0,
     rng: int = 7,
+    **knobs,
 ) -> dict:
     """Online adaptive re-partitioning on the 3-phase drifting pair.
 
@@ -560,21 +541,16 @@ def run_online_adaptation(
     reports the per-epoch miss-ratio series plus the adaptation scoreboard.
     The benchmark harness asserts the headline claim on the same code path:
     adaptive strictly beats static while profiling at most twice the
-    references a single whole-trace exact profile would touch.
+    references a single whole-trace exact profile would touch.  ``knobs``
+    are further :class:`~repro.online.replay.OnlineJob` fields (``method``,
+    ``move_cost``, ...).
     """
     from ..online.replay import OnlineJob, run_replay
     from ..trace.drift import three_phase_pair
 
     workload = three_phase_pair(length_per_phase, seed=rng)
     job = OnlineJob(
-        budget=budget,
-        window=window,
-        epoch=epoch,
-        method=method,
-        rate=rate,
-        move_cost=move_cost,
-        profile_seed=rng,
-        name="online-adaptation",
+        budget=budget, window=window, epoch=epoch, rate=rate, profile_seed=rng, name="online-adaptation", **knobs
     )
     result = run_replay(workload, job)
     return {

@@ -46,6 +46,9 @@ class NativeKernels(NamedTuple):
     stack_distances: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     #: ``previous(trace)`` -> the previous position of each reference's item (``-1`` when cold).
     previous: Callable[[np.ndarray], np.ndarray]
+    #: ``reuse_time_counts(trace)`` -> ``counts`` of length ``len(trace) + 1``: ``counts[d]``
+    #: references whose item was last accessed ``d`` references earlier, ``counts[0]`` cold ones.
+    reuse_time_counts: Callable[[np.ndarray], np.ndarray]
     #: ``sample_positions(trace, tweaks, mask, thresholds)`` -> per (tweak, threshold) pair,
     #: the sampled positions in order, from one pass over the trace.
     sample_positions: Callable[[np.ndarray, Sequence[int], int, Sequence[int]], list[np.ndarray]]
@@ -130,7 +133,7 @@ def native_kernels() -> NativeKernels | None:
     if library is None:
         return None
     olken = library.olken_stack_distances
-    olken.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    olken.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     olken.restype = ctypes.c_int
     shards = library.shards_sample
     shards.argtypes = (
@@ -154,16 +157,23 @@ def native_kernels() -> NativeKernels | None:
         trace = np.ascontiguousarray(trace, dtype=np.int64)
         distances = np.empty(trace.size, dtype=np.int64)
         previous = np.empty(trace.size, dtype=np.int64)
-        if olken(trace.ctypes.data, trace.size, distances.ctypes.data, previous.ctypes.data) != 0:
+        if olken(trace.ctypes.data, trace.size, distances.ctypes.data, previous.ctypes.data, None) != 0:
             raise MemoryError(f"stack-distance kernel could not allocate for {trace.size} references")
         return distances, previous
 
     def previous(trace: np.ndarray) -> np.ndarray:
         trace = np.ascontiguousarray(trace, dtype=np.int64)
         previous = np.empty(trace.size, dtype=np.int64)
-        if olken(trace.ctypes.data, trace.size, None, previous.ctypes.data) != 0:
+        if olken(trace.ctypes.data, trace.size, None, previous.ctypes.data, None) != 0:
             raise MemoryError(f"previous-occurrence kernel could not allocate for {trace.size} references")
         return previous
+
+    def reuse_time_counts(trace: np.ndarray) -> np.ndarray:
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        counts = np.zeros(trace.size + 1, dtype=np.int64)
+        if olken(trace.ctypes.data, trace.size, None, None, counts.ctypes.data) != 0:
+            raise MemoryError(f"reuse-time kernel could not allocate for {trace.size} references")
+        return counts
 
     def sample_positions(
         trace: np.ndarray, tweaks: Sequence[int], mask: int, thresholds: Sequence[int]
@@ -191,7 +201,7 @@ def native_kernels() -> NativeKernels | None:
         done = bulk(np.frombuffer(view, dtype=np.uint8).ctypes.data, view.nbytes, ctypes.byref(running))
         return zlib.crc32(view[done:], running.value)
 
-    return NativeKernels(stack_distances, previous, sample_positions, crc32)
+    return NativeKernels(stack_distances, previous, reuse_time_counts, sample_positions, crc32)
 
 
 def crc32(data, value: int = 0) -> int:

@@ -6,8 +6,9 @@
  * to that position.  An access whose item was last touched at p has stack
  * distance 1 + #{items last touched after p} = 1 + footprint - prefix(p).
  * The Python entry point is repro.cache.stack_distances_with_previous.
- * With distances == NULL only previous[] is filled and the Fenwick tree is
- * skipped: the previous-occurrence pass of the reuse-time profiler.
+ * With distances == NULL the Fenwick tree is skipped: the previous-occurrence
+ * pass of the reuse-time profiler.  Either of previous and reuse_counts may
+ * be NULL too; reuse_counts, when given, is the reuse-time histogram.
  *
  * shards_sample: the SHARDS spatial-sampling filter of every hash seed in
  * one call, so sampling stays an order of magnitude cheaper than measuring
@@ -27,9 +28,13 @@ static uint64_t slot(int64_t label, int bits)
     return ((uint64_t)label * 0x9E3779B97F4A7C15ull) >> (64 - bits);
 }
 
-/* Fills distances[t] (INT64_MAX when cold), unless distances is NULL, and
- * previous[t] (-1 when cold).  Returns 0, or -1 when memory runs out. */
-int olken_stack_distances(const int64_t *trace, int64_t n, int64_t *distances, int64_t *previous)
+/* Fills distances[t] (INT64_MAX when cold) and previous[t] (-1 when cold),
+ * each unless NULL, and adds one to reuse_counts[t - previous[t]] for every
+ * reuse and to reuse_counts[0] for every cold access, unless reuse_counts
+ * is NULL (it holds n + 1 zeros on entry).  Returns 0, or -1 when memory
+ * runs out. */
+int olken_stack_distances(const int64_t *trace, int64_t n, int64_t *distances, int64_t *previous,
+                          int64_t *reuse_counts)
 {
     int bits = 6;
     int64_t used = 0, mask = (1 << bits) - 1;
@@ -66,7 +71,10 @@ int olken_stack_distances(const int64_t *trace, int64_t n, int64_t *distances, i
         while (last[s] >= 0 && keys[s] != trace[t])
             s = (s + 1) & mask;
         int64_t p = last[s];
-        previous[t] = p;
+        if (previous)
+            previous[t] = p;
+        if (reuse_counts)
+            reuse_counts[p < 0 ? 0 : t - p]++;
         last[s] = t;
         if (p < 0) {
             keys[s] = trace[t];

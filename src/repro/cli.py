@@ -88,7 +88,9 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from collections.abc import Sequence
 
 __all__ = ["main", "build_parser"]
@@ -240,12 +242,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             name=trace.name,
             policies=tuple(p.strip() for p in args.policies.split(",") if p.strip()),
             capacities=parse_capacities(args.capacities, trace.footprint),
-            ways=args.ways,
-            seed=args.seed,
             workers=args.workers,
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
+            **_knobs(args),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -359,18 +360,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     from .analysis.reporting import format_table
 
     try:
-        result = api.partition(
-            parse_tenants(args.tenants),
-            args.budget,
-            method=args.method,
-            mode=args.mode,
-            rate=args.rate,
-            smax=args.smax,
-            profile_seed=args.profile_seed,
-            unit=args.unit,
-            seed=args.seed,
-            workers=args.workers,
-        )
+        result = api.partition(parse_tenants(args.tenants), args.budget, workers=args.workers, **_knobs(args))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -419,18 +409,10 @@ def _cmd_online(args: argparse.Namespace) -> int:
             args.epoch,
             length=args.length,
             seed=args.seed,
-            method=args.method,
-            decay=args.decay,
-            rate=args.rate,
-            move_cost=args.move_cost,
-            threshold=args.threshold,
-            hysteresis=args.hysteresis,
-            realloc_epochs=args.realloc_epochs,
-            unit=args.unit,
-            profile_seed=args.profile_seed,
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
+            **_knobs(args),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -627,16 +609,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------------- #
-def _engine_flags(*, seed_default: int, seed_help: str, csv_help: str) -> argparse.ArgumentParser:
+def _engine_flags(csv_help: str) -> argparse.ArgumentParser:
     """Parent parser carrying the flags every engine subcommand shares.
 
-    One definition keeps the names, types and defaults of ``--seed`` /
-    ``--csv`` / ``--metrics`` aligned across the profile/sweep/partition/online
+    One definition keeps the names, types and defaults of ``--csv`` /
+    ``--metrics`` aligned across the profile/sweep/partition/online
     subcommands (the per-subcommand help strings stay specific), mirroring
     the unified keyword names of :mod:`repro.api`.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     parent.add_argument("--csv", default=None, help=csv_help)
     parent.add_argument("--metrics", default=None, help="record run metrics to this JSONL file")
     return parent
@@ -673,25 +654,45 @@ def _checkpoint_flags() -> argparse.ArgumentParser:
     return parent
 
 
-def _alloc_flags() -> argparse.ArgumentParser:
-    """Parent parser with the allocator flags partition and online share."""
-    from .engine.job import ALLOC_METHODS
+def _job_flags(job_type: type) -> argparse.ArgumentParser:
+    """Parent parser with one ``--flag`` per :func:`~repro.engine.job.knob` field of ``job_type``.
 
+    Each flag is ``--`` plus the field name with ``-`` for ``_``; its
+    default, type, help text and choices come from the field, so the flags
+    cannot drift from the job.  Fields that need parsing or are not plain
+    flags (inputs, ``name``, required sizes) are not knobs and are written
+    by hand in :func:`build_parser`.  The parser records the knob names in
+    ``job_knobs`` for :func:`_knobs`.
+    """
+    hints = typing.get_type_hints(job_type)
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--method",
-        choices=list(ALLOC_METHODS),
-        default="hull",
-        help="allocator: marginal-gain greedy, exact DP, or Talus-style convex hull",
-    )
-    parent.add_argument("--unit", type=int, default=1, help="allocation granularity in blocks")
-    parent.add_argument("--profile-seed", type=int, default=0, help="base hash seed for SHARDS sampling")
+    knobs = [field for field in dataclasses.fields(job_type) if "help" in field.metadata]
+    parent.set_defaults(job_knobs=tuple(field.name for field in knobs))
+    for field in knobs:
+        hint = hints[field.name]
+        flag_type = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))  # int | None -> int
+        parent.add_argument(
+            "--" + field.name.replace("_", "-"),
+            type=flag_type,
+            default=field.default,
+            choices=field.metadata["choices"],
+            help=field.metadata["help"],
+        )
     return parent
+
+
+def _knobs(args: argparse.Namespace) -> dict:
+    """The parsed values of the subcommand's job knob flags, keyed by field name."""
+    return {name: getattr(args, name) for name in args.job_knobs}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
+    from .alloc.partition import PartitionJob
+    from .api import WORKLOAD_PRESETS
     from .engine.job import PROFILE_MODES
+    from .online.replay import OnlineJob
+    from .sim.sweep import SweepJob
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -713,15 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="exact or approximate miss-ratio curve via the profiling engine",
         parents=[
-            _engine_flags(
-                seed_default=0,
-                seed_help="base hash seed for sampling",
-                csv_help="write the curve to this CSV file (single trace only)",
-            ),
+            _engine_flags("write the curve to this CSV file (single trace only)"),
             _workers_flag("process pool size (batch of traces, or chunks of one trace in reuse mode)"),
         ],
     )
     profile.add_argument("trace_files", nargs="+", help="text trace file(s)")
+    profile.add_argument("--seed", type=int, default=0, help="base hash seed for sampling")
     profile.add_argument(
         "--mode",
         choices=list(PROFILE_MODES),
@@ -743,13 +741,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="miss ratios of many policies x capacities via the sweep engine",
         parents=[
-            _engine_flags(
-                seed_default=0,
-                seed_help="seed of the random-replacement policy",
-                csv_help="write the sweep rows to this CSV file",
-            ),
+            _engine_flags("write the sweep rows to this CSV file"),
             _workers_flag("process pool size (never changes the results)"),
             _checkpoint_flags(),
+            _job_flags(SweepJob),
         ],
     )
     sweep.add_argument("trace_file", help="text trace file (one item label per line)")
@@ -763,20 +758,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="pow2",
         help="capacity grid: comma list of ints, lo:hi[:step] ranges, or pow2 (default)",
     )
-    sweep.add_argument("--ways", type=int, default=4, help="associativity of the set-associative policy")
     sweep.set_defaults(func=_cmd_sweep)
 
     partition = subparsers.add_parser(
         "partition",
         help="divide a shared cache among tenants via MRC allocation",
         parents=[
-            _engine_flags(
-                seed_default=0,
-                seed_help="seed of the tenant interleaving",
-                csv_help="write per-tenant rows plus a TOTAL row to this CSV file",
-            ),
+            _engine_flags("write per-tenant rows plus a TOTAL row to this CSV file"),
             _workers_flag("process pool size for per-tenant profiling"),
-            _alloc_flags(),
+            _job_flags(PartitionJob),
         ],
     )
     partition.add_argument(
@@ -788,33 +778,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     partition.add_argument("--budget", type=int, required=True, help="shared cache capacity in blocks")
-    partition.add_argument(
-        "--mode",
-        choices=list(PROFILE_MODES),
-        default="exact",
-        help="per-tenant MRC profiling mode (see the profile subcommand)",
-    )
-    partition.add_argument("--rate", type=float, default=0.01, help="SHARDS sampling rate R (mode shards)")
-    partition.add_argument("--smax", type=int, default=None, help="fixed-size SHARDS: max distinct sampled items")
     partition.set_defaults(func=_cmd_partition)
 
     online = subparsers.add_parser(
         "online",
         help="adaptive re-partitioning on a drifting multi-tenant workload",
         parents=[
-            _engine_flags(
-                seed_default=7,
-                seed_help="seed of the drifting workload",
-                csv_help="write per-epoch rows plus a TOTAL row to this CSV file",
-            ),
-            _alloc_flags(),
+            _engine_flags("write per-epoch rows plus a TOTAL row to this CSV file"),
             _checkpoint_flags(),
+            _job_flags(OnlineJob),
         ],
     )
+    online.add_argument("--seed", type=int, default=7, help="seed of the drifting workload")
     online.add_argument(
         "--workload",
-        choices=["three-phase", "churn"],
-        default="three-phase",
+        choices=WORKLOAD_PRESETS,
+        default=WORKLOAD_PRESETS[0],
         help="drifting workload preset: 3-phase working-set seesaw, or tenant arrival/departure churn",
     )
     online.add_argument(
@@ -826,17 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--budget", type=int, required=True, help="shared cache capacity in blocks")
     online.add_argument("--window", type=int, required=True, help="windowed-profiler span in composed events")
     online.add_argument("--epoch", type=int, required=True, help="re-profiling period in composed events")
-    online.add_argument("--decay", type=float, default=0.0, help="exponential decay rate of the windowed profiles")
-    online.add_argument("--rate", type=float, default=1.0, help="SHARDS sampling rate of the windowed profiles")
-    online.add_argument("--move-cost", type=float, default=1.0, help="warm-up misses charged per moved block")
-    online.add_argument("--threshold", type=float, default=0.03, help="phase-detector curve-distance threshold")
-    online.add_argument("--hysteresis", type=int, default=1, help="consecutive off-reference windows before a flag")
-    online.add_argument(
-        "--realloc-epochs",
-        type=int,
-        default=4,
-        help="fixed re-allocation cadence; between these epochs only a phase-change flag consults the controller",
-    )
     online.set_defaults(func=_cmd_online)
 
     chain = subparsers.add_parser("chain", help="run ChainFind on S_m")
@@ -887,35 +855,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_with_metrics(args: argparse.Namespace, argv: Sequence[str] | None) -> int:
-    """Run one subcommand inside a recording registry and export the JSONL.
-
-    The registry is write-only for the engines — recording never changes a
-    result — so the exit code and every printed row are identical to a run
-    without ``--metrics`` (asserted in ``tests/test_differential.py``).
-    """
-    from .obs import MetricsRegistry, RunManifest, recording, write_jsonl
-
-    registry = MetricsRegistry()
-    with recording(registry):
-        code = args.func(args)
-    manifest = RunManifest.collect(
-        args.command,
-        argv=list(argv) if argv is not None else sys.argv[1:],
-        seed=getattr(args, "seed", None),
-    )
-    path = write_jsonl(args.metrics, registry, manifest)
-    print(f"wrote metrics to {path}")
-    return code
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "metrics", None):
-            return _run_with_metrics(args, argv)
+            # Recording never changes a result: the exit code and every
+            # printed row are identical to a run without --metrics.
+            from pathlib import Path
+
+            from .obs import run_recorded
+
+            argv = sys.argv[1:] if argv is None else argv
+            code = run_recorded(lambda: args.func(args), args.metrics, args.command, argv=argv, seed=args.seed)
+            print(f"wrote metrics to {Path(args.metrics)}")
+            return code
         return args.func(args)
     except BrokenPipeError:
         # stdout was closed early (e.g. piping into `head`); exit quietly like

@@ -13,6 +13,9 @@ rows or a summary.  This module pins the contract:
   tables/CSV) and ``summary()`` (one aggregate scoreboard row).
 * the ``check_*`` validators give every job the same failure wording for the
   same mistake, so the CLI and the facade surface one error language.
+* :func:`knob` declares a job field once — its default, type, help text and
+  choices — and :mod:`repro.api` and :mod:`repro.cli` derive their keywords
+  and ``--flags`` from the job's fields instead of restating them.
 
 Validators raise ``ValueError`` with the field name in the message — jobs
 stay fail-fast (bad knobs are rejected before any expensive profiling runs).
@@ -20,6 +23,7 @@ stay fail-fast (bad knobs are rejected before any expensive profiling runs).
 
 from __future__ import annotations
 
+from dataclasses import field
 from typing import Any, Protocol, runtime_checkable
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "check_non_negative",
     "check_positive",
     "check_unit",
+    "knob",
 ]
 
 #: Allocation methods understood by every allocating experiment
@@ -75,6 +80,16 @@ class ExperimentResult(Protocol):
     def summary(self) -> dict:
         """One aggregate scoreboard row."""
         ...  # pragma: no cover - protocol
+
+
+def knob(default: Any, help: str, *, choices: tuple | None = None) -> Any:
+    """A job field that is also a CLI flag: its default, help text and choices.
+
+    ``repro online``, ``partition`` and ``sweep`` turn every such field into
+    ``--<name-with-dashes>`` with the field's default and type (see
+    :func:`repro.cli.build_parser`), so a knob is declared once, on its job.
+    """
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 def check_positive(name: str, value: Any) -> int:

@@ -21,25 +21,25 @@ conventions are fixed here once:
 ``workers`` is always validated the same way: any integer below 1 is an error
 rather than a silent serial fallback.
 
-Passing a :class:`repro.resilience.RetryPolicy` turns :func:`pool_map` into
-the *resilient* pool: per-task timeouts (a worker killed mid-task — e.g. by
-the OOM killer — previously hung the run or surfaced as a bare
-``MaybeEncodingError``), bounded retries with exponential backoff and
-*seeded* jitter, and a graceful degradation ladder — retry in the pool,
-re-run still-failing tasks inline in the parent, and only then fail with a
-structured :class:`repro.resilience.PoolFailureError` naming every task, its
-attempt count and its cause.  Results are always assembled in task order,
-so the bit-identical merge contract of the golden suite holds no matter
-which attempt finally succeeded.
+:func:`pool_map` is one attempt loop driven by a
+:class:`repro.resilience.RetryPolicy`.  With a policy it is the *resilient*
+pool: per-task timeouts (a worker killed mid-task — e.g. by the OOM killer —
+previously hung the run or surfaced as a bare ``MaybeEncodingError``),
+bounded retries with exponential backoff and *seeded* jitter, and a graceful
+degradation ladder — retry in the pool, re-run still-failing tasks inline in
+the parent, and only then fail with a structured
+:class:`repro.resilience.PoolFailureError` naming every task, its attempt
+count and its cause.  Without one, every task gets a single attempt and a
+failing task raises its own exception.  Results are always assembled in task
+order, so the bit-identical merge contract of the golden suite holds no
+matter which attempt finally succeeded.
 
-When a metrics registry is recording (:func:`repro.obs.get_registry`),
-``pool_map`` additionally times every task.  Workers cannot record into the
-parent's registry (they are separate processes), so each task is wrapped to
-*return* its wall-clock seconds alongside its result and the parent folds
-the durations into the ``pool.task`` span aggregate in task order — the
-same order ``pool.map`` returns results in — making the recorded aggregate
-deterministic regardless of completion order.  With nothing recording, the
-bare code path runs unchanged.
+Every attempt returns its wall-clock seconds alongside its result, because
+workers cannot record into the parent's registry (they are separate
+processes).  When a metrics registry is recording
+(:func:`repro.obs.get_registry`), the parent folds the durations into the
+``pool.task`` span aggregate in task order, making the recorded aggregate
+deterministic regardless of completion order.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import multiprocessing
 import time
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -94,18 +93,17 @@ def fork_pool(workers: int):
     return context.Pool(processes=check_workers(workers))
 
 
-def _timed_call(function: Callable[[Any], Any], task: Any) -> tuple[Any, float]:
-    """Run one task, returning ``(result, seconds)`` so timings survive the pool."""
-    start = time.perf_counter()
-    result = function(task)
-    return result, time.perf_counter() - start
+#: The schedule of ``pool_map(..., policy=None)``: one attempt, no timeout
+#: and no inline rung.
+_SINGLE_ATTEMPT = RetryPolicy(retries=0, timeout=None, inline_fallback=False)
 
 
 def _guarded_call(function: Callable[[Any], Any], index: int, attempt: int, task: Any) -> tuple[Any, float]:
-    """One resilient-pool attempt: fire the chaos hook, run the task, time it.
+    """One attempt at one task: fire the chaos hook, run the task, time it.
 
-    Runs inside the worker (or inline, for the degradation ladder's last
-    rung).  The ``pool.task`` fault site lets the chaos suite raise, stall or
+    Runs inside the worker, or inline in the parent.  Returning the seconds
+    alongside the result lets task timings survive the pool.  The
+    ``pool.task`` fault site lets the chaos suite raise, stall or
     ``SIGKILL`` exactly this task on exactly this attempt.
     """
     _fire_fault("pool.task", index, attempt)
@@ -119,25 +117,42 @@ def _abbreviate(task: Any, limit: int = 80) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _resilient_map(
-    function: Callable[[Any], Any], tasks: list[Any], *, workers: int, policy: RetryPolicy
+def pool_map(
+    function: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    *,
+    workers: int = 1,
+    policy: RetryPolicy | None = None,
 ) -> list[Any]:
-    """The resilient fan-out behind ``pool_map(..., policy=...)``.
+    """Map ``function`` over ``tasks``, preserving task order.
 
-    Pooled rounds give every still-pending task one attempt each (seeded
-    backoff between rounds); a task whose result does not arrive within
-    ``policy.timeout`` is declared lost — the one observable signature of a
-    worker killed mid-task, whose result will otherwise never arrive.  The
-    pool is ``terminate``\\ d between rounds so a stalled or dead worker
-    cannot hold a slot (or the shutdown) hostage.  Tasks that exhaust their
-    pooled attempts are re-run inline in the parent when
-    ``policy.inline_fallback`` allows; anything still failing raises a
-    :class:`~repro.resilience.errors.PoolFailureError` naming every task,
-    its attempt count and its cause.  Results merge in task order, whatever
-    attempt produced them.
+    Runs inline (no pool) when ``workers == 1`` or there is at most one task;
+    otherwise fans out over ``min(workers, len(tasks))`` forked processes.
+    ``function`` and every task must be picklable in the pooled case.
+
+    ``policy`` (a :class:`~repro.resilience.policy.RetryPolicy`) drives the
+    one attempt loop.  Pooled rounds give every still-pending task one
+    attempt each (seeded backoff between rounds); a task whose result does
+    not arrive within ``policy.timeout`` is declared lost — the one
+    observable signature of a worker killed mid-task.  The pool is
+    ``terminate``\\ d after every round so a stalled or dead worker cannot
+    hold a slot (or the shutdown) hostage.  Tasks that exhaust their pooled
+    attempts are re-run inline in the parent when ``policy.inline_fallback``
+    allows (an inline run retries up to ``policy.attempts`` times); anything
+    still failing raises a :class:`~repro.resilience.errors.PoolFailureError`
+    naming every task, its attempt count and its cause.  Without a policy
+    each task gets one attempt, no timeout and no inline rung, and a failing
+    task raises its own exception unchanged.  Results merge in task order,
+    whatever attempt produced them, so a pooled run with retries stays
+    bit-identical to the ``workers=1`` reference.
     """
+    workers = check_workers(workers)
+    tasks = list(tasks)
+    bare = policy is None
+    policy = policy or _SINGLE_ATTEMPT
     name = getattr(function, "__name__", repr(function))
     n = len(tasks)
+    pooled = workers > 1 and n > 1
     results: list[Any] = [None] * n
     done = [False] * n
     attempts = [0] * n
@@ -145,7 +160,7 @@ def _resilient_map(
     degraded: list[int] = []
     pending = list(range(n))
 
-    while pending and workers > 1:
+    while pending and pooled:
         runnable = [i for i in pending if attempts[i] < policy.attempts]
         if not runnable:
             break
@@ -167,6 +182,8 @@ def _resilient_map(
                         f"no result within {policy.timeout}s (stalled task or dead/lost worker)",
                     )
                 except Exception as error:  # the task raised (or its result failed to pickle)
+                    if bare:
+                        raise
                     causes[i] = ("error", repr(error))
                 else:
                     done[i] = True
@@ -177,7 +194,7 @@ def _resilient_map(
         pending = [i for i in pending if not done[i]]
 
     for i in pending:
-        if workers > 1:
+        if pooled:
             if not policy.inline_fallback:
                 continue
             degraded.append(i)
@@ -191,6 +208,8 @@ def _resilient_map(
             try:
                 results[i] = _guarded_call(function, i, attempts[i], tasks[i])
             except Exception as error:
+                if bare:
+                    raise
                 causes[i] = ("error", repr(error))
             else:
                 done[i] = True
@@ -218,49 +237,6 @@ def _resilient_map(
     if failures:
         raise PoolFailureError(failures)
     return [result for result, _ in results]
-
-
-def pool_map(
-    function: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    *,
-    workers: int = 1,
-    policy: RetryPolicy | None = None,
-) -> list[Any]:
-    """Map ``function`` over ``tasks``, preserving task order.
-
-    Runs inline (no pool) when ``workers == 1`` or there is at most one task;
-    otherwise fans out over ``min(workers, len(tasks))`` forked processes.
-    ``function`` and every task must be picklable in the pooled case.
-
-    With a :class:`~repro.resilience.policy.RetryPolicy`, the resilient path
-    runs instead: per-task timeouts, bounded retries with seeded backoff,
-    dead/lost-worker detection and an inline degradation rung — still
-    merging results in task order, so a pooled run with retries stays
-    bit-identical to the ``workers=1`` reference.
-    """
-    workers = check_workers(workers)
-    tasks = list(tasks)
-    if policy is not None:
-        return _resilient_map(function, tasks, workers=workers, policy=policy)
-    registry = get_registry()
-    if registry.enabled:
-        name = getattr(function, "__name__", repr(function))
-        timed = partial(_timed_call, function)
-        if workers == 1 or len(tasks) <= 1:
-            outcomes = [timed(task) for task in tasks]
-        else:
-            with fork_pool(min(workers, len(tasks))) as pool:
-                outcomes = pool.map(timed, tasks)
-        registry.counter("pool.tasks", function=name).add(len(outcomes))
-        registry.gauge("pool.workers", function=name).set(min(workers, max(len(tasks), 1)))
-        for _, seconds in outcomes:  # task order == pool.map order: deterministic
-            registry.record_span("pool.task", seconds, function=name)
-        return [result for result, _ in outcomes]
-    if workers == 1 or len(tasks) <= 1:
-        return [function(task) for task in tasks]
-    with fork_pool(min(workers, len(tasks))) as pool:
-        return pool.map(function, tasks)
 
 
 #: Arrays published for forked pool workers.  :func:`published_arrays` fills

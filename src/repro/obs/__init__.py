@@ -12,7 +12,8 @@ paths run through shared no-op singletons at seed speed.
 * :mod:`repro.obs.manifest` — :class:`RunManifest`: args/seed/git-sha/
   versions provenance written at the head of every metrics file.
 * :mod:`repro.obs.export` — JSONL (canonical), CSV, and Prometheus text
-  exporters plus the ``repro metrics`` scoreboard renderer.
+  exporters, the ``repro metrics`` scoreboard renderer, and
+  :func:`run_recorded`, which records one run into a JSONL file.
 * :mod:`repro.obs.trajectory` — structured benchmark perf records and the
   direction-aware baseline comparison behind the CI perf-trajectory gate.
 
@@ -53,6 +54,7 @@ Registries merge associatively — sharded partials fold in any order:
 from .export import (
     prometheus_text,
     read_jsonl,
+    run_recorded,
     summarize_records,
     write_jsonl,
     write_metrics_csv,
@@ -91,6 +93,7 @@ __all__ = [
     "read_jsonl",
     "record_perf",
     "recording",
+    "run_recorded",
     "span",
     "summarize_records",
     "write_jsonl",

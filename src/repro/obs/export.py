@@ -6,18 +6,23 @@ on each (``manifest`` first when provided, then ``counter`` / ``gauge`` /
 summarizes.  CSV flattens the same records for spreadsheet triage, and the
 Prometheus text format serves scrape-style consumers (cumulative ``le``
 buckets, ``_sum`` / ``_count`` conventions).  All writers create missing
-parent directories.
+parent directories.  :func:`run_recorded` wraps one run in a fresh registry
+and writes its JSONL — the one recorder behind ``metrics_path=`` of
+:mod:`repro.api` and ``--metrics`` of the CLI.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
 from pathlib import Path
+from typing import TypeVar
 
 from .manifest import RunManifest
-from .registry import MetricsRegistry
+from .registry import MetricsRegistry, recording
 
 __all__ = [
+    "run_recorded",
     "write_jsonl",
     "write_metrics_csv",
     "prometheus_text",
@@ -43,6 +48,32 @@ def write_jsonl(path: str | Path, registry: MetricsRegistry, manifest: RunManife
         lines.append(json.dumps(record, sort_keys=True))
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return path
+
+
+T = TypeVar("T")
+
+
+def run_recorded(
+    run: Callable[[], T],
+    metrics_path: str | Path | None,
+    command: str,
+    *,
+    argv: Sequence[str] = (),
+    seed: int | None = None,
+) -> T:
+    """Return ``run()``; with a ``metrics_path``, record the run there as JSONL.
+
+    The run executes inside a fresh :class:`MetricsRegistry`, and the file
+    starts with a :class:`RunManifest` line naming ``command``, ``argv`` and
+    ``seed``.  Recording never changes what ``run()`` returns.
+    """
+    if metrics_path is None:
+        return run()
+    registry = MetricsRegistry()
+    with recording(registry):
+        result = run()
+    write_jsonl(metrics_path, registry, RunManifest.collect(command, argv=list(argv), seed=seed))
+    return result
 
 
 def read_jsonl(path: str | Path) -> list[dict[str, object]]:

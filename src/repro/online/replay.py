@@ -42,7 +42,9 @@ from pathlib import Path
 
 from ..alloc.curves import discretize_curve
 from ..engine.columnar import TenantDistancePasses, idle_curve, split_by_tenant
-from ..engine.job import check_choice, check_fraction, check_non_negative, check_positive, check_unit
+from ..engine.job import (
+    ALLOC_METHODS, check_choice, check_fraction, check_non_negative, check_positive, check_unit, knob
+)
 from ..engine.lanes import LaneSet
 from ..engine.segments import phase_of_last_event, replay_stops
 from ..obs import get_registry, span
@@ -105,16 +107,20 @@ class OnlineJob:
     budget: int
     window: int
     epoch: int
-    method: str = "hull"
-    decay: float = 0.0
-    rate: float = 1.0
-    move_cost: float = 1.0
-    horizon_epochs: int = 8
-    threshold: float = 0.03
-    hysteresis: int = 1
-    realloc_epochs: int = 4
-    unit: int = 1
-    profile_seed: int = 0
+    method: str = knob(
+        "hull", "allocator: marginal-gain greedy, exact DP, or Talus-style convex hull", choices=ALLOC_METHODS
+    )
+    decay: float = knob(0.0, "exponential decay rate of the windowed profiles")
+    rate: float = knob(1.0, "SHARDS sampling rate of the windowed profiles")
+    move_cost: float = knob(1.0, "warm-up misses charged per moved block")
+    horizon_epochs: int = knob(8, "epochs an applied re-partition is assumed to stay useful")
+    threshold: float = knob(0.03, "phase-detector curve-distance threshold")
+    hysteresis: int = knob(1, "consecutive off-reference windows before a flag")
+    realloc_epochs: int = knob(
+        4, "fixed re-allocation cadence; between these epochs only a phase-change flag consults the controller"
+    )
+    unit: int = knob(1, "allocation granularity in blocks")
+    profile_seed: int = knob(0, "base hash seed for SHARDS sampling")
     name: str = "online"
 
     def __post_init__(self):
@@ -123,7 +129,7 @@ class OnlineJob:
         check_unit(self.unit, self.budget)
         # Fail fast on the knobs otherwise only checked deep inside the run,
         # after the (expensive) exact whole-trace profiling already happened.
-        check_choice("method", self.method, ("greedy", "dp", "hull"))
+        check_choice("method", self.method, ALLOC_METHODS)
         check_fraction("rate", self.rate)
         check_non_negative("decay", self.decay)
         check_non_negative("move_cost", self.move_cost)

@@ -66,7 +66,7 @@ class ProfileJob:
     trace: np.ndarray | None = None
     path: str | None = None
     name: str = "trace"
-    mode: str = "exact"
+    mode: str = "shards"
     rate: float = 0.01
     smax: int | None = None
     seed: int = 0
@@ -114,8 +114,12 @@ def _load(job: ProfileJob) -> np.ndarray:
     return read_text(Path(job.path)).accesses
 
 
-def run_job(job: ProfileJob) -> ProfileResult:
-    """Execute one profiling job in the current process."""
+def run_job(job: ProfileJob, *, workers: int = 1) -> ProfileResult:
+    """Execute one profiling job in the current process.
+
+    ``workers > 1`` only matters in ``reuse`` mode: it fans the trace's
+    chunk partials across a process pool (the curve does not change).
+    """
     arr = _load(job)
     with span("profiling.job", mode=job.mode) as timer:
         if job.mode == "exact":
@@ -132,7 +136,7 @@ def run_job(job: ProfileJob) -> ProfileResult:
         else:  # reuse
             histogram = parallel_reuse_histogram(
                 arr,
-                workers=1,
+                workers=workers,
                 fine_limit=job.fine_limit,
                 coarse_per_octave=job.coarse_per_octave,
             )
@@ -150,26 +154,7 @@ def run_jobs(jobs: list[ProfileJob], *, workers: int = 1) -> list[ProfileResult]
     """
     workers = check_workers(workers)
     if len(jobs) == 1 and workers > 1 and jobs[0].mode == "reuse":
-        job = jobs[0]
-        arr = _load(job)
-        with span("profiling.parallel_reuse", workers=workers) as timer:
-            curve = parallel_reuse_mrc(
-                arr,
-                workers=workers,
-                max_cache_size=job.max_cache_size,
-                fine_limit=job.fine_limit,
-                coarse_per_octave=job.coarse_per_octave,
-            )
-        get_registry().counter("profiling.accesses", mode=job.mode).add(int(arr.size))
-        return [
-            ProfileResult(
-                name=job.name,
-                mode=job.mode,
-                curve=curve,
-                accesses=int(arr.size),
-                seconds=timer.seconds,
-            )
-        ]
+        return [run_job(jobs[0], workers=workers)]
     return pool_map(run_job, jobs, workers=workers)
 
 
@@ -207,13 +192,15 @@ def _previous_occurrences(arr: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _within_chunk(arr: np.ndarray, fine_limit: int, coarse_per_octave: int) -> tuple[ReuseTimeHistogram, np.ndarray]:
-    """The histogram of a chunk's within-chunk reuse times, and each reference's previous position."""
-    histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
+def _reuse_time_counts(arr: np.ndarray) -> np.ndarray:
+    """``counts[d]``: references whose item was last accessed ``d`` references earlier; ``counts[0]``: cold ones."""
+    native = native_kernels()
+    if native is not None:
+        return native.reuse_time_counts(arr)
     prev = _previous_occurrences(arr)
-    repeat = prev >= 0
-    histogram.record_reuses(np.flatnonzero(repeat) - prev[repeat])
-    return histogram, prev
+    times = np.arange(arr.size, dtype=np.int64) - prev
+    times[prev < 0] = 0
+    return np.bincount(times, minlength=arr.size + 1)
 
 
 def chunk_partial(
@@ -226,10 +213,12 @@ def chunk_partial(
     """Profile one chunk independently of every other chunk (vectorised)."""
     arr = np.asarray(chunk, dtype=np.int64)
     n = arr.size
+    histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
     if n == 0:
-        histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
         return ChunkPartial(offset=int(offset), length=0, histogram=histogram)
-    histogram, prev = _within_chunk(arr, fine_limit, coarse_per_octave)
+    prev = _previous_occurrences(arr)
+    repeat = prev >= 0
+    histogram.record_reuses(np.flatnonzero(repeat) - prev[repeat])
     first_positions = np.flatnonzero(prev < 0)
     last_mask = np.ones(n, dtype=bool)
     last_mask[prev[prev >= 0]] = False
@@ -295,8 +284,8 @@ def parallel_reuse_histogram(
     pieces = min(pieces, arr.size)
     if pieces == 1:
         # One chunk leaves nothing to merge: every first access is cold.
-        histogram, prev = _within_chunk(arr, fine_limit, coarse_per_octave)
-        histogram.record_cold(int(np.count_nonzero(prev < 0)))
+        histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
+        histogram.record_time_counts(_reuse_time_counts(arr))
         return histogram
     splits = np.array_split(arr, pieces)
     offsets = np.cumsum([0] + [len(s) for s in splits[:-1]])

@@ -155,15 +155,27 @@ class ReuseTimeHistogram:
         if int(t.min()) < 1:
             raise ValueError("reuse times must be >= 1")
         longest = int(t.max())
+        if longest <= 4 * t.size:
+            self.record_time_counts(np.bincount(t))
+            return
+        self._ensure(self.bucket_index(longest))
+        self.counts += np.bincount(self.bucket_indices(t), minlength=self.counts.size)
+        self.accesses += int(t.size)
+
+    def record_time_counts(self, counts: np.ndarray) -> None:
+        """Record ``counts[d]`` accesses of reuse time ``d`` and ``counts[0]`` cold ones."""
+        counts = np.asarray(counts, dtype=np.int64)
+        self.record_cold(int(counts[0]))
+        reused = counts[1:] != 0
+        if not reused.any():
+            return
+        longest = reused.size - int(np.argmax(reused[::-1]))
         top = self.bucket_index(longest)
         self._ensure(top)
-        if longest <= 4 * t.size:
-            # Dense: count each reuse time, then sum every bucket's range of times.
-            starts = np.concatenate([[1], self.bucket_upper_edges(np.arange(top)) + 1])
-            self.counts[: top + 1] += np.add.reduceat(np.bincount(t), starts)
-        else:
-            self.counts += np.bincount(self.bucket_indices(t), minlength=self.counts.size)
-        self.accesses += int(t.size)
+        # Sum every bucket's range of reuse times.
+        starts = np.concatenate([[1], self.bucket_upper_edges(np.arange(top)) + 1])
+        self.counts[: top + 1] += np.add.reduceat(counts[: longest + 1], starts)
+        self.accesses += int(counts[1 : longest + 1].sum())
 
     def record_cold(self, n: int = 1) -> None:
         """Record ``n`` cold (first-ever) accesses."""

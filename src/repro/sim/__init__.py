@@ -49,7 +49,7 @@ from .kernels import (
 )
 from ..engine.columnar import PrecomputedTenantDistances, TenantDistanceStreams
 from .partitioned import BatchPartitionedLRU, partitioned_lru_segment, replay_partitioned
-from .sweep import POLICIES, PolicySweep, SweepJob, SweepResult, naive_sweep_hits, run_sweep
+from .sweep import POLICIES, PolicySweep, SweepJob, SweepResult, run_sweep
 
 __all__ = [
     "check_capacities",
@@ -67,6 +67,5 @@ __all__ = [
     "PolicySweep",
     "SweepJob",
     "SweepResult",
-    "naive_sweep_hits",
     "run_sweep",
 ]

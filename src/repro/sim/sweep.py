@@ -29,13 +29,12 @@ is not — its results match simulating the user's actual trace.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..engine.job import check_positive
+from ..engine.job import check_positive, knob
 from ..engine.runner import check_workers, fork_available, pool_map, published_arrays, resolve_array
 from ..obs import get_registry, span
 from ..resilience.checkpoint import fingerprint as run_fingerprint
@@ -51,7 +50,7 @@ from .kernels import (
     set_associative_sweep_hits,
 )
 
-__all__ = ["POLICIES", "SweepJob", "PolicySweep", "SweepResult", "run_sweep", "naive_sweep_hits"]
+__all__ = ["POLICIES", "SweepJob", "PolicySweep", "SweepResult", "run_sweep"]
 
 #: Replacement policies the sweep engine understands.
 POLICIES = ("lru", "fifo", "random", "set-associative")
@@ -76,8 +75,8 @@ class SweepJob:
     name: str = "trace"
     policies: tuple[str, ...] = ("lru",)
     capacities: tuple[int, ...] = ()
-    ways: int = 4
-    seed: int = 0
+    ways: int = knob(4, "associativity of the set-associative policy")
+    seed: int = knob(0, "seed of the random-replacement policy")
 
     def __post_init__(self):
         if (self.trace is None) == (self.path is None):
@@ -314,20 +313,17 @@ def run_sweep(
     # inherit them copy-on-write instead of pickling the whole trace through
     # the task queue once per task; held open across checkpoint batches.
     publication = published_arrays(arrays) if by_key else contextlib.nullcontext()
+    # Without a store every task is one batch.  With one, batches at least
+    # `workers` wide keep the pool saturated even when checkpoint_every=1
+    # asks for per-task durability.
+    batch_size = max(len(remaining), 1) if checkpoint_dir is None else max(int(checkpoint_every), workers)
+    completed = len(tasks) - len(remaining)
     with publication:
-        if checkpoint_dir is None:
-            outcomes = pool_map(_run_task, remaining, workers=workers, policy=policy) if remaining else []
-            by_outcome.update(zip(map(_task_key, remaining), outcomes))
-        else:
-            # Batches at least `workers` wide keep the pool saturated even
-            # when checkpoint_every=1 asks for per-task durability.
-            batch_size = max(int(checkpoint_every), workers)
-            completed = len(tasks) - len(remaining)
-            for start in range(0, len(remaining), batch_size):
-                batch = remaining[start : start + batch_size]
-                batch_outcomes = pool_map(_run_task, batch, workers=workers, policy=policy)
-                by_outcome.update(zip(map(_task_key, batch), batch_outcomes))
-                completed += len(batch)
+        for start in range(0, len(remaining), batch_size):
+            batch = remaining[start : start + batch_size]
+            by_outcome.update(zip(map(_task_key, batch), pool_map(_run_task, batch, workers=workers, policy=policy)))
+            completed += len(batch)
+            if checkpoint_dir is not None:
                 with span("sweep.checkpoint"):
                     write_checkpoint(
                         checkpoint_dir, completed, {"outcomes": by_outcome}, fingerprint=fingerprint, command="sweep"
@@ -363,27 +359,3 @@ def run_sweep(
         registry.counter("sweep.lane_refs", policy=policy).add(int(dense.size) * len(caps_list))
     registry.gauge("sweep.footprint").set(distinct)
     return SweepResult(name=job.name, accesses=int(dense.size), footprint=distinct, sweeps=tuple(sweeps))
-
-
-def naive_sweep_hits(
-    trace: Sequence[int] | np.ndarray, capacities: Sequence[int] | np.ndarray, *, policy: str = "lru"
-) -> np.ndarray:
-    """Reference oracle: replay the trace once per capacity through a CacheModel.
-
-    This is the cost wall the sweep engine removes — ``len(capacities)`` full
-    pure-Python replays.  Used by the cross-validation tests and as the
-    baseline of the ``benchmarks/test_bench_sweep.py`` speedup assertion.
-    """
-    from ..cache.fifo import FIFOCache
-    from ..cache.lru import LRUCache
-
-    models = {"lru": LRUCache, "fifo": FIFOCache}
-    if policy not in models:
-        raise ValueError(f"naive replay supports {sorted(models)}, got {policy!r}")
-    caps = check_capacities(capacities)
-    arr = np.asarray(trace).tolist()
-    hits = np.zeros(caps.size, dtype=np.int64)
-    for k, capacity in enumerate(caps):
-        model = models[policy](int(capacity))
-        hits[k] = model.run(arr).hits
-    return hits

@@ -109,6 +109,16 @@ class TestOnlineFacade:
         with pytest.raises(ValueError, match="workload must be one of"):
             api.online("no-such-preset", 16, 64, 32)
 
+    def test_unknown_knob_is_the_jobs_type_error_before_any_work(self, monkeypatch):
+        import repro.trace.drift
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the workload was built before the knobs were checked")
+
+        monkeypatch.setattr(repro.trace.drift, "three_phase_pair", no_work)
+        with pytest.raises(TypeError, match=r"OnlineJob.__init__\(\) got an unexpected keyword argument 'bogus'"):
+            api.online("three-phase", 16, 64, 32, bogus=1)
+
     def test_accepts_prebuilt_workload(self):
         from repro.trace.drift import three_phase_pair
 
@@ -131,6 +141,12 @@ class TestExports:
         cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
         assert main(["sweep", str(trace_file), "--policies", "lru", "--capacities", "2,4", "--csv", str(cli_csv)]) == 0
         api.sweep(path=trace_file, name="t", policies=("lru",), capacities=(2, 4), csv_path=api_csv)
+        assert api_csv.read_bytes() == cli_csv.read_bytes()
+
+        cli_csv, api_csv = tmp_path / "cli_online.csv", tmp_path / "api_online.csv"
+        argv = ["online", "--length", "200", "--budget", "64", "--window", "200", "--epoch", "100"]
+        assert main([*argv, "--horizon-epochs", "2", "--csv", str(cli_csv)]) == 0
+        api.online("three-phase", 64, 200, 100, length=200, horizon_epochs=2, csv_path=api_csv)
         assert api_csv.read_bytes() == cli_csv.read_bytes()
 
     def test_online_csv_has_total_row(self, tmp_path):

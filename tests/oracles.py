@@ -1,4 +1,4 @@
-"""Slow, from-scratch oracles for the online replay's fast paths.
+"""Slow, from-scratch oracles for the online replay's and the sweep's fast paths.
 
 The production replay (:func:`repro.online.run_replay`) derives every
 profile from one stack-distance pass per tenant and drives its lanes
@@ -14,7 +14,9 @@ partition and the exact MRC pipeline:
   schedules a :class:`~repro.online.ReplayResult` recorded, event by event,
   after re-deriving the static and per-phase oracle allocations from
   from-scratch exact profiles, and asserts every recorded miss ratio and
-  allocation.
+  allocation;
+* :func:`naive_sweep_hits` — replays a trace once per capacity through a
+  fresh LRU or FIFO cache model, the baseline of the sweep kernels.
 """
 
 from __future__ import annotations
@@ -26,10 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.alloc.curves import discretize_curve
+from repro.cache.fifo import FIFOCache
+from repro.cache.lru import LRUCache
 from repro.cache.mrc import mrc_from_trace
 from repro.engine.columnar import idle_curve
 from repro.online.controller import ReallocationController
 from repro.online.replay import _initial_split
+from repro.sim.kernels import check_capacities
 
 LANES = ("static", "adaptive", "oracle")
 
@@ -104,6 +109,27 @@ def exact_discretized_curve(stream: np.ndarray, budget: int, unit: int):
     if stream.size == 0:
         return idle_curve(unit)
     return discretize_curve(mrc_from_trace(stream, max_cache_size=budget), budget, unit=unit)
+
+
+def naive_sweep_hits(
+    trace: Sequence[int] | np.ndarray, capacities: Sequence[int] | np.ndarray, *, policy: str = "lru"
+) -> np.ndarray:
+    """Reference oracle: replay the trace once per capacity through a CacheModel.
+
+    This is the cost wall the sweep engine removes — ``len(capacities)`` full
+    pure-Python replays.  Used by the cross-validation tests and as the
+    baseline of the ``benchmarks/test_bench_sweep.py`` speedup assertion.
+    """
+    models = {"lru": LRUCache, "fifo": FIFOCache}
+    if policy not in models:
+        raise ValueError(f"naive replay supports {sorted(models)}, got {policy!r}")
+    caps = check_capacities(capacities)
+    arr = np.asarray(trace).tolist()
+    hits = np.zeros(caps.size, dtype=np.int64)
+    for k, capacity in enumerate(caps):
+        model = models[policy](int(capacity))
+        hits[k] = model.run(arr).hits
+    return hits
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,22 @@ class TestBucketArithmetic:
         want = np.bincount(hist.bucket_indices(times))
         assert np.array_equal(hist.counts, want) and hist.accesses == times.size
 
+    def test_time_counts_match_recorded_reuses_and_cold(self):
+        # counts[d] reuses of time d and counts[0] cold accesses; trailing
+        # zero times (a trace's counts run to its length) grow no bucket.
+        times = np.random.default_rng(6).integers(1, 300, size=1_000)
+        want = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
+        want.record_reuses(times)
+        want.record_cold(9)
+        got = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
+        counts = np.bincount(times, minlength=5_000)
+        counts[0] = 9
+        got.record_time_counts(counts)
+        assert got == want and got.counts.size == want.counts.size
+        only_cold = ReuseTimeHistogram()
+        only_cold.record_time_counts(np.array([4, 0, 0]))
+        assert (only_cold.cold, only_cold.accesses, only_cold.counts.sum()) == (4, 4, 0)
+
     def test_edges_strictly_ordered_across_nonempty_buckets(self):
         hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
         edges = [hist.bucket_upper_edge(i) for i in range(64 + 16 * 8)]

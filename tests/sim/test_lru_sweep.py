@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import naive_sweep_hits
 
 from repro.core.hits import cache_hit_vector
 from repro.core.permutation import Permutation
-from repro.sim import lru_sweep_hits, naive_sweep_hits
+from repro.sim import lru_sweep_hits
 from repro.trace.generators import zipfian_trace
 from repro.trace.trace import PeriodicTrace
 

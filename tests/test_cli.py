@@ -29,6 +29,51 @@ class TestParser:
             build_parser().parse_args(["generate", "cyclic"])
 
 
+class TestFlagsMatchJobFields:
+    """Every defaulted job knob is a flag of its subcommand, with the job's default."""
+
+    #: Job fields the subcommands take as inputs or parse from other flags.
+    NOT_FLAGS = {"name", "trace", "path", "tenants", "policies", "capacities"}
+
+    @staticmethod
+    def _job_cases():
+        from repro.alloc.partition import PartitionJob
+        from repro.online.replay import OnlineJob
+        from repro.sim.sweep import SweepJob
+
+        return [
+            (OnlineJob, ["online", "--budget", "64", "--window", "200", "--epoch", "100"]),
+            (PartitionJob, ["partition", "--tenants", "zipf", "--budget", "64"]),
+            (SweepJob, ["sweep", "t.trace"]),
+        ]
+
+    def test_every_knob_flag_defaults_to_the_field_default(self):
+        import dataclasses
+
+        for job_type, argv in self._job_cases():
+            args = build_parser().parse_args(argv)
+            for field in dataclasses.fields(job_type):
+                if field.default is dataclasses.MISSING or field.name in self.NOT_FLAGS:
+                    continue
+                assert hasattr(args, field.name), f"{job_type.__name__}.{field.name} has no flag"
+                assert getattr(args, field.name) == field.default, f"{job_type.__name__}.{field.name}"
+
+    def test_profile_mode_default_matches_the_job(self):
+        import numpy as np
+
+        from repro.profiling.engine import ProfileJob
+
+        args = build_parser().parse_args(["profile", "t.trace"])
+        assert args.mode == ProfileJob(trace=np.arange(4)).mode == "shards"
+
+    def test_derived_flag_parses_with_the_field_type(self):
+        args = build_parser().parse_args(["online", "--budget", "64", "--window", "200", "--epoch", "100",
+                                          "--horizon-epochs", "3", "--move-cost", "0.5"])
+        assert args.horizon_epochs == 3 and args.move_cost == 0.5
+        args = build_parser().parse_args(["partition", "--tenants", "zipf", "--budget", "64", "--smax", "100"])
+        assert args.smax == 100
+
+
 class TestGenerate:
     @pytest.mark.parametrize("kind", ["cyclic", "sawtooth", "random-retraversal", "zipf", "stream"])
     def test_generate_all_kinds(self, tmp_path, kind, capsys):
