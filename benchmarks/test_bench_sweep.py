@@ -3,9 +3,9 @@
 The sweep engine's acceptance claim: deriving the *entire* LRU capacity grid
 from one vectorised stack-distance pass beats replaying the trace through a
 fresh ``LRUCache`` per capacity by at least 10x at 64 capacities on a
-10^5-reference Zipfian trace, while staying bit-identical.  The lane-vectorised
-FIFO kernel is recorded alongside (single pass over the trace for all
-capacities vs. one pure-Python replay each).  The recorded CSV backs the
+10^5-reference Zipfian trace, while staying bit-identical.  The FIFO lane
+kernel is recorded alongside (one call for all capacities vs. one
+pure-Python replay each).  The recorded CSV backs the
 acceptance bar; cross-validation against the cache models at every grid point
 lives in ``tests/sim/``.
 """

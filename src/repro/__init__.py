@@ -47,7 +47,7 @@ Subpackages
 ``repro.sim``
     The policy-sweep engine: the full ``policies × capacities`` miss-ratio
     matrix of a trace in one or few passes (single-pass exact LRU grids,
-    lane-vectorised FIFO/random kernels, set-associative fan-out).
+    native FIFO/random lane kernels, set-associative fan-out).
 ``repro.alloc``
     Multi-tenant cache partitioning: divide a shared budget among
     co-running workloads using their exact or approximate MRCs (greedy, an

@@ -54,6 +54,15 @@ class NativeKernels(NamedTuple):
     sample_positions: Callable[[np.ndarray, Sequence[int], int, Sequence[int]], list[np.ndarray]]
     #: ``crc32(bytes_view, value)`` -> ``zlib.crc32(bytes_view, value)``.
     crc32: Callable[[memoryview, int], int]
+    #: ``fifo_lanes(trace, capacities, distinct)`` -> the FIFO hits at each capacity.  The caller
+    #: (:func:`repro.sim.kernels.fifo_sweep_hits`) checks that every label lies in
+    #: ``[0, distinct)`` and every capacity is positive.
+    fifo_lanes: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+    #: ``random_lanes(trace, capacities, distinct, deviates)`` -> the random-replacement hits at
+    #: each capacity, a miss at ``t`` evicting slot ``int(deviates[t] * capacity)`` once the
+    #: lane is full.  The caller (:func:`repro.sim.kernels.random_sweep_hits`) checks the labels
+    #: and capacities as for ``fifo_lanes`` and passes one deviate per reference.
+    random_lanes: Callable[[np.ndarray, np.ndarray, int, np.ndarray], np.ndarray]
 
 
 def compiler() -> list[str] | None:
@@ -150,6 +159,13 @@ def native_kernels() -> NativeKernels | None:
     bulk = library.crc32_bulk
     bulk.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_uint32))
     bulk.restype = ctypes.c_int64
+    lanes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+    fifo = library.fifo_lanes
+    fifo.argtypes = (*lanes, ctypes.c_void_p)
+    fifo.restype = ctypes.c_int
+    rand = library.random_lanes
+    rand.argtypes = (*lanes, ctypes.c_void_p, ctypes.c_void_p)
+    rand.restype = ctypes.c_int
 
     # The kernels read and write C-contiguous int64 buffers of the trace's
     # length; these wrappers are the only code that hands them pointers.
@@ -201,7 +217,27 @@ def native_kernels() -> NativeKernels | None:
         done = bulk(np.frombuffer(view, dtype=np.uint8).ctypes.data, view.nbytes, ctypes.byref(running))
         return zlib.crc32(view[done:], running.value)
 
-    return NativeKernels(stack_distances, previous, reuse_time_counts, sample_positions, crc32)
+    def fifo_lanes(trace: np.ndarray, capacities: np.ndarray, distinct: int) -> np.ndarray:
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        capacities = np.ascontiguousarray(capacities, dtype=np.int64)
+        hits = np.empty(capacities.size, dtype=np.int64)
+        if fifo(trace.ctypes.data, trace.size, distinct, capacities.ctypes.data, capacities.size, hits.ctypes.data):
+            raise MemoryError(f"FIFO lane kernel could not allocate for {distinct} items")
+        return hits
+
+    def random_lanes(trace: np.ndarray, capacities: np.ndarray, distinct: int, deviates: np.ndarray) -> np.ndarray:
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        capacities = np.ascontiguousarray(capacities, dtype=np.int64)
+        deviates = np.ascontiguousarray(deviates, dtype=np.float64)
+        hits = np.empty(capacities.size, dtype=np.int64)
+        args = (trace.ctypes.data, trace.size, distinct, capacities.ctypes.data, capacities.size)
+        if rand(*args, deviates.ctypes.data, hits.ctypes.data):
+            raise MemoryError(f"random lane kernel could not allocate for {distinct} items")
+        return hits
+
+    return NativeKernels(
+        stack_distances, previous, reuse_time_counts, sample_positions, crc32, fifo_lanes, random_lanes
+    )
 
 
 def crc32(data, value: int = 0) -> int:

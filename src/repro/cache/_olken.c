@@ -14,6 +14,11 @@
  * one call, so sampling stays an order of magnitude cheaper than measuring
  * exactly.
  *
+ * fifo_lanes and random_lanes: the FIFO and random-replacement hits of
+ * every capacity of a sweep grid, one lane (capacity) at a time over the
+ * whole trace.  Their Python entry points are repro.sim.kernels'
+ * fifo_sweep_hits and random_sweep_hits.
+ *
  * crc32_bulk: zlib's CRC-32 with carry-less multiplication, for the
  * checksums that pin checkpoint stores and memmap traces to their data.
  */
@@ -151,6 +156,80 @@ void shards_sample(const int64_t *trace, int64_t n, int64_t k, const uint64_t *t
                 out[count++] = t;
         counts[j] = count;
     }
+}
+
+/* A table of count >= 1 int64 entries, or NULL when it cannot be allocated. */
+static int64_t *table(int64_t count)
+{
+    if ((uint64_t)count > SIZE_MAX / sizeof(int64_t))
+        return NULL;
+    return malloc(sizeof(int64_t) * (size_t)count);
+}
+
+/* FIFO hits of each capacity: an item is resident exactly when its last
+ * insertion is among the lane's `capacity` most recent ones, so a lane is
+ * one last-insert index per item and a miss counter.  Every label lies in
+ * [0, distinct).  Returns 0, or -1 when memory runs out. */
+int fifo_lanes(const int64_t *trace, int64_t n, int64_t distinct, const int64_t *capacities, int64_t lanes,
+               int64_t *hits)
+{
+    int64_t *last_insert = table(distinct);
+    if (!last_insert)
+        return -1;
+    for (int64_t k = 0; k < lanes; k++) {
+        int64_t capacity = capacities[k], misses = 0, count = 0;
+        for (int64_t i = 0; i < distinct; i++)
+            last_insert[i] = INT64_MIN;
+        for (int64_t t = 0; t < n; t++) {
+            if (last_insert[trace[t]] >= misses - capacity)
+                count++;
+            else
+                last_insert[trace[t]] = misses++;
+        }
+        hits[k] = count;
+    }
+    free(last_insert);
+    return 0;
+}
+
+/* Random-replacement hits of each capacity: a lane fills its slots in order,
+ * then a miss at t evicts slot (int64_t)(deviates[t] * capacity), the double
+ * product numpy computes.  A lane never holds more than `distinct` items,
+ * so a larger capacity is the footprint and never evicts.  Every label lies
+ * in [0, distinct).  Returns 0, or -1 when memory runs out. */
+int random_lanes(const int64_t *trace, int64_t n, int64_t distinct, const int64_t *capacities, int64_t lanes,
+                 const double *deviates, int64_t *hits)
+{
+    int64_t widest = 0;
+    for (int64_t k = 0; k < lanes; k++)
+        widest = capacities[k] > widest ? capacities[k] : widest;
+    int64_t *position = table(distinct), *slots = table(widest < distinct ? widest : distinct);
+    if (!position || !slots) {
+        free(position), free(slots);
+        return -1;
+    }
+    for (int64_t k = 0; k < lanes; k++) {
+        int64_t capacity = capacities[k] < distinct ? capacities[k] : distinct, occupancy = 0, count = 0;
+        for (int64_t i = 0; i < distinct; i++)
+            position[i] = -1;
+        for (int64_t t = 0; t < n; t++) {
+            int64_t item = trace[t], s = occupancy;
+            if (position[item] >= 0) {
+                count++;
+                continue;
+            }
+            if (occupancy < capacity) {
+                occupancy++;
+            } else {
+                s = (int64_t)(deviates[t] * (double)capacity);
+                position[slots[s]] = -1;
+            }
+            slots[s] = item, position[item] = s;
+        }
+        hits[k] = count;
+    }
+    free(position), free(slots);
+    return 0;
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))

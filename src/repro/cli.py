@@ -20,7 +20,7 @@ subcommands cover the common workflows:
     Evaluate many cache configurations over one trace via the
     :mod:`repro.sim` policy-sweep engine: ``--policies`` crossed with a
     ``--capacities`` grid in one (or few) passes — the whole LRU grid from a
-    single stack-distance pass, FIFO/random lane-vectorised, set-associative
+    single stack-distance pass, FIFO/random one lane per capacity, set-associative
     fanned per capacity — with ``--workers`` spreading kernel tasks across
     processes without changing any result.  ``--checkpoint DIR`` memoizes
     finished tasks to disk and ``--resume`` continues an interrupted sweep.

@@ -7,8 +7,8 @@ instance costs ``policies × capacities`` full pure-Python passes.  This
 subsystem collapses that matrix:
 
 :mod:`repro.sim.kernels`
-    Single-pass multi-capacity kernels: the LRU grid from one stack-distance
-    histogram (exact, via stack inclusion), lane-vectorised FIFO and seeded
+    Multi-capacity kernels: the LRU grid from one stack-distance
+    histogram (exact, via stack inclusion), native FIFO and seeded
     random replacement, and set-partitioned stack-distance passes for
     set-associative LRU.
 :mod:`repro.sim.sweep`

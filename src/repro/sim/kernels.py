@@ -1,7 +1,7 @@
-"""Single-pass multi-capacity simulation kernels.
+"""Multi-capacity simulation kernels.
 
 Each kernel answers "how many hits does policy P score at *every* capacity in
-a grid" with one pass over the trace, instead of replaying the trace once per
+a grid" in one call over flat arrays, instead of replaying the trace once per
 :class:`~repro.cache.base.CacheModel` instance:
 
 * :func:`lru_sweep_hits` — LRU satisfies the stack inclusion property, so the
@@ -9,8 +9,7 @@ a grid" with one pass over the trace, instead of replaying the trace once per
   (``hits(c)`` = accesses at stack distance ≤ ``c``).  Exact: bit-identical
   to per-capacity :class:`~repro.cache.lru.LRUCache` replay.
 * :func:`fifo_sweep_hits` — FIFO has no inclusion property (Belady's
-  anomaly), so every capacity is a genuine *lane* of the simulation; the
-  kernel advances all lanes together with vectorised NumPy per access.  A
+  anomaly), so every capacity is a genuine *lane* of the simulation.  A
   FIFO-resident item is exactly one whose last insertion is among the lane's
   ``capacity`` most recent insertions, so each lane needs only a per-item
   last-insertion index and a miss counter — no queue.  Bit-identical to
@@ -29,8 +28,12 @@ a grid" with one pass over the trace, instead of replaying the trace once per
   fed *original*, not relabelled, traces by the sweep engine).
 
 The lane kernels take a *preprocessed* trace: :func:`compact_trace` densifies
-arbitrary item labels to ``0 .. U-1`` once so they can use flat
-``(items × capacities)`` state tables.
+arbitrary item labels to ``0 .. U-1`` once so they can use flat per-item
+state tables, and reject any label outside ``[0, distinct)``.
+
+Both lane kernels run a C loop that walks the whole trace once per lane
+(see :mod:`repro.cache._native`) when this machine can build it, else a
+bit-identical numpy loop that advances all lanes together per access.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..cache._native import native_kernels
 from ..cache.stack_distance import COLD, hit_counts, stack_distances_vectorized
 
 __all__ = [
@@ -103,25 +107,48 @@ def lru_sweep_hits(trace: Sequence[int] | np.ndarray, capacities: Sequence[int] 
     return cumulative[caps - 1]
 
 
-def fifo_sweep_hits(
-    dense_trace: np.ndarray, capacities: Sequence[int] | np.ndarray, *, distinct: int | None = None
-) -> np.ndarray:
-    """Exact FIFO hit counts for every capacity in one pass (lane-vectorised).
-
-    ``dense_trace`` must use dense ids (see :func:`compact_trace`).  Per lane
-    the state is the item's last-insertion index and the lane's miss count:
-    with ``M`` misses so far, the resident items are precisely those inserted
-    at miss index ``>= M - capacity`` (an item inside that window can never
-    have been re-inserted, because re-insertion requires a prior eviction).
-    """
+def _lane_inputs(
+    dense_trace: np.ndarray, capacities: Sequence[int] | np.ndarray, distinct: int | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(trace, capacities, distinct)`` of a lane kernel, every label checked to lie in ``[0, distinct)``."""
     arr = np.asarray(dense_trace, dtype=np.int64)
     caps = check_capacities(capacities)
     items = int(distinct) if distinct is not None else (int(arr.max()) + 1 if arr.size else 0)
-    never = np.int64(np.iinfo(np.int64).min // 2)
-    last_insert = np.full((items, caps.size), never, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= items):
+        raise ValueError(
+            f"dense trace labels must lie in [0, distinct) = [0, {items}), got labels in [{arr.min()}, {arr.max()}]"
+        )
+    return arr, caps, items
+
+
+def fifo_sweep_hits(
+    dense_trace: np.ndarray, capacities: Sequence[int] | np.ndarray, *, distinct: int | None = None
+) -> np.ndarray:
+    """Exact FIFO hit counts for every capacity in one call.
+
+    ``dense_trace`` must use dense ids in ``[0, distinct)`` (see
+    :func:`compact_trace`); ``distinct`` defaults to the largest label plus
+    one.  Per lane the state is the item's last-insertion index and the
+    lane's miss count: with ``M`` misses so far, the resident items are
+    precisely those inserted at miss index ``>= M - capacity`` (an item inside
+    that window can never have been re-inserted, because re-insertion requires
+    a prior eviction).  The native kernel walks the trace once per lane; the
+    numpy fallback advances all lanes together per access.
+    """
+    arr, caps, items = _lane_inputs(dense_trace, capacities, distinct)
+    native = native_kernels() if arr.size else None
+    if native is None:
+        return _fifo_lanes_numpy(arr, caps, items)
+    return native.fifo_lanes(arr, caps, items)
+
+
+def _fifo_lanes_numpy(trace: np.ndarray, caps: np.ndarray, distinct: int) -> np.ndarray:
+    """The numpy path of :func:`fifo_sweep_hits`: every lane advanced together, one access at a time."""
+    never = np.int64(np.iinfo(np.int64).min)
+    last_insert = np.full((distinct, caps.size), never, dtype=np.int64)
     misses = np.zeros(caps.size, dtype=np.int64)
     hits = np.zeros(caps.size, dtype=np.int64)
-    for item in arr:
+    for item in trace:
         row = last_insert[item]
         resident = row >= misses - caps
         hits += resident
@@ -138,7 +165,7 @@ def random_sweep_hits(
     seed: int = 0,
     distinct: int | None = None,
 ) -> np.ndarray:
-    """Seeded random-replacement hit counts for every capacity in one pass.
+    """Seeded random-replacement hit counts for every capacity in one call.
 
     Every lane holds an explicit slot table; on an eviction the victim slot is
     ``floor(u_t * capacity)`` where ``u_t`` is the access's pre-drawn uniform
@@ -146,7 +173,10 @@ def random_sweep_hits(
     ``seed`` (never on which other capacities run alongside), partitioning the
     grid across processes cannot change any lane's outcome — the engine's
     ``workers`` knob stays a pure performance knob even for this stochastic
-    policy.
+    policy.  A lane never holds more than ``distinct`` items, so its slot
+    table is sized by ``min(capacity, distinct)``.  The native kernel walks
+    the trace once per lane; the numpy fallback advances all lanes together
+    per access.
 
     The stream is seeded as ``(seed, salt)`` rather than ``seed`` alone:
     deviates sampled at miss times are uniform i.i.d. only while they are
@@ -154,17 +184,24 @@ def random_sweep_hits(
     integer seed would otherwise be *index-aligned* with its own victim
     choices — a resonance that measurably biases hit ratios.
     """
-    arr = np.asarray(dense_trace, dtype=np.int64)
-    caps = check_capacities(capacities)
-    items = int(distinct) if distinct is not None else (int(arr.max()) + 1 if arr.size else 0)
+    arr, caps, items = _lane_inputs(dense_trace, capacities, distinct)
+    deviates = np.random.default_rng((int(seed), _DEVIATE_SALT)).random(arr.size)
+    native = native_kernels() if arr.size else None
+    if native is None:
+        return _random_lanes_numpy(arr, caps, items, deviates)
+    return native.random_lanes(arr, caps, items, deviates)
+
+
+def _random_lanes_numpy(trace: np.ndarray, caps: np.ndarray, distinct: int, deviates: np.ndarray) -> np.ndarray:
+    """The numpy path of :func:`random_sweep_hits`: every lane advanced together, one access at a time."""
+    caps = np.minimum(caps, distinct)  # a lane past the footprint fills and never evicts
     lanes = caps.size
     slots = np.full((lanes, int(caps.max())), -1, dtype=np.int64)
-    position = np.full((items, lanes), -1, dtype=np.int64)
+    position = np.full((distinct, lanes), -1, dtype=np.int64)
     occupancy = np.zeros(lanes, dtype=np.int64)
     hits = np.zeros(lanes, dtype=np.int64)
-    deviates = np.random.default_rng((int(seed), _DEVIATE_SALT)).random(arr.size)
     lane_index = np.arange(lanes)
-    for step, item in enumerate(arr):
+    for step, item in enumerate(trace):
         resident = position[item] >= 0
         hits += resident
         missing = lane_index[~resident]

@@ -7,8 +7,8 @@ once per configuration:
 
 * **LRU** — the entire capacity grid comes from one stack-distance pass
   (:func:`repro.sim.kernels.lru_sweep_hits`).
-* **FIFO / random** — one lane-vectorised pass simulates every capacity of the
-  policy together; with ``workers > 1`` the capacity grid is partitioned
+* **FIFO / random** — one kernel call simulates every capacity of the policy,
+  one lane per capacity; with ``workers > 1`` the capacity grid is partitioned
   across forked processes (lanes are independent, and the random kernel's
   shared deviate stream makes the partition invisible to the results).
 * **set-associative** — capacities are independent set-partitioned

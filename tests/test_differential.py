@@ -1,7 +1,7 @@
 """Differential and metamorphic cross-checks between independent implementations.
 
 The repo carries three independent routes to the same answers: the
-lane-vectorised sweep kernels (:mod:`repro.sim.kernels`), the
+lane sweep kernels (:mod:`repro.sim.kernels`), the
 access-by-access reference simulators (:mod:`repro.cache`) and the
 stack-distance algorithms behind :func:`repro.cache.mrc.mrc_from_trace`.
 This module pits them against each other:
