@@ -63,6 +63,12 @@ class NativeKernels(NamedTuple):
     #: lane is full.  The caller (:func:`repro.sim.kernels.random_sweep_hits`) checks the labels
     #: and capacities as for ``fifo_lanes`` and passes one deviate per reference.
     random_lanes: Callable[[np.ndarray, np.ndarray, int, np.ndarray], np.ndarray]
+    #: ``parse_labels(data)`` -> ``(labels, name)`` of a text trace's bytes: the ``int64``
+    #: labels, and the stripped text after ``name:`` of the first ``# name:`` comment (``None``
+    #: when there is none); ``None`` for a text the kernel leaves to the Python loop of
+    #: :func:`repro.trace.io.read_text` (non-ASCII or control bytes, anything but one
+    #: non-negative int64 label, a blank or a comment per line).
+    parse_labels: Callable[[bytes], tuple[np.ndarray, str | None] | None]
 
 
 def compiler() -> list[str] | None:
@@ -166,6 +172,9 @@ def native_kernels() -> NativeKernels | None:
     rand = library.random_lanes
     rand.argtypes = (*lanes, ctypes.c_void_p, ctypes.c_void_p)
     rand.restype = ctypes.c_int
+    parse = library.parse_labels
+    parse.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    parse.restype = ctypes.c_int64
 
     # The kernels read and write C-contiguous int64 buffers of the trace's
     # length; these wrappers are the only code that hands them pointers.
@@ -235,8 +244,19 @@ def native_kernels() -> NativeKernels | None:
             raise MemoryError(f"random lane kernel could not allocate for {distinct} items")
         return hits
 
+    def parse_labels(data: bytes) -> tuple[np.ndarray, str | None] | None:
+        # Every label ends a line, so the line count bounds the labels.
+        labels = np.empty(data.count(b"\n") + data.count(b"\r") + 1, dtype=np.int64)
+        name = np.empty(2, dtype=np.int64)
+        count = parse(data, len(data), labels.ctypes.data, name.ctypes.data)
+        if count < 0:
+            return None
+        labels.resize(count, refcheck=False)  # shrinks in place; nothing views the buffer yet
+        start, end = name.tolist()
+        return labels, None if start < 0 else data[start:end].decode("ascii").strip()
+
     return NativeKernels(
-        stack_distances, previous, reuse_time_counts, sample_positions, crc32, fifo_lanes, random_lanes
+        stack_distances, previous, reuse_time_counts, sample_positions, crc32, fifo_lanes, random_lanes, parse_labels
     )
 
 

@@ -19,12 +19,18 @@
  * whole trace.  Their Python entry points are repro.sim.kernels'
  * fifo_sweep_hits and random_sweep_hits.
  *
+ * parse_labels: the labels of a text trace file in one pass over its
+ * bytes, for the inputs it parses exactly as the Python loop of
+ * repro.trace.io.read_text would; on anything else the caller runs that
+ * loop instead.
+ *
  * crc32_bulk: zlib's CRC-32 with carry-less multiplication, for the
  * checksums that pin checkpoint stores and memmap traces to their data.
  */
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Fibonacci hashing with the slot from the top bits: strided labels
  * (multiples of 2^k) share their low bits and would pile into one run. */
@@ -230,6 +236,68 @@ int random_lanes(const int64_t *trace, int64_t n, int64_t distinct, const int64_
     }
     free(position), free(slots);
     return 0;
+}
+
+static int blank(unsigned char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+static int line_end(unsigned char c)
+{
+    return c == '\n' || c == '\r';
+}
+
+/* Parses the labels of a text trace: lines holding a label (an optional
+ * sign and at most 19 decimal digits, padded by spaces or tabs), blank
+ * lines and `#` comments, each line ended by \n or \r.  Writes the labels
+ * to `labels`, which has room for one per line, and sets name[0], name[1]
+ * to the byte range after `name:` of the first comment whose text starts
+ * with it (past spaces and tabs), or both to -1.  Returns the label count,
+ * or -1 when the text holds anything else: a byte outside ASCII, a control
+ * character other than a tab or a line end, a negative label, a label past
+ * INT64_MAX or more than 19 digits (Python's int() caps the digits,
+ * leading zeros included).  Every text that str.splitlines, str.strip or
+ * int() could read differently is rejected; the caller's Python loop then
+ * gives the result or the error. */
+int64_t parse_labels(const unsigned char *text, int64_t len, int64_t *labels, int64_t *name)
+{
+    int64_t count = 0, i = 0;
+    name[0] = name[1] = -1;
+    while (i < len) {
+        while (i < len && blank(text[i]))
+            i++;
+        if (i == len || line_end(text[i])) {
+            i++;
+            continue;
+        }
+        if (text[i] == '#') {
+            int64_t start = ++i;
+            for (; i < len && !line_end(text[i]); i++)
+                if ((text[i] < 0x20 && text[i] != '\t') || text[i] >= 0x80)
+                    return -1;
+            while (start < i && blank(text[start]))
+                start++;
+            if (name[0] < 0 && i - start >= 5 && !memcmp(text + start, "name:", 5))
+                name[0] = start + 5, name[1] = i;
+            continue;
+        }
+        int negative = text[i] == '-';
+        if (text[i] == '-' || text[i] == '+')
+            i++;
+        int64_t first = i;
+        uint64_t value = 0;
+        for (; i < len && text[i] >= '0' && text[i] <= '9'; i++)
+            value = 10 * value + (uint64_t)(text[i] - '0');
+        if (i == first || i - first > 19 || value > INT64_MAX || (negative && value))
+            return -1; /* 19 digits never overflow the uint64 */
+        while (i < len && blank(text[i]))
+            i++;
+        if (i < len && !line_end(text[i]))
+            return -1;
+        labels[count++] = (int64_t)value;
+    }
+    return count;
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))

@@ -105,7 +105,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .trace.io import read_text
     from .trace.stats import locality_score, summarize
 
-    trace = read_text(args.trace_file)
+    try:
+        trace = read_text(args.trace_file)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     stats = summarize(trace)
     print(format_table([stats.__dict__], title=f"Trace statistics — {trace.name}"))
     print(f"locality score (0 = cyclic, 1 = sawtooth): {locality_score(trace):.4f}")
@@ -121,7 +125,11 @@ def _cmd_mrc(args: argparse.Namespace) -> int:
     from .cache.mrc import mrc_from_trace
     from .trace.io import read_text
 
-    trace = read_text(args.trace_file)
+    try:
+        trace = read_text(args.trace_file)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     curve = mrc_from_trace(trace.accesses, max_cache_size=args.max_size)
     rows = [{"cache_size": c + 1, "miss_ratio": ratio} for c, ratio in enumerate(curve.ratios)]
     if args.csv:
@@ -235,8 +243,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.reporting import format_table
     from .trace.io import read_text
 
-    trace = read_text(args.trace_file)
     try:
+        trace = read_text(args.trace_file)
         result = api.sweep(
             trace.accesses,
             name=trace.name,

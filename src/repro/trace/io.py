@@ -9,6 +9,13 @@ and writes the two simple formats the examples use:
   a small metadata dictionary; compact and fast for long traces.
 
 Both formats round-trip exactly and are covered by tests.
+
+:func:`read_text` parses a file's bytes with the native ``parse_labels``
+kernel (:mod:`repro.cache._native`) when it can: ASCII lines, each an
+optionally signed decimal label, blank or a ``#`` comment, ended by ``\n``
+or ``\r``.  Any other file, and every file on a machine without a C
+compiler, goes through the Python loop, which also reports the errors; both
+paths give the same trace.
 """
 
 from __future__ import annotations
@@ -18,9 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..cache._native import native_kernels
 from .trace import Trace
 
 __all__ = ["write_text", "read_text", "write_npz", "read_npz"]
+
+_LABEL_MAX = int(np.iinfo(np.intp).max)
 
 
 def write_text(trace: Trace, path: str | Path, *, header: bool = True) -> Path:
@@ -30,6 +40,8 @@ def write_text(trace: Trace, path: str | Path, *, header: bool = True) -> Path:
     self-describing; pass ``header=False`` for the bare format.
     """
     path = Path(path)
+    if header and "".join(trace.name.splitlines()) != trace.name:
+        raise ValueError(f"trace name {trace.name!r} holds a line break; the header could not be read back")
     lines = []
     if header:
         lines.append(f"# name: {trace.name}")
@@ -41,20 +53,47 @@ def write_text(trace: Trace, path: str | Path, *, header: bool = True) -> Path:
 
 
 def read_text(path: str | Path, *, name: str | None = None) -> Trace:
-    """Read a text trace written by :func:`write_text` (or any one-label-per-line file)."""
+    """Read a text trace written by :func:`write_text` (or any one-label-per-line file).
+
+    The trace is named ``name``, else by the first ``# name:`` comment, else
+    by the file's stem.  The native kernel parses the file when it can and
+    the Python loop otherwise, with the same result.  A line that is not a
+    blank, a comment or a non-negative label that fits in ``np.intp`` raises
+    :class:`ValueError` naming the file and line, as does a file that is not
+    UTF-8.
+    """
     path = Path(path)
+    data = path.read_bytes()
+    native = native_kernels()
+    parsed = None if native is None else native.parse_labels(data)
+    accesses, comment_name = _parse_text(data, path) if parsed is None else parsed
+    return Trace(accesses, name=(comment_name if name is None else name) or path.stem)
+
+
+def _parse_text(data: bytes, path: Path) -> tuple[np.ndarray, str | None]:
+    """The labels of a text trace and the stripped text after ``name:`` of its first ``# name:`` comment."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ValueError(f"{path}: not UTF-8 text: {error}") from None
     accesses = []
-    trace_name = name
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    comment_name = None
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if trace_name is None and line[1:].strip().startswith("name:"):
-                trace_name = line.split("name:", 1)[1].strip()
+            if comment_name is None and line[1:].strip().startswith("name:"):
+                comment_name = line.split("name:", 1)[1].strip()
             continue
-        accesses.append(int(line))
-    return Trace(np.asarray(accesses, dtype=np.intp), name=trace_name or path.stem)
+        try:
+            label = int(line)
+        except ValueError:
+            raise ValueError(f"{path}:{number}: not an integer label: {line!r}") from None
+        if not 0 <= label <= _LABEL_MAX:
+            raise ValueError(f"{path}:{number}: label {line} is outside [0, {_LABEL_MAX}]")
+        accesses.append(label)
+    return np.asarray(accesses, dtype=np.intp), comment_name
 
 
 def write_npz(trace: Trace, path: str | Path, *, metadata: dict | None = None) -> Path:

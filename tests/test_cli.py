@@ -107,6 +107,31 @@ class TestAnalyzeAndMrc:
         assert len(content) == 9
 
 
+#: A line ``read_text`` cannot use, and what its error says about it.
+BAD_LINES = [("x3", "not an integer label"), ("99999999999999999999", "label 99999999999999999999 is outside")]
+
+
+class TestMalformedTraceFiles:
+    """A trace line the reader cannot use is an ``error: <file>:<line>: ...`` and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "mrc", "sweep"])
+    @pytest.mark.parametrize(("line", "message"), BAD_LINES)
+    def test_trace_commands(self, command, line, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1\n{line}\n2\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"bad.txt:2: {message}" in err
+
+    @pytest.mark.parametrize(("line", "message"), BAD_LINES)
+    def test_partition_file_tenant(self, line, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1\n{line}\n2\n")
+        assert main(["partition", "--tenants", f"file:path={path},zipf", "--budget", "64"]) == 2
+        assert f"bad.txt:2: {message}" in capsys.readouterr().err
+
+
 class TestParseCapacities:
     def test_pow2_grid_covers_footprint(self):
         from repro.cli import parse_capacities
