@@ -14,10 +14,13 @@ allocation method — it
    ``hull``, see :mod:`repro.alloc.allocators`), and
 4. **validates** by simulating the shared cache both *partitioned* (each
    tenant's stream through its own isolated LRU partition — item namespaces
-   are disjoint, so this is exact, done with one single-capacity
-   stack-distance pass per tenant) and *unpartitioned* (the interleaved trace
-   through one shared LRU cache of the full budget), plus the naive
-   proportional-split baseline.
+   are disjoint, so this is exact) and *unpartitioned* (the interleaved trace
+   through one shared LRU cache of the full budget, one single-capacity LRU
+   pass), plus the naive proportional-split baseline.  One stack-distance
+   pass per tenant (:func:`simulate_baselines`) yields the tenant's
+   footprint (its cold accesses) and its exact hits at every capacity up to
+   the budget, so both the proportional split and every method's allocation
+   are validated by lookup.
 
 The returned :class:`PartitionResult` reports predicted vs. simulated miss
 ratios (the prediction error is the profiling error — with ``mode="exact"``
@@ -27,10 +30,11 @@ shared cache and over the proportional split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cache.stack_distance import stack_distance_histogram
 from ..engine.job import ALLOC_METHODS, PROFILE_MODES, check_choice, check_positive, check_unit, knob
 from ..engine.columnar import split_by_tenant
 from ..engine.runner import check_workers
@@ -217,6 +221,12 @@ def _simulated_miss_ratio(trace: np.ndarray, capacity: int) -> float:
     return 1.0 - float(hits[0]) / trace.size
 
 
+def _tenant_miss_ratio(cumulative: np.ndarray, accesses: int, capacity: int) -> float:
+    """A tenant's exact LRU miss ratio at ``capacity``, read off its cumulative hits."""
+    hits = cumulative[min(capacity, cumulative.size - 1)]
+    return 1.0 - float(hits) / accesses
+
+
 @dataclass(frozen=True)
 class PartitionBaselines:
     """Method-independent validator inputs of one (composed trace, budget) pair.
@@ -224,32 +234,49 @@ class PartitionBaselines:
     Everything here depends only on the composed trace and the budget — not
     on the allocation method — so method comparisons compute it once via
     :func:`simulate_baselines` and pass it to every
-    :func:`partition_composed` call.
+    :func:`partition_composed` call.  ``hits[t][c]`` is tenant ``t``'s exact
+    LRU hit count in an isolated partition of ``c`` blocks, for ``c`` from 0
+    up to ``min(budget, footprints[t])``; the count is flat beyond.
     """
 
     budget: int
     footprints: tuple[int, ...]
+    accesses: tuple[int, ...]
     unpartitioned_miss_ratio: float
     proportional_allocation: tuple[int, ...]
     proportional_miss_ratio: float
+    hits: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
 
 def simulate_baselines(composed: MultiTenantTrace, budget: int) -> PartitionBaselines:
-    """Simulate the unpartitioned shared cache and the proportional split."""
+    """Simulate every tenant's partition, the unpartitioned shared cache and the proportional split.
+
+    One stack-distance pass per tenant gives its footprint (every distinct
+    item has exactly one cold access) and its cumulative hits, cut off at
+    ``min(budget, footprint)`` so memory follows the trace, not the budget.
+    """
+    budget = int(budget)
     tenant_traces = split_by_tenant(composed.trace.accesses, composed.tenant_ids, composed.num_tenants)
-    footprints = [int(np.unique(stream).size) for stream in tenant_traces]
-    proportional = proportional_split(footprints, int(budget))
+    footprints, hits = [], []
+    for stream in tenant_traces:
+        hist, cold = stack_distance_histogram(stream)
+        footprints.append(cold)
+        hits.append(np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(hist[: min(budget, cold)])]))
+    accesses = [int(stream.size) for stream in tenant_traces]
+    proportional = proportional_split(footprints, budget)
     total = len(composed.trace)
     proportional_misses = sum(
-        _simulated_miss_ratio(stream, int(capacity)) * stream.size
-        for stream, capacity in zip(tenant_traces, proportional)
+        _tenant_miss_ratio(cumulative, size, int(capacity)) * size
+        for cumulative, size, capacity in zip(hits, accesses, proportional)
     )
     return PartitionBaselines(
-        budget=int(budget),
+        budget=budget,
         footprints=tuple(footprints),
-        unpartitioned_miss_ratio=_simulated_miss_ratio(composed.trace.accesses, int(budget)),
+        accesses=tuple(accesses),
+        unpartitioned_miss_ratio=_simulated_miss_ratio(composed.trace.accesses, budget),
         proportional_allocation=tuple(int(c) for c in proportional),
         proportional_miss_ratio=proportional_misses / total,
+        hits=tuple(hits),
     )
 
 
@@ -271,7 +298,10 @@ def profile_tenants(job: PartitionJob, composed: MultiTenantTrace, *, workers: i
     Profiling depends only on the job's ``mode``/``rate``/``smax``/
     ``profile_seed`` knobs — not on the allocation method — so callers
     comparing methods (the ``partition`` experiment) profile once and pass
-    the result to :func:`partition_composed` for each method.
+    the result to :func:`partition_composed` for each method.  An exact
+    curve stops at the stream's length when the budget is larger: it is flat
+    past the footprint, so the allocators see the same curve without a
+    budget-sized tail.
     """
     streams = split_by_tenant(composed.trace.accesses, composed.tenant_ids, composed.num_tenants)
     profile_jobs = [
@@ -282,7 +312,7 @@ def profile_tenants(job: PartitionJob, composed: MultiTenantTrace, *, workers: i
             rate=job.rate,
             smax=job.smax,
             seed=job.profile_seed,
-            max_cache_size=job.budget,
+            max_cache_size=min(job.budget, stream.size) if job.mode == "exact" else job.budget,
         )
         for stream, name in zip(streams, composed.names)
     ]
@@ -308,8 +338,6 @@ def partition_composed(
     profiles are supplied).
     """
     workers = check_workers(workers)
-    tenant_traces = split_by_tenant(composed.trace.accesses, composed.tenant_ids, composed.num_tenants)
-
     if profiles is None:
         with span("partition.profile", mode=job.mode) as timer:
             profiles = profile_tenants(job, composed, workers=workers)
@@ -322,6 +350,13 @@ def partition_composed(
         baselines = simulate_baselines(composed, job.budget)
     elif baselines.budget != job.budget:
         raise ValueError(f"baselines were simulated for budget {baselines.budget}, job has {job.budget}")
+    else:
+        accesses = tuple(np.bincount(composed.tenant_ids, minlength=composed.num_tenants).tolist())
+        if baselines.accesses != accesses:
+            raise ValueError(
+                f"baselines were simulated for tenant access counts {list(baselines.accesses)}, "
+                f"the composed trace has {list(accesses)}"
+            )
 
     budget_units = job.budget // job.unit
     with span("partition.allocate", method=job.method):
@@ -334,16 +369,16 @@ def partition_composed(
     tenants: list[TenantAllocation] = []
     predicted_misses = 0.0
     simulated_misses = 0.0
-    for t, (stream, curve, capacity) in enumerate(zip(tenant_traces, curves, capacities)):
+    for t, (accesses, curve, capacity) in enumerate(zip(baselines.accesses, curves, capacities)):
         predicted = curve.miss_ratio_at(capacity // job.unit)
-        simulated = _simulated_miss_ratio(stream, capacity)
-        predicted_misses += predicted * stream.size
-        simulated_misses += simulated * stream.size
+        simulated = _tenant_miss_ratio(baselines.hits[t], accesses, capacity)
+        predicted_misses += predicted * accesses
+        simulated_misses += simulated * accesses
         tenants.append(
             TenantAllocation(
                 name=composed.names[t],
                 rate=composed.rates[t],
-                accesses=int(stream.size),
+                accesses=accesses,
                 footprint=baselines.footprints[t],
                 capacity=capacity,
                 predicted_miss_ratio=predicted,

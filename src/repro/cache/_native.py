@@ -63,6 +63,11 @@ class NativeKernels(NamedTuple):
     #: lane is full.  The caller (:func:`repro.sim.kernels.random_sweep_hits`) checks the labels
     #: and capacities as for ``fifo_lanes`` and passes one deviate per reference.
     random_lanes: Callable[[np.ndarray, np.ndarray, int, np.ndarray], np.ndarray]
+    #: ``lru_hits(trace, capacity)`` -> ``LRUCache(capacity).run(trace).hits``, with O(1) work per
+    #: reference and memory bounded by the trace, whatever the capacity.  The caller
+    #: (:func:`repro.sim.kernels.lru_sweep_hits`, for a grid of one capacity) checks that the
+    #: capacity is positive.
+    lru_hits: Callable[[np.ndarray, int], int]
     #: ``parse_labels(data)`` -> ``(labels, name)`` of a text trace's bytes: the ``int64``
     #: labels, and the stripped text after ``name:`` of the first ``# name:`` comment (``None``
     #: when there is none); ``None`` for a text the kernel leaves to the Python loop of
@@ -172,6 +177,9 @@ def native_kernels() -> NativeKernels | None:
     rand = library.random_lanes
     rand.argtypes = (*lanes, ctypes.c_void_p, ctypes.c_void_p)
     rand.restype = ctypes.c_int
+    lru = library.lru_hits
+    lru.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)
+    lru.restype = ctypes.c_int64
     parse = library.parse_labels
     parse.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
     parse.restype = ctypes.c_int64
@@ -244,6 +252,15 @@ def native_kernels() -> NativeKernels | None:
             raise MemoryError(f"random lane kernel could not allocate for {distinct} items")
         return hits
 
+    def lru_hits(trace: np.ndarray, capacity: int) -> int:
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        if trace.size == 0:
+            return 0
+        hits = lru(trace.ctypes.data, trace.size, capacity)
+        if hits < 0:
+            raise MemoryError(f"LRU kernel could not allocate for {trace.size} references")
+        return hits
+
     def parse_labels(data: bytes) -> tuple[np.ndarray, str | None] | None:
         # Every label ends a line, so the line count bounds the labels.
         labels = np.empty(data.count(b"\n") + data.count(b"\r") + 1, dtype=np.int64)
@@ -256,7 +273,15 @@ def native_kernels() -> NativeKernels | None:
         return labels, None if start < 0 else data[start:end].decode("ascii").strip()
 
     return NativeKernels(
-        stack_distances, previous, reuse_time_counts, sample_positions, crc32, fifo_lanes, random_lanes, parse_labels
+        stack_distances,
+        previous,
+        reuse_time_counts,
+        sample_positions,
+        crc32,
+        fifo_lanes,
+        random_lanes,
+        lru_hits,
+        parse_labels,
     )
 
 

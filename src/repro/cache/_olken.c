@@ -10,6 +10,13 @@
  * pass of the reuse-time profiler.  Either of previous and reuse_counts may
  * be NULL too; reuse_counts, when given, is the reuse-time histogram.
  *
+ * lru_hits: the LRU hits of one capacity, O(1) work per reference.  The
+ * same label table gives every label a dense id, and a doubly linked list
+ * over the ids of the resident items is the LRU stack cut at the capacity.
+ * Its Python entry point is repro.sim.kernels.lru_sweep_hits, for a grid of
+ * one capacity; the validator of a partition run calls it once, on the
+ * composed trace.
+ *
  * shards_sample: the SHARDS spatial-sampling filter of every hash seed in
  * one call, so sampling stays an order of magnitude cheaper than measuring
  * exactly.
@@ -39,57 +46,91 @@ static uint64_t slot(int64_t label, int bits)
     return ((uint64_t)label * 0x9E3779B97F4A7C15ull) >> (64 - bits);
 }
 
+/* An insert-only open-addressing table from labels to non-negative values;
+ * a value of -1 marks an empty slot.  Kernels keep it by value, so no
+ * output array they write can alias its fields. */
+struct labels {
+    int bits;
+    int64_t used, mask, *keys, *values;
+};
+
+/* A table of 2^bits empty slots holding `used` labels, or one with NULL
+ * keys when memory runs out. */
+static struct labels labels_empty(int bits, int64_t used)
+{
+    struct labels table = {bits, used, ((int64_t)1 << bits) - 1, malloc(sizeof(int64_t) << bits),
+                           malloc(sizeof(int64_t) << bits)};
+    if (!table.keys || !table.values) {
+        free(table.keys), free(table.values);
+        table.keys = table.values = NULL;
+        return table;
+    }
+    for (int64_t i = 0; i <= table.mask; i++)
+        table.values[i] = -1;
+    return table;
+}
+
+static void labels_free(struct labels table)
+{
+    free(table.keys), free(table.values);
+}
+
+/* The slot holding label, or the empty slot where it goes.  A caller that
+ * fills an empty slot stores the key and counts it in `used`. */
+static uint64_t labels_find(struct labels table, int64_t label)
+{
+    uint64_t s = slot(label, table.bits);
+    while (table.values[s] >= 0 && table.keys[s] != label)
+        s = (s + 1) & table.mask;
+    return s;
+}
+
+/* Whether one more label would fill more than half of the table. */
+static int labels_full(struct labels table)
+{
+    return 2 * (table.used + 1) > table.mask + 1;
+}
+
+/* The table rehashed into twice as many slots; the old one is freed.  The
+ * result has NULL keys when memory runs out. */
+static struct labels labels_grown(struct labels table)
+{
+    struct labels grown = labels_empty(table.bits + 1, table.used);
+    for (int64_t i = 0; grown.keys && i <= table.mask; i++) {
+        if (table.values[i] < 0)
+            continue;
+        uint64_t s = labels_find(grown, table.keys[i]);
+        grown.keys[s] = table.keys[i], grown.values[s] = table.values[i];
+    }
+    labels_free(table);
+    return grown;
+}
+
 /* Fills distances[t] (INT64_MAX when cold) and previous[t] (-1 when cold),
  * each unless NULL, and adds one to reuse_counts[t - previous[t]] for every
  * reuse and to reuse_counts[0] for every cold access, unless reuse_counts
- * is NULL (it holds n + 1 zeros on entry).  Returns 0, or -1 when memory
- * runs out. */
+ * is NULL (it holds n + 1 zeros on entry).  The label table maps each item
+ * to its last position.  Returns 0, or -1 when memory runs out. */
 int olken_stack_distances(const int64_t *trace, int64_t n, int64_t *distances, int64_t *previous,
                           int64_t *reuse_counts)
 {
-    int bits = 6;
-    int64_t used = 0, mask = (1 << bits) - 1;
-    int64_t *keys = malloc(sizeof *keys << bits), *last = malloc(sizeof *last << bits);
+    struct labels last = labels_empty(6, 0);
     int64_t *tree = distances ? calloc((size_t)n + 1, sizeof *tree) : NULL;
-    if (!keys || !last || (distances && !tree))
+    if (!last.keys || (distances && !tree))
         goto fail;
-    for (int64_t i = 0; i <= mask; i++)
-        last[i] = -1;
     for (int64_t t = 0; t < n; t++) {
-        if (2 * (used + 1) > mask + 1) { /* keep the load factor at most 1/2 */
-            int64_t *old_keys = keys, *old_last = last, old_mask = mask;
-            bits++;
-            mask = 2 * mask + 1;
-            keys = malloc(sizeof *keys << bits);
-            last = malloc(sizeof *last << bits);
-            if (!keys || !last) {
-                free(old_keys), free(old_last);
-                goto fail;
-            }
-            for (int64_t i = 0; i <= mask; i++)
-                last[i] = -1;
-            for (int64_t i = 0; i <= old_mask; i++) {
-                if (old_last[i] < 0)
-                    continue;
-                uint64_t s = slot(old_keys[i], bits);
-                while (last[s] >= 0)
-                    s = (s + 1) & mask;
-                keys[s] = old_keys[i], last[s] = old_last[i];
-            }
-            free(old_keys), free(old_last);
-        }
-        uint64_t s = slot(trace[t], bits);
-        while (last[s] >= 0 && keys[s] != trace[t])
-            s = (s + 1) & mask;
-        int64_t p = last[s];
+        if (labels_full(last) && !(last = labels_grown(last)).keys)
+            goto fail;
+        uint64_t s = labels_find(last, trace[t]);
+        int64_t p = last.values[s];
         if (previous)
             previous[t] = p;
         if (reuse_counts)
             reuse_counts[p < 0 ? 0 : t - p]++;
-        last[s] = t;
+        last.values[s] = t;
         if (p < 0) {
-            keys[s] = trace[t];
-            used++;
+            last.keys[s] = trace[t];
+            last.used++;
         }
         if (!distances)
             continue;
@@ -99,17 +140,76 @@ int olken_stack_distances(const int64_t *trace, int64_t n, int64_t *distances, i
             int64_t before = 0;
             for (int64_t j = p + 1; j > 0; j -= j & -j)
                 before += tree[j];
-            distances[t] = used - before + 1;
+            distances[t] = last.used - before + 1;
             for (int64_t j = p + 1; j <= n; j += j & -j)
                 tree[j]--;
         }
         for (int64_t j = t + 1; j <= n; j += j & -j)
             tree[j]++;
     }
-    free(keys), free(last), free(tree);
+    labels_free(last), free(tree);
     return 0;
 fail:
-    free(keys), free(last), free(tree);
+    labels_free(last), free(tree);
+    return -1;
+}
+
+/* LRU hits of one capacity >= 1 over n >= 1 references.  The label table
+ * gives each item a dense id on its first access; `newer` and `older` link
+ * the resident ids from the most (head) to the least (tail) recently used,
+ * so a hit moves its id to the head and a miss in a full cache evicts the
+ * tail.  Returns the hits, or -1 when memory runs out. */
+int64_t lru_hits(const int64_t *trace, int64_t n, int64_t capacity)
+{
+    struct labels ids = labels_empty(6, 0);
+    int64_t *newer = malloc(sizeof *newer * (size_t)n), *older = malloc(sizeof *older * (size_t)n);
+    unsigned char *resident = calloc((size_t)n, 1);
+    int64_t head = -1, tail = -1, size = 0, hits = 0;
+    if (!ids.keys || !newer || !older || !resident)
+        goto fail;
+    for (int64_t t = 0; t < n; t++) {
+        if (labels_full(ids) && !(ids = labels_grown(ids)).keys)
+            goto fail;
+        uint64_t s = labels_find(ids, trace[t]);
+        int64_t id = ids.values[s];
+        if (id < 0) {
+            id = ids.values[s] = ids.used++;
+            ids.keys[s] = trace[t];
+        } else if (resident[id]) {
+            hits++;
+            if (id == head)
+                continue;
+            older[newer[id]] = older[id]; /* unlink: id is not the head */
+            if (older[id] >= 0)
+                newer[older[id]] = newer[id];
+            else
+                tail = newer[id];
+            newer[id] = -1, older[id] = head, newer[head] = id, head = id;
+            continue;
+        }
+        if (size == capacity) { /* evict the tail */
+            int64_t victim = tail;
+            resident[victim] = 0;
+            tail = newer[victim];
+            if (tail >= 0)
+                older[tail] = -1;
+            else
+                head = -1;
+        } else {
+            size++;
+        }
+        resident[id] = 1;
+        newer[id] = -1, older[id] = head;
+        if (head >= 0)
+            newer[head] = id;
+        else
+            tail = id;
+        head = id;
+    }
+    labels_free(ids), free(newer), free(older), free(resident);
+    return hits;
+fail:
+    labels_free(ids), free(newer), free(older), free(resident);
     return -1;
 }
 

@@ -156,24 +156,29 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
 
     # Without --compare-exact each worker loads its own file; only the exact
-    # comparison needs the access arrays in this process.
+    # comparison needs the access arrays in this process.  A worker's
+    # ValueError (a trace line read_text cannot use) reaches this process
+    # unchanged.
     jobs = []
-    for path in args.trace_files:
-        common = dict(
-            mode=args.mode,
-            rate=args.rate,
-            smax=args.smax,
-            seed=args.seed,
-            n_seeds=args.seeds,
-            max_cache_size=args.max_size,
-        )
-        if args.compare_exact:
-            trace = read_text(path)
-            jobs.append(ProfileJob(trace=trace.accesses, name=trace.name, **common))
-        else:
-            jobs.append(ProfileJob(path=str(path), name=Path(path).stem, **common))
-
-    results = api.profile(jobs, workers=args.workers)
+    try:
+        for path in args.trace_files:
+            common = dict(
+                mode=args.mode,
+                rate=args.rate,
+                smax=args.smax,
+                seed=args.seed,
+                n_seeds=args.seeds,
+                max_cache_size=args.max_size,
+            )
+            if args.compare_exact:
+                trace = read_text(path)
+                jobs.append(ProfileJob(trace=trace.accesses, name=trace.name, **common))
+            else:
+                jobs.append(ProfileJob(path=str(path), name=Path(path).stem, **common))
+        results = api.profile(jobs, workers=args.workers)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     rows = []
     for job, result in zip(jobs, results):

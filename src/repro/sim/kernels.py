@@ -6,8 +6,9 @@ a grid" in one call over flat arrays, instead of replaying the trace once per
 
 * :func:`lru_sweep_hits` — LRU satisfies the stack inclusion property, so the
   whole capacity grid falls out of a single stack-distance histogram
-  (``hits(c)`` = accesses at stack distance ≤ ``c``).  Exact: bit-identical
-  to per-capacity :class:`~repro.cache.lru.LRUCache` replay.
+  (``hits(c)`` = accesses at stack distance ≤ ``c``); a grid of one capacity
+  runs a native linked-list LRU instead.  Exact: bit-identical to
+  per-capacity :class:`~repro.cache.lru.LRUCache` replay.
 * :func:`fifo_sweep_hits` — FIFO has no inclusion property (Belady's
   anomaly), so every capacity is a genuine *lane* of the simulation.  A
   FIFO-resident item is exactly one whose last insertion is among the lane's
@@ -43,7 +44,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..cache._native import native_kernels
-from ..cache.stack_distance import COLD, hit_counts, stack_distances_vectorized
+from ..cache.stack_distance import COLD, stack_distance_histogram, stack_distances_vectorized
 
 __all__ = [
     "compact_trace",
@@ -95,16 +96,32 @@ def check_capacities(capacities: Sequence[int] | np.ndarray) -> np.ndarray:
 
 
 def lru_sweep_hits(trace: Sequence[int] | np.ndarray, capacities: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Exact LRU hit counts for every capacity from one stack-distance pass.
+    """Exact LRU hit counts for every capacity of a grid.
 
     ``hits[k]`` equals ``LRUCache(capacities[k]).run(trace).hits`` for every
-    entry of the grid, but the whole grid costs a single ``O(N log N)``
-    histogram pass instead of ``len(capacities)`` trace replays.
+    entry of the grid.  A grid of one capacity runs the native single-capacity
+    LRU kernel (see :mod:`repro.cache._native`) when this machine can build
+    it: ``O(1)`` work per reference.  Every other grid, and every grid without
+    a compiler, costs a single ``O(N log N)`` stack-distance histogram pass
+    instead of ``len(capacities)`` trace replays.  Either way the memory
+    follows the trace, not the capacities: hits stop growing at the largest
+    stack distance, so larger capacities read the last cumulative count.
     """
     arr = np.asarray(trace)
     caps = check_capacities(capacities)
-    cumulative = hit_counts(arr, max_cache_size=int(caps.max()))
-    return cumulative[caps - 1]
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"trace items must be integers, got dtype {arr.dtype}")
+    native = native_kernels() if caps.size == 1 else None
+    if native is None:
+        return _lru_histogram_hits(arr, caps)
+    return np.array([native.lru_hits(arr, int(caps[0]))], dtype=np.int64)
+
+
+def _lru_histogram_hits(trace: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The histogram path of :func:`lru_sweep_hits`: ``hits(c)`` = accesses at stack distance ≤ ``c``."""
+    hist, _ = stack_distance_histogram(trace)
+    cumulative = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(hist)])
+    return cumulative[np.minimum(caps, hist.size)]
 
 
 def _lane_inputs(

@@ -1,4 +1,4 @@
-"""Cross-validation of the FIFO/random lane kernels and the set-associative kernel."""
+"""Cross-validation of the single-capacity LRU kernel, the FIFO/random lane kernels and the set-associative kernel."""
 
 from __future__ import annotations
 
@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 
 from repro.cache._native import native_kernels
 from repro.cache.fifo import FIFOCache
+from repro.cache.lru import LRUCache
 from repro.cache.random_policy import RandomCache
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.permutation import Permutation
 from repro.sim import (
     compact_trace,
     fifo_sweep_hits,
+    lru_sweep_hits,
     random_sweep_hits,
     set_associative_sweep_hits,
 )
 from repro.sim import kernels
-from repro.sim.kernels import _DEVIATE_SALT, _fifo_lanes_numpy, _random_lanes_numpy
+from repro.sim.kernels import _DEVIATE_SALT, _fifo_lanes_numpy, _lru_histogram_hits, _random_lanes_numpy
 from repro.trace.generators import zipfian_trace
 from repro.trace.trace import PeriodicTrace
 
@@ -249,3 +251,84 @@ class TestNativeLanes:
         monkeypatch.setattr(kernels, "native_kernels", lambda: None)  # as on a machine without a compiler
         np.testing.assert_array_equal(fifo_sweep_hits(dense, capacities, distinct=distinct), fifo)
         np.testing.assert_array_equal(random_sweep_hits(dense, capacities, seed=4, distinct=distinct), rand)
+
+
+_INT64 = np.iinfo(np.int64)
+
+_LRU_CASES = {
+    "length-1": (np.array([7]), [1, 2, 2**62]),
+    "single-item": (np.zeros(50, dtype=np.int64), [1, 3]),
+    "capacity-1": (np.tile(np.arange(5), 7), [1]),
+    "capacity-footprint": (np.random.default_rng(4).integers(0, 9, size=400), [9]),
+    "far-above-footprint": (np.random.default_rng(5).integers(0, 6, size=300), [7, 2**33, 2**62, _INT64.max]),
+    "negative-labels": (np.array([-3, -1, -3, 5, -1, -3, 0, 5]), [1, 2, 3]),
+    "int64-extremes": (np.array([_INT64.min, _INT64.max, -1, _INT64.min, 0, _INT64.max, _INT64.min]), [1, 2, 3]),
+    "strided-labels": (np.tile(np.arange(300) << 40, 3), [1, 150, 299, 300]),
+    "cyclic": (np.tile(np.arange(40), 6), [1, 20, 39, 40, 41]),
+    "sawtooth": (np.tile(np.concatenate([np.arange(40), np.arange(40)[::-1]]), 3), [1, 20, 39, 40, 41]),
+}
+
+
+def _replay_hits(trace, capacity):
+    return LRUCache(int(capacity)).run(int(x) for x in trace).hits
+
+
+class TestLRUKernel:
+    """The native single-capacity LRU against the histogram path and a per-event replay."""
+
+    def _assert_agree(self, native, trace, capacities):
+        trace = np.asarray(trace, dtype=np.int64)
+        for capacity in capacities:
+            want = _replay_hits(trace, capacity)
+            assert native.lru_hits(trace, int(capacity)) == want
+            assert _lru_histogram_hits(trace, np.array([capacity], dtype=np.int64)).tolist() == [want]
+
+    @given(
+        trace=st.lists(st.integers(-4, 24), min_size=1, max_size=300),
+        capacities=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    )
+    def test_differential_against_histogram_and_replay(self, native, trace, capacities):
+        self._assert_agree(native, trace, capacities)
+
+    @pytest.mark.parametrize("case", list(_LRU_CASES), ids=list(_LRU_CASES))
+    def test_edge_cases(self, native, case):
+        trace, capacities = _LRU_CASES[case]
+        self._assert_agree(native, trace, capacities)
+
+    def test_cyclic_trace_hits_nothing_below_its_length(self, native):
+        m, r = 64, 5
+        trace = np.tile(np.arange(m), r)
+        assert [native.lru_hits(trace, c) for c in (1, m // 2, m - 1)] == [0, 0, 0]
+        assert native.lru_hits(trace, m) == (r - 1) * m
+
+    def test_empty_trace_scores_nothing(self, native):
+        assert native.lru_hits(np.array([], dtype=np.int64), 4) == 0
+
+
+class TestLRUSweepPaths:
+    """:func:`lru_sweep_hits` gives the same grid through the native kernel and the histogram path."""
+
+    @pytest.fixture(params=["native", "numpy"])
+    def lru_path(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(kernels, "native_kernels", lambda: None)  # as on a machine without a compiler
+        elif native_kernels() is None:
+            pytest.skip("no C compiler: the histogram path serves every LRU grid here")
+        return request.param
+
+    @pytest.mark.parametrize("case", list(_LRU_CASES), ids=list(_LRU_CASES))
+    def test_every_capacity_matches_replay(self, lru_path, case):
+        trace, capacities = _LRU_CASES[case]
+        for capacity in capacities:
+            assert lru_sweep_hits(trace, [capacity]).tolist() == [_replay_hits(trace, capacity)]
+        want = [_replay_hits(trace, capacity) for capacity in capacities]
+        assert lru_sweep_hits(trace, capacities).tolist() == want
+
+    def test_capacity_far_above_footprint_allocates_nothing(self, lru_path):
+        trace = np.array([0, 1, 0, 1])
+        assert lru_sweep_hits(trace, [2**33]).tolist() == [2]  # only the cold misses
+        assert lru_sweep_hits(trace, [2**33, 1, _INT64.max]).tolist() == [2, 0, 2]
+
+    def test_rejects_non_integer_trace(self, lru_path):
+        with pytest.raises(TypeError):
+            lru_sweep_hits(np.array([0.5, 1.5]), [1])

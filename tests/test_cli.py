@@ -114,7 +114,7 @@ BAD_LINES = [("x3", "not an integer label"), ("99999999999999999999", "label 999
 class TestMalformedTraceFiles:
     """A trace line the reader cannot use is an ``error: <file>:<line>: ...`` and exit 2, never a traceback."""
 
-    @pytest.mark.parametrize("command", ["analyze", "mrc", "sweep"])
+    @pytest.mark.parametrize("command", ["analyze", "mrc", "sweep", "profile"])
     @pytest.mark.parametrize(("line", "message"), BAD_LINES)
     def test_trace_commands(self, command, line, message, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -123,6 +123,18 @@ class TestMalformedTraceFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"bad.txt:2: {message}" in err
+
+    @pytest.mark.parametrize("flags", [["--compare-exact"], ["--workers", "2"]], ids=["compare-exact", "pooled"])
+    @pytest.mark.parametrize(("line", "message"), BAD_LINES)
+    def test_profile_reads_in_this_process_or_a_worker(self, flags, line, message, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        good.write_text("1\n2\n1\n")
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1\n2\n{line}\n")
+        assert main(["profile", str(good), str(path), "--mode", "exact", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"bad.txt:3: {message}" in err
 
     @pytest.mark.parametrize(("line", "message"), BAD_LINES)
     def test_partition_file_tenant(self, line, message, tmp_path, capsys):
