@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cache._native import native_kernels
 from ..cache.mrc import MissRatioCurve
 
 __all__ = ["DiscretizedMRC", "discretize_curve", "lower_convex_hull"]
@@ -137,7 +138,9 @@ def lower_convex_hull(misses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the hull vertex indices (allocation units, starting at 0) and the
     hull miss values at those vertices.  Slopes between consecutive vertices
     are strictly increasing (becoming less steep), which is what makes
-    steepest-first allocation on the hull optimal.
+    steepest-first allocation on the hull optimal.  The chain runs in the
+    native kernel library where a C compiler is available and in Python
+    otherwise; both give the same vertices, bit for bit.
 
     Examples
     --------
@@ -154,6 +157,17 @@ def lower_convex_hull(misses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(misses, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("misses must be a non-empty 1-D array")
+    native = native_kernels()
+    vertices = _lower_hull_python(values) if native is None else native.lower_convex_hull(values)
+    return vertices, values[vertices]
+
+
+def _lower_hull_python(values: np.ndarray) -> np.ndarray:
+    """Hull vertex indices of a non-empty 1-D ``float64`` array, by the monotone chain in Python.
+
+    The path without a C compiler, and the reference the native kernel
+    (``lower_hull`` in ``_olken.c``) is held bit-identical to.
+    """
     # Monotone-chain over the points (j, values[j]): keep vertices while the
     # turn is convex (cross product <= 0 pops the middle point).  The chain
     # walks plain Python floats (one tolist() up front): hull extraction runs
@@ -171,5 +185,4 @@ def lower_convex_hull(misses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             else:
                 break
         hull.append(j)
-    vertices = np.asarray(hull, dtype=np.int64)
-    return vertices, values[vertices]
+    return np.asarray(hull, dtype=np.int64)

@@ -30,7 +30,7 @@ shared cache and over the proportional split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from ..engine.columnar import split_by_tenant
 from ..engine.runner import check_workers
 from ..obs import get_registry, span
 from ..profiling.engine import ProfileJob, run_jobs
+from ..profiling.reuse import ReuseTimeHistogram
+from ..profiling.shards import HASH_SPACE, rate_threshold
 from ..sim.kernels import lru_sweep_hits
 from ..trace.tenancy import MultiTenantTrace, TenantSpec, compose_tenants
 from .allocators import dp_allocate, greedy_allocate, hull_allocate, proportional_split
@@ -298,9 +300,9 @@ def profile_tenants(job: PartitionJob, composed: MultiTenantTrace, *, workers: i
     Profiling depends only on the job's ``mode``/``rate``/``smax``/
     ``profile_seed`` knobs — not on the allocation method — so callers
     comparing methods (the ``partition`` experiment) profile once and pass
-    the result to :func:`partition_composed` for each method.  An exact
-    curve stops at the stream's length when the budget is larger: it is flat
-    past the footprint, so the allocators see the same curve without a
+    the result to :func:`partition_composed` for each method.  A curve stops
+    short of a larger budget where it is provably flat (see
+    :func:`_profile_length`), so the allocators see the same curve without a
     budget-sized tail.
     """
     streams = split_by_tenant(composed.trace.accesses, composed.tenant_ids, composed.num_tenants)
@@ -312,11 +314,41 @@ def profile_tenants(job: PartitionJob, composed: MultiTenantTrace, *, workers: i
             rate=job.rate,
             smax=job.smax,
             seed=job.profile_seed,
-            max_cache_size=min(job.budget, stream.size) if job.mode == "exact" else job.budget,
         )
         for stream, name in zip(streams, composed.names)
     ]
+    profile_jobs = [replace(profile, max_cache_size=_profile_length(profile, job.budget)) for profile in profile_jobs]
     return run_jobs(profile_jobs, workers=check_workers(workers))
+
+
+def _profile_length(profile: ProfileJob, budget: int) -> int:
+    """The budget, or a smaller length past which ``profile``'s curve is provably flat.
+
+    For a stream of ``n`` references:
+
+    * ``exact``: flat past the footprint, which is at most ``n``;
+    * ``shards`` at a fixed rate: a sampled distance ``d <= n`` lands at
+      ``ceil(d / R)``, the float expression of
+      :func:`~repro.profiling.shards.scaled_distance_histogram`, so nothing
+      lands past ``ceil(n / R)``;
+    * ``reuse``: every size past the AET integral reads the cold floor, and
+      the integral never exceeds the upper edge of the bucket of the longest
+      possible reuse time, ``n - 1``.
+
+    Fixed-size SHARDS (``smax``) picks its rate per seed from the data, so its
+    curves keep the budget's length.
+    """
+    size = int(profile.trace.size)
+    if profile.mode == "exact":
+        flat = size
+    elif profile.mode == "shards" and profile.smax is None:
+        flat = int(np.ceil(np.float64(size) / (rate_threshold(profile.rate) / HASH_SPACE)))
+    elif profile.mode == "reuse":
+        buckets = ReuseTimeHistogram(fine_limit=profile.fine_limit, coarse_per_octave=profile.coarse_per_octave)
+        flat = buckets.bucket_upper_edge(buckets.bucket_index(max(size - 1, 1))) + 1
+    else:
+        return budget
+    return min(budget, flat)
 
 
 def partition_composed(

@@ -36,11 +36,13 @@ from typing import NamedTuple
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_olken.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
+#: ``-ffp-contract=off`` keeps every floating-point product rounded on its own, as Python's floats
+#: round it: a fused multiply-add would let ``lower_hull`` decide a near-collinear vertex otherwise.
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class NativeKernels(NamedTuple):
-    """The loaded kernels; each takes an integer trace and returns new ``int64`` arrays."""
+    """The loaded kernels; each but ``crc32`` and ``lower_convex_hull`` takes an integer trace."""
 
     #: ``stack_distances(trace) -> (distances, previous)``.
     stack_distances: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -74,6 +76,11 @@ class NativeKernels(NamedTuple):
     #: :func:`repro.trace.io.read_text` (non-ASCII or control bytes, anything but one
     #: non-negative int64 label, a blank or a comment per line).
     parse_labels: Callable[[bytes], tuple[np.ndarray, str | None] | None]
+    #: ``lower_convex_hull(misses)`` -> the ``int64`` vertex indices of the lower convex hull of
+    #: the points ``(j, misses[j])``, bit-identical to the Python monotone chain of
+    #: :func:`repro.alloc.curves.lower_convex_hull` (same cross-product expression, same order,
+    #: no fused multiply-add).  The caller passes a non-empty 1-D ``float64`` array.
+    lower_convex_hull: Callable[[np.ndarray], np.ndarray]
 
 
 def compiler() -> list[str] | None:
@@ -183,9 +190,12 @@ def native_kernels() -> NativeKernels | None:
     parse = library.parse_labels
     parse.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
     parse.restype = ctypes.c_int64
+    hull = library.lower_hull
+    hull.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    hull.restype = ctypes.c_int64
 
-    # The kernels read and write C-contiguous int64 buffers of the trace's
-    # length; these wrappers are the only code that hands them pointers.
+    # The kernels read and write C-contiguous buffers of the input's length;
+    # these wrappers are the only code that hands them pointers.
     def stack_distances(trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         trace = np.ascontiguousarray(trace, dtype=np.int64)
         distances = np.empty(trace.size, dtype=np.int64)
@@ -272,6 +282,11 @@ def native_kernels() -> NativeKernels | None:
         start, end = name.tolist()
         return labels, None if start < 0 else data[start:end].decode("ascii").strip()
 
+    def lower_convex_hull(misses: np.ndarray) -> np.ndarray:
+        misses = np.ascontiguousarray(misses, dtype=np.float64)
+        vertices = np.empty(misses.size, dtype=np.int64)
+        return vertices[: hull(misses.ctypes.data, misses.size, vertices.ctypes.data)]
+
     return NativeKernels(
         stack_distances,
         previous,
@@ -282,6 +297,7 @@ def native_kernels() -> NativeKernels | None:
         random_lanes,
         lru_hits,
         parse_labels,
+        lower_convex_hull,
     )
 
 

@@ -37,6 +37,7 @@ the two bit-identical.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -282,12 +283,13 @@ def run_replay(
 ) -> ReplayResult:
     """Replay a drifting workload under static, adaptive and oracle partitioning.
 
-    With ``checkpoint_dir`` the replay snapshots its full dynamic state every
+    With ``checkpoint_dir`` the replay snapshots its dynamic state every
     ``checkpoint_every`` completed epochs (atomic, checksummed, fingerprinted
-    — see :mod:`repro.resilience.checkpoint`); a killed run restarted with
-    ``resume=True`` continues from the latest snapshot and produces rows and
-    summaries **bit-identical** to the uninterrupted run (asserted in
-    ``tests/resilience/``).  ``resume=True`` with an empty or absent store
+    — see :mod:`repro.resilience.checkpoint`), less what a resume re-derives
+    from the trace: the sketch windows and the curves extracted from them.  A
+    killed run restarted with ``resume=True`` continues from the latest
+    snapshot and produces rows and summaries **bit-identical** to the
+    uninterrupted run (asserted in ``tests/resilience/``).  ``resume=True`` with an empty or absent store
     simply runs from the start, so the flag is safe to pass unconditionally.
     """
     check_positive("checkpoint_every", checkpoint_every)
@@ -329,10 +331,13 @@ def run_replay(
             "oracle": oracle_allocations[0],
         },
     )
-    sketches = [
-        WindowedShardsSketch(window=job.window, decay=job.decay, rate=job.rate, seed=job.profile_seed)
-        for _ in range(num_tenants)
-    ]
+    def new_sketches() -> list[WindowedShardsSketch]:
+        return [
+            WindowedShardsSketch(window=job.window, decay=job.decay, rate=job.rate, seed=job.profile_seed)
+            for _ in range(num_tenants)
+        ]
+
+    sketches = new_sketches()
     detectors = []
     for _ in range(num_tenants):
         detectors.append(PhaseChangeDetector(threshold=job.threshold, hysteresis=job.hysteresis))
@@ -356,50 +361,80 @@ def run_replay(
     # Last-known-good windowed profile per tenant: an epoch whose extraction
     # fails for a tenant holds this instead of crashing the replay.
     held_profiles: list[tuple | None] = [None] * num_tenants
+    # The epoch end each detector took its reference curve at (None before).
+    anchors: list[int | None] = [None] * num_tenants
     counters = {"static": [0, 0], "adaptive": [0, 0], "oracle": [0, 0]}  # [hits, misses] this epoch
 
-    if resume and latest_step(checkpoint_dir) is not None:
-        # Checkpoints snapshot at epoch ends only, right after the counters
-        # reset — so the epoch counters are implicitly zero and everything
-        # deterministic (distance arrays, static/oracle profiles, the stop
-        # schedule) was already recomputed above, identically.
-        state = load_checkpoint(checkpoint_dir, fingerprint=fingerprint).state
-        position = int(state["position"])
-        phase = int(state["phase"])
-        settling = bool(state["settling"])
-        epoch_index = int(state["epoch_index"])
-        epoch_start = int(state["epoch_start"])
-        epochs = list(state["epochs"])
-        profiled_references = int(state["profiled_references"])
-        reallocations = int(state["reallocations"])
-        phase_changes = int(state["phase_changes"])
-        profile_failures = int(state["profile_failures"])
-        held_profiles = list(state["held_profiles"])
-        lanes.load_state_dict(state["lanes"])
-        for sketch, sketch_state in zip(sketches, state["sketches"]):
-            sketch.load_state_dict(sketch_state)
-        for detector, detector_state in zip(detectors, state["detectors"]):
-            detector.load_state_dict(detector_state)
-        controller.evaluations = int(state["controller"]["evaluations"])
-        controller.applications = int(state["controller"]["applications"])
-
-    def run_chunk(start: int, end: int) -> None:
-        """Feed events ``start .. end`` to all three simulators and the sketches."""
+    def feed(targets: list[WindowedShardsSketch], start: int, end: int) -> None:
+        """Feed events ``start .. end`` to one sketch per tenant."""
         chunk_items = items[start:end]
-        chunk_ids = ids[start:end]
-        lanes.advance(chunk_items, chunk_ids, counters)
-        for sketch, tenant_items in zip(sketches, split_by_tenant(chunk_items, chunk_ids, num_tenants)):
+        for sketch, tenant_items in zip(targets, split_by_tenant(chunk_items, ids[start:end], num_tenants)):
             sketch.update(tenant_items)
             # Keep every sketch on the composed timeline: advancing past the
             # other tenants' events makes windows age in shared time, so a
             # tenant that goes quiet drains out of its own window.
             sketch.advance(int(chunk_items.size - tenant_items.size))
 
+    def sketches_at(stop: int) -> list[WindowedShardsSketch]:
+        """The sketches as the replay holds them at ``stop``, rebuilt from the trace.
+
+        A sketch keeps the samples of its last ``window`` timeline positions
+        only, so fresh sketches fed the chunks from the one holding the
+        window's start on end in the same state.
+        """
+        starts = [0, *stops]
+        first = bisect.bisect_right(starts, max(stop - job.window, 0)) - 1
+        rebuilt = new_sketches()
+        for sketch in rebuilt:
+            sketch.advance(starts[first])
+        for start, end in zip(starts[first:], stops[first:]):
+            if start >= stop:
+                break
+            feed(rebuilt, start, end)
+        return rebuilt
+
+    if resume and latest_step(checkpoint_dir) is not None:
+        # Checkpoints snapshot at epoch ends only, right after the counters
+        # reset — so the epoch counters are implicitly zero and everything
+        # deterministic (distance arrays, static/oracle profiles, the stop
+        # schedule) was already recomputed above, identically.  So are the
+        # sketch windows and every profile extracted from them: the snapshot
+        # holds only the profiles of the tenants whose extraction failed at
+        # its epoch end, and the epoch end each detector reference came from.
+        state = load_checkpoint(checkpoint_dir, fingerprint=fingerprint).state
+        position = int(state["position"])
+        phase = int(state["phase"])
+        settling = bool(state["settling"])
+        epoch_index = int(state["epoch_index"])
+        epoch_start = int(state["epoch_start"])
+        epochs = [EpochStats(*fields) for fields in state["epochs"]]
+        profiled_references = int(state["profiled_references"])
+        reallocations = int(state["reallocations"])
+        phase_changes = int(state["phase_changes"])
+        profile_failures = int(state["profile_failures"])
+        lanes.load_state_dict(state["lanes"])
+        sketches = sketches_at(position)
+        stored = state["held_profiles"]
+        for t, sketch in enumerate(sketches):
+            held_profiles[t] = stored[t] if t in stored else _windowed_profile((sketch.snapshot(), budget, unit))
+        windows = {position: sketches}
+        for t, (detector, detector_state) in enumerate(zip(detectors, state["detectors"])):
+            anchors[t] = anchor = detector_state["reference"]
+            if anchor is not None:
+                if anchor not in windows:
+                    windows[anchor] = sketches_at(anchor)
+                reference = curve_of_snapshot(windows[anchor][t].snapshot(), max_cache_size=budget)
+                detector_state = {**detector_state, "reference": reference}
+            detector.load_state_dict(detector_state)
+        controller.evaluations = int(state["controller"]["evaluations"])
+        controller.applications = int(state["controller"]["applications"])
+
     with span("online.replay"):
         for stop in stops:
             if stop <= position:  # already replayed before the resume point
                 continue
-            run_chunk(position, stop)
+            lanes.advance(items[position:stop], ids[position:stop], counters)
+            feed(sketches, position, stop)
             position = stop
             if phase + 1 < workload.num_phases and position >= workload.boundaries[phase + 1]:
                 phase += 1
@@ -435,6 +470,8 @@ def run_replay(
                 if curve is None or t in failed:
                     continue
                 observation = detectors[t].observe(curve)
+                if detectors[t].reference is curve:
+                    anchors[t] = position
                 distance = max(distance, observation.distance)
                 changed = changed or observation.changed
             if changed:
@@ -515,15 +552,18 @@ def run_replay(
                         "settling": settling,
                         "epoch_index": epoch_index,
                         "epoch_start": epoch_start,
-                        "epochs": list(epochs),
+                        # Field tuples pickle ~3x faster than the dataclasses.
+                        "epochs": [tuple(vars(epoch).values()) for epoch in epochs],
                         "profiled_references": profiled_references,
                         "reallocations": reallocations,
                         "phase_changes": phase_changes,
                         "profile_failures": profile_failures,
-                        "held_profiles": list(held_profiles),
+                        "held_profiles": {t: held_profiles[t] for t in failed},
                         "lanes": lanes.state_dict(),
-                        "sketches": [sketch.state_dict() for sketch in sketches],
-                        "detectors": [detector.state_dict() for detector in detectors],
+                        "detectors": [
+                            {**detector.state_dict(), "reference": anchor}
+                            for detector, anchor in zip(detectors, anchors)
+                        ],
                         "controller": {
                             "evaluations": controller.evaluations,
                             "applications": controller.applications,

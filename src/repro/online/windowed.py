@@ -28,8 +28,9 @@ Design points:
   :func:`~repro.profiling.shards.shards_mrc`.
 * **Deterministic** — state is a pure function of the ingested references and
   the constructor arguments; the re-partitioning engine in
-  :mod:`repro.online.replay` relies on this to stay bit-identical across
-  worker counts.
+  :mod:`repro.online.replay` relies on this to stay bit-identical, and a
+  resumed replay rebuilds its windows by feeding fresh sketches the trace's
+  last ``window`` positions again instead of restoring them from a snapshot.
 """
 
 from __future__ import annotations
@@ -151,27 +152,6 @@ class WindowedShardsSketch:
             self._items = np.concatenate([self._items, arr[sampled]])
             self._positions = np.concatenate([self._positions, start + sampled])
         self._evict()
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot of the mutable window state (for checkpoint/resume).
-
-        Constructor knobs (window, decay, rate, seed) are *not* carried —
-        they are part of the job a resume rebuilds the sketch from — only the
-        retained samples, the clock and the offered-run bookkeeping.
-        """
-        return {
-            "items": self._items.copy(),
-            "positions": self._positions.copy(),
-            "clock": int(self._clock),
-            "segments": [list(segment) for segment in self._segments],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore window state captured by :meth:`state_dict`."""
-        self._items = np.asarray(state["items"], dtype=np.int64).copy()
-        self._positions = np.asarray(state["positions"], dtype=np.int64).copy()
-        self._clock = int(state["clock"])
-        self._segments = [[int(start), int(length)] for start, length in state["segments"]]
 
     def advance(self, count: int) -> None:
         """Advance the clock by ``count`` positions without ingesting references.

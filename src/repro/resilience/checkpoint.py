@@ -57,8 +57,10 @@ __all__ = [
     "write_checkpoint",
 ]
 
-#: Schema version of the store layout; bumped on incompatible changes.
-CHECKPOINT_SCHEMA = 1
+#: Schema version of the store layout; bumped on incompatible changes (2: an
+#: online snapshot leaves out the sketch windows and the curves a resume
+#: re-derives from the trace).
+CHECKPOINT_SCHEMA = 2
 
 _MANIFEST = "MANIFEST.json"
 

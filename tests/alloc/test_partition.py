@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.alloc import METHODS, PartitionJob, partition_composed, profile_tenants, run_partition, simulate_baselines
+from repro.alloc import METHODS, PartitionJob, partition, partition_composed, profile_tenants, run_partition
+from repro.alloc import simulate_baselines
 from repro.cache.lru import LRUCache
+from repro.profiling.accuracy import curve_values
 from repro.trace import TenantSpec, compose_tenants, zipfian_trace
 from repro.trace.trace import PeriodicTrace
 from repro.trace.workloads import stream_copy
@@ -195,3 +197,62 @@ class TestValidationAgainstReplay:
         assert all(hits.size - 1 <= footprint for hits, footprint in zip(baselines.hits, baselines.footprints))
         tight = simulate_baselines(composed, 100)
         assert [hits.size - 1 for hits in tight.hits] == [100, 100, 100]
+
+
+def _cliff_tenants():
+    """Scans with reuse times past the reuse profiler's fine buckets, a sawtooth and a Zipf tenant.
+
+    The one reuse of the ``one-reuse`` scan is as long as its stream allows,
+    so its exact curve falls at the last possible size and its reuse-time
+    curve past the stream's length (its bucket ends beyond it).
+    """
+    return (
+        TenantSpec(np.tile(np.arange(5000), 2), name="cyclic"),
+        TenantSpec(np.append(np.arange(6000), 0), name="one-reuse"),
+        TenantSpec(PeriodicTrace.sawtooth(300).to_trace(), name="sawtooth"),
+        TenantSpec(zipfian_trace(3000, 400, exponent=0.9, rng=5), name="zipf"),
+    )
+
+
+_SAMPLED_MODES = {
+    "exact": {},
+    "shards-rate-1": dict(mode="shards", rate=1.0),
+    "shards-rate-0.5": dict(mode="shards", rate=0.5),
+    "reuse": dict(mode="reuse"),
+}
+
+
+class TestProfileLength:
+    """Profiles stop short of the budget only where the curve is provably flat."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", list(_SAMPLED_MODES), ids=list(_SAMPLED_MODES))
+    def test_short_profiles_read_and_allocate_as_budget_length_ones(self, case, method, monkeypatch):
+        # Past 10,000 / 0.5 references every curve is provably flat.
+        job = PartitionJob(tenants=_cliff_tenants(), budget=24_000, unit=8, method=method, **_SAMPLED_MODES[case])
+        composed = compose_tenants(job.tenants, seed=job.seed, name=job.name)
+        short = profile_tenants(job, composed)
+        monkeypatch.setattr(partition, "_profile_length", lambda profile, budget: budget)
+        full = profile_tenants(job, composed)
+        for cut, whole in zip(short, full):
+            assert whole.curve.max_cache_size == job.budget
+            assert cut.curve.max_cache_size < job.budget
+            np.testing.assert_array_equal(curve_values(cut.curve, job.budget), whole.curve.as_array())
+        baselines = simulate_baselines(composed, job.budget)
+        got = partition_composed(job, composed, profiles=short, baselines=baselines)
+        want = partition_composed(job, composed, profiles=full, baselines=baselines)
+        assert got == want
+
+    @pytest.mark.parametrize("case", ["shards-rate-1", "reuse"])
+    def test_budget_far_above_footprints_in_sampled_modes(self, case):
+        # A budget-length curve would be 2^33 doubles (64 GiB).
+        job = PartitionJob(**_DEGENERATE_JOBS["budget-far-above-footprints"], **_SAMPLED_MODES[case])
+        result = run_partition(job)
+        assert result.simulated_miss_ratio == result.unpartitioned_miss_ratio == 5 / 8  # cold misses only
+        lengths = [profile.curve.max_cache_size for profile in profile_tenants(job, compose_tenants(job.tenants))]
+        assert max(lengths) <= 5
+
+    def test_fixed_size_shards_keeps_the_budget_length(self):
+        job = PartitionJob(tenants=_cliff_tenants(), budget=20_000, mode="shards", smax=64)
+        profiles = profile_tenants(job, compose_tenants(job.tenants, seed=job.seed))
+        assert {profile.curve.max_cache_size for profile in profiles} == {job.budget}

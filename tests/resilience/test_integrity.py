@@ -9,6 +9,7 @@ an unrelated numpy error deep inside a replay.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from repro.resilience import TraceIntegrityError
 from repro.resilience.faults import corrupt_trace_column, truncate_trace_column
+from repro.trace import streaming
 from repro.trace.streaming import (
     create_memmap_trace,
     open_memmap_trace,
@@ -72,6 +74,25 @@ class TestDamage:
         truncate_trace_column(stem, "tenants", drop=3)
         with pytest.raises(TraceIntegrityError, match="trace.tenants.npy"):
             open_memmap_trace(stem)
+
+    def test_truncation_after_the_size_check_fails_the_crc(self, tmp_path, monkeypatch):
+        # The file passes the size check, then loses its tail before it is
+        # hashed; it is larger than the reader's buffer, so the tail is read.
+        stem = tmp_path / "trace"
+        trace = create_memmap_trace(stem, 50_000)
+        trace.fill(0, np.arange(50_000), np.zeros(50_000, dtype=np.int64))
+        trace.flush()
+        file = stem.with_name("trace.tenants.npy")
+        crc32_of_handle = streaming._crc32_of_handle
+
+        def truncate_then_hash(handle):
+            if os.fstat(handle.fileno()).st_ino == file.stat().st_ino:
+                os.truncate(file, file.stat().st_size - 5)
+            return crc32_of_handle(handle)
+
+        monkeypatch.setattr(streaming, "_crc32_of_handle", truncate_then_hash)
+        with pytest.raises(TraceIntegrityError, match="checksum mismatch"):
+            verify_memmap_trace(stem)
 
     def test_missing_column_is_named(self, stem):
         stem.with_name("trace.items.npy").unlink()

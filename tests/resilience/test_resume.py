@@ -8,6 +8,7 @@ equal to the uninterrupted ``workers=1`` run.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -21,7 +22,7 @@ import numpy as np
 from oracles import replay_lanes
 
 from repro.online.replay import OnlineJob, replay_fingerprint, run_replay
-from repro.resilience import CheckpointError
+from repro.resilience import CHECKPOINT_SCHEMA, CheckpointError, load_checkpoint
 from repro.resilience.faults import FaultInjected, FaultPlan, FaultSpec, install_faults, transient
 from repro.sim.sweep import SweepJob, run_sweep
 from repro.trace.drift import three_phase_pair
@@ -90,6 +91,32 @@ class TestReplayCheckpointing:
         fingerprint = replay_fingerprint(workload, JOB)
         assert fingerprint == replay_fingerprint(workload, JOB)
         assert fingerprint != replay_fingerprint(workload, OnlineJob(budget=241, window=1_000, epoch=400))
+
+
+_RESUME_JOBS = {
+    "decayed": OnlineJob(budget=240, window=1_000, epoch=400, rate=0.5, decay=0.002, threshold=0.01),
+    "window-below-epoch": OnlineJob(budget=240, window=350, epoch=400, rate=1.0, threshold=0.01),
+    "window-over-many-stops": OnlineJob(
+        budget=240, window=2_500, epoch=300, rate=0.7, hysteresis=2, unit=8, threshold=0.01
+    ),
+}
+
+
+class TestResumeRederivesWindows:
+    """Resuming after a snapshot rebuilds the sketch windows and detector references exactly."""
+
+    @pytest.mark.parametrize("case", list(_RESUME_JOBS), ids=list(_RESUME_JOBS))
+    def test_resume_after_every_other_snapshot(self, workload, case, tmp_path):
+        job = _RESUME_JOBS[case]
+        reference = run_replay(workload, job)
+        assert reference.phase_changes > 0  # detector references move off the first epoch
+        for step in range(1, len(reference.epochs), 2):
+            store = tmp_path / f"step-{step}"
+            plan = FaultPlan((FaultSpec(site="online.checkpoint", index=step, kind="error"),))
+            with install_faults(plan), pytest.raises(FaultInjected):
+                run_replay(workload, job, checkpoint_dir=store, checkpoint_every=1)
+            resumed = run_replay(workload, job, checkpoint_dir=store, resume=True)
+            assert resumed == reference, f"resumed after snapshot {step}"
 
 
 class TestReplaySigkill:
@@ -161,6 +188,109 @@ class TestProfileHold:
         rows = [r["row"] for r in registry.records() if r.get("type") == "series" and r.get("name") == "online.epochs"]
         assert rows
         assert all(row["profile_failures"] == 1 for row in rows)
+
+
+class _FailAtEpochs:
+    """A fault plan failing ``tenant``'s profile extraction at the given epochs.
+
+    Epochs are counted from ``first``, the epoch a (resumed) run starts at;
+    ``crash_step`` raises right after that checkpoint is written.
+    """
+
+    def __init__(self, tenant, epochs, *, first=0, crash_step=None):
+        self.tenant, self.epochs, self.epoch, self.crash_step = tenant, set(epochs), first, crash_step
+
+    def fire(self, site, index, attempt=1):
+        if site == "online.profile" and index == self.tenant:
+            self.epoch += 1
+            if self.epoch - 1 in self.epochs:
+                raise FaultInjected(f"injected fault: profile of tenant {index}")
+        if site == "online.checkpoint" and index == self.crash_step:
+            raise FaultInjected(f"injected fault: after checkpoint {index}")
+
+
+class TestResumeAfterFailedExtraction:
+    """A snapshot stores only the failed tenants' held profiles; resume re-derives the rest."""
+
+    def test_always_failing_tenant(self, workload, tmp_path):
+        faults = FaultPlan((transient("online.profile", 1),))
+        with install_faults(faults):
+            reference = run_replay(workload, JOB)
+        crash = FaultPlan((*faults.specs, FaultSpec(site="online.checkpoint", index=3, kind="error")))
+        with install_faults(crash), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
+        assert load_checkpoint(tmp_path).state["held_profiles"] == {1: None}  # never extracted yet
+        with install_faults(faults):
+            resumed = run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
+        assert resumed.profile_failures == reference.profile_failures == len(reference.epochs)
+        assert resumed.rows() == reference.rows()
+        assert resumed.summary() == reference.summary()
+        assert resumed == reference
+
+    def test_failure_in_the_snapshot_epoch_holds_an_earlier_profile(self, workload, tmp_path):
+        # Tenant 0 fails in epochs 3 (snapshot step 4) and 4 (after the resume).
+        with install_faults(_FailAtEpochs(0, {3, 4})):
+            reference = run_replay(workload, JOB)
+        with install_faults(_FailAtEpochs(0, {3, 4}, crash_step=4)), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
+        held = load_checkpoint(tmp_path).state["held_profiles"]
+        assert list(held) == [0]
+        curve, discretized = held[0]
+        assert curve is not None and discretized.misses.size > 1
+        with install_faults(_FailAtEpochs(0, {3, 4}, first=4)):
+            resumed = run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
+        assert resumed.profile_failures == reference.profile_failures == 2
+        assert resumed.rows() == reference.rows()
+        assert resumed == reference
+
+    @pytest.mark.parametrize(
+        "failing",
+        [
+            # Epoch 3's snapshot (step 4) stores tenant 0's held profile from epoch 2.
+            {3, 4},
+            # Epoch 3's snapshot does not store tenant 0's profile; the resume re-derives it.
+            {4},
+        ],
+        ids=["stored", "re-derived"],
+    )
+    def test_resumed_run_holds_the_same_profile(self, workload, tmp_path, failing):
+        # Tenant 0 fails in epoch 4, so snapshot 5 stores the profile it holds:
+        # with a resume after snapshot 4, the one the resume restored.
+        uninterrupted, resumed = tmp_path / "uninterrupted", tmp_path / "resumed"
+        with install_faults(_FailAtEpochs(0, failing, crash_step=5)), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=uninterrupted, checkpoint_every=1)
+        with install_faults(_FailAtEpochs(0, failing, crash_step=4)), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=resumed, checkpoint_every=1)
+        with install_faults(_FailAtEpochs(0, failing, first=4, crash_step=5)), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=resumed, checkpoint_every=1, resume=True)
+        (want_curve, want), (got_curve, got) = (
+            load_checkpoint(store, step=5).state["held_profiles"][0] for store in (uninterrupted, resumed)
+        )
+        assert want_curve is not None and got_curve == want_curve
+        np.testing.assert_array_equal(got.misses, want.misses)
+        assert (got.unit, got.accesses) == (want.unit, want.accesses)
+
+    def test_healthy_snapshots_store_no_profiles(self, workload, tmp_path):
+        run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
+        state = load_checkpoint(tmp_path).state
+        assert state["held_profiles"] == {}
+        # No sketch window and no detector curve either: only the epoch end
+        # each reference was taken at, which a resume re-derives it from.
+        assert "sketches" not in state
+        assert all(isinstance(detector["reference"], int) for detector in state["detectors"])
+
+    def test_store_of_the_previous_layout_is_rejected(self, workload, tmp_path):
+        # Schema 1 snapshots held every tenant's profile; this build no longer reads them.
+        plan = FaultPlan((FaultSpec(site="online.checkpoint", index=2, kind="error"),))
+        with install_faults(plan), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
+        manifest_path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["schema"] == CHECKPOINT_SCHEMA == 2
+        manifest["schema"] = 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="schema mismatch.*schema 1, this build reads 2"):
+            run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
 
 
 class TestSweepResume:
