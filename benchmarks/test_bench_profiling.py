@@ -12,11 +12,9 @@ strict error bound itself is asserted on a pinned million-reference trace in
 
 from __future__ import annotations
 
-import time
-
 from repro.analysis import format_table, run_sampling_ablation, write_csv
 from repro.obs import record_perf
-from repro.profiling import parallel_reuse_histogram, shards_mrc
+from repro.profiling import shards_mrc
 from repro.trace import zipfian_trace
 
 TRACE_LENGTH = 300_000
@@ -62,20 +60,3 @@ def test_profiling_accuracy_cost_frontier(benchmark, results_dir, perf_trajector
     # Time the cheap kernel under pytest-benchmark for regression tracking.
     benchmark(shards_mrc, trace, 0.01)
 
-
-def test_parallel_chunked_histogram_scaling(benchmark, results_dir):
-    """Chunk-partial computation dominates merge: sharding a long trace keeps
-    the merged histogram bit-identical while spreading the heavy phase."""
-    trace = zipfian_trace(TRACE_LENGTH, FOOTPRINT, exponent=EXPONENT, rng=SEED).accesses
-    single = parallel_reuse_histogram(trace, workers=1)
-    rows = []
-    for chunks in (1, 4, 16):
-        start = time.perf_counter()
-        sharded = parallel_reuse_histogram(trace, workers=1, chunks=chunks)
-        seconds = time.perf_counter() - start
-        assert sharded == single
-        rows.append({"chunks": chunks, "seconds": seconds, "identical": True})
-    print()
-    print(format_table(rows, title="Sharded reuse-time histogram (single process)"))
-    write_csv(results_dir / "profiling_chunked.csv", rows)
-    benchmark(parallel_reuse_histogram, trace, workers=1, chunks=4)

@@ -42,8 +42,8 @@ Subpackages
     (STREAM, matrix multiply, stencil, MLP, attention, GNN).
 ``repro.profiling``
     Approximate MRC profiling at production scale: SHARDS spatial sampling,
-    a one-pass streaming reuse-time/AET model, a sharded parallel execution
-    engine, and curve-error metrics.
+    a one-pass streaming reuse-time/AET model, a batch job engine over the
+    process pool, and curve-error metrics.
 ``repro.sim``
     The policy-sweep engine: the full ``policies × capacities`` miss-ratio
     matrix of a trace in one or few passes (single-pass exact LRU grids,

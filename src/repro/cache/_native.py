@@ -46,13 +46,12 @@ class NativeKernels(NamedTuple):
 
     #: ``stack_distances(trace) -> (distances, previous)``.
     stack_distances: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    #: ``previous(trace)`` -> the previous position of each reference's item (``-1`` when cold).
-    previous: Callable[[np.ndarray], np.ndarray]
     #: ``reuse_time_counts(trace)`` -> ``counts`` of length ``len(trace) + 1``: ``counts[d]``
     #: references whose item was last accessed ``d`` references earlier, ``counts[0]`` cold ones.
     reuse_time_counts: Callable[[np.ndarray], np.ndarray]
     #: ``sample_positions(trace, tweaks, mask, thresholds)`` -> per (tweak, threshold) pair,
-    #: the sampled positions in order, from one pass over the trace.
+    #: the sampled positions in order, from one pass over the trace (two when hot items overflow
+    #: the first buffer).
     sample_positions: Callable[[np.ndarray, Sequence[int], int, Sequence[int]], list[np.ndarray]]
     #: ``crc32(bytes_view, value)`` -> ``zlib.crc32(bytes_view, value)``.
     crc32: Callable[[memoryview, int], int]
@@ -170,6 +169,7 @@ def native_kernels() -> NativeKernels | None:
         ctypes.c_void_p,
         ctypes.c_uint64,
         ctypes.c_void_p,
+        ctypes.c_int64,
         ctypes.c_void_p,
         ctypes.c_void_p,
     )
@@ -204,13 +204,6 @@ def native_kernels() -> NativeKernels | None:
             raise MemoryError(f"stack-distance kernel could not allocate for {trace.size} references")
         return distances, previous
 
-    def previous(trace: np.ndarray) -> np.ndarray:
-        trace = np.ascontiguousarray(trace, dtype=np.int64)
-        previous = np.empty(trace.size, dtype=np.int64)
-        if olken(trace.ctypes.data, trace.size, None, previous.ctypes.data, None) != 0:
-            raise MemoryError(f"previous-occurrence kernel could not allocate for {trace.size} references")
-        return previous
-
     def reuse_time_counts(trace: np.ndarray) -> np.ndarray:
         trace = np.ascontiguousarray(trace, dtype=np.int64)
         counts = np.zeros(trace.size + 1, dtype=np.int64)
@@ -224,19 +217,30 @@ def native_kernels() -> NativeKernels | None:
         trace = np.ascontiguousarray(trace, dtype=np.int64)
         tweaks = np.asarray(tweaks, dtype=np.uint64)
         thresholds = np.asarray(thresholds, dtype=np.uint64)
-        positions = np.empty((tweaks.size, trace.size), dtype=np.int64)
         counts = np.empty(tweaks.size, dtype=np.int64)
-        shards(
-            trace.ctypes.data,
-            trace.size,
-            tweaks.size,
-            tweaks.ctypes.data,
-            mask,
-            thresholds.ctypes.data,
-            positions.ctypes.data,
-            counts.ctypes.data,
-        )
-        # Copies, so the results do not pin the seeds x trace scratch buffer.
+        # Room for twice the expected sample plus slack, and one more pass with
+        # room for every count when hot items overflow it.  A seeds x trace
+        # buffer would be mostly untouched, and numpy backs arrays of 4 MiB
+        # and up with huge pages, each zeroed whole on its first write.
+        expected = trace.size * int(thresholds.max(initial=0)) // (mask + 1)
+        capacity = min(trace.size, 2 * expected + 1024)
+        while True:
+            positions = np.empty((tweaks.size, capacity), dtype=np.int64)
+            shards(
+                trace.ctypes.data,
+                trace.size,
+                tweaks.size,
+                tweaks.ctypes.data,
+                mask,
+                thresholds.ctypes.data,
+                capacity,
+                positions.ctypes.data,
+                counts.ctypes.data,
+            )
+            if int(counts.max(initial=0)) <= capacity:
+                break
+            capacity = int(counts.max())
+        # Copies, so the results do not pin the seeds x capacity scratch buffer.
         return [row[:count].copy() for row, count in zip(positions, counts.tolist())]
 
     def crc32(view: memoryview, value: int) -> int:
@@ -289,7 +293,6 @@ def native_kernels() -> NativeKernels | None:
 
     return NativeKernels(
         stack_distances,
-        previous,
         reuse_time_counts,
         sample_positions,
         crc32,

@@ -6,9 +6,9 @@
  * to that position.  An access whose item was last touched at p has stack
  * distance 1 + #{items last touched after p} = 1 + footprint - prefix(p).
  * The Python entry point is repro.cache.stack_distances_with_previous.
- * With distances == NULL the Fenwick tree is skipped: the previous-occurrence
- * pass of the reuse-time profiler.  Either of previous and reuse_counts may
- * be NULL too; reuse_counts, when given, is the reuse-time histogram.
+ * With distances == NULL the Fenwick tree is skipped.  Either of previous
+ * and reuse_counts may be NULL too; reuse_counts, when given, is the
+ * reuse-time histogram of the one-pass reuse-time profiler.
  *
  * lru_hits: the LRU hits of one capacity, O(1) work per reference.  The
  * same label table gives every label a dense id, and a doubly linked list
@@ -252,13 +252,15 @@ static uint64_t spatial_hash(int64_t label, uint64_t tweak)
 }
 
 /* SHARDS spatial sampling for k hash seeds: for seed j, writes to
- * positions + j * n, in order, the positions t whose label hashes (masked)
- * below thresholds[j], and sets counts[j] to how many.  When the labels
- * span a range no wider than the trace (dense item ids) and k <= 8, each
- * label of the range is hashed once per seed into a table holding one bit
- * per seed, and one pass over the trace looks its labels up. */
+ * positions + j * capacity, in order, the first `capacity` positions t
+ * whose label hashes (masked) below thresholds[j], and sets counts[j] to
+ * how many there are in all (more than capacity when they did not fit).
+ * When the labels span a range no wider than the trace (dense item ids)
+ * and k <= 8, each label of the range is hashed once per seed into a table
+ * holding one bit per seed, and one pass over the trace looks its labels
+ * up. */
 void shards_sample(const int64_t *trace, int64_t n, int64_t k, const uint64_t *tweaks, uint64_t mask,
-                   const uint64_t *thresholds, int64_t *positions, int64_t *counts)
+                   const uint64_t *thresholds, int64_t capacity, int64_t *positions, int64_t *counts)
 {
     int64_t lo = n ? trace[0] : 0, hi = lo;
     for (int64_t t = 1; t < n; t++) {
@@ -276,18 +278,18 @@ void shards_sample(const int64_t *trace, int64_t n, int64_t k, const uint64_t *t
         for (int64_t t = 0; t < n; t++) {
             unsigned bits = sampled[(uint64_t)trace[t] - (uint64_t)lo];
             for (int64_t j = 0; bits; j++, bits >>= 1)
-                if (bits & 1)
-                    positions[j * n + counts[j]++] = t;
+                if ((bits & 1) && counts[j]++ < capacity)
+                    positions[j * capacity + counts[j] - 1] = t;
         }
         free(sampled);
         return;
     }
     for (int64_t j = 0; j < k; j++) { /* sparse labels: hash every reference */
-        int64_t *out = positions + j * n, count = 0;
+        int64_t *out = positions + j * capacity, count = 0;
         uint64_t tweak = tweaks[j], threshold = thresholds[j];
         for (int64_t t = 0; t < n; t++)
-            if ((spatial_hash(trace[t], tweak) & mask) < threshold)
-                out[count++] = t;
+            if ((spatial_hash(trace[t], tweak) & mask) < threshold && count++ < capacity)
+                out[count - 1] = t;
         counts[j] = count;
     }
 }

@@ -13,9 +13,8 @@ subcommands cover the common workflows:
     pipeline, ``--mode shards`` samples spatially at ``--rate`` (or with a
     fixed item budget ``--smax``), ``--mode reuse`` streams a one-pass
     reuse-time profile through the AET model.  ``--workers`` fans a batch of
-    traces — or the chunks of one long trace in ``reuse`` mode — across
-    processes, and ``--compare-exact`` reports the error and speedup against
-    the exact curve.
+    traces across processes, and ``--compare-exact`` reports the error and
+    speedup against the exact curve.
 ``sweep``
     Evaluate many cache configurations over one trace via the
     :mod:`repro.sim` policy-sweep engine: ``--policies`` crossed with a
@@ -73,7 +72,7 @@ Examples
     python -m repro mrc saw.trace --csv saw_mrc.csv
     python -m repro generate zipf --length 1000000 --items 65536 -o big.trace
     python -m repro profile big.trace --mode shards --rate 0.01
-    python -m repro profile big.trace --mode reuse --workers 4 --csv big_mrc.csv
+    python -m repro profile big.trace --mode reuse --csv big_mrc.csv
     python -m repro sweep big.trace --policies lru,fifo,random --capacities pow2
     python -m repro sweep big.trace --policies lru --capacities 64:4096:64 --csv sweep.csv
     python -m repro partition --tenants zipf,sawtooth:items=4000,stream:n=2000 --budget 2048 --method hull
@@ -246,6 +245,7 @@ def parse_capacities(spec: str, footprint: int) -> tuple[int, ...]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from . import api
     from .analysis.reporting import format_table
+    from .resilience.errors import CheckpointError
     from .trace.io import read_text
 
     try:
@@ -261,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             resume=args.resume,
             **_knobs(args),
         )
-    except ValueError as error:
+    except (ValueError, CheckpointError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -413,6 +413,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_online(args: argparse.Namespace) -> int:
     from . import api
     from .analysis.reporting import format_table
+    from .resilience.errors import CheckpointError
 
     try:
         result = api.online(
@@ -427,7 +428,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
             resume=args.resume,
             **_knobs(args),
         )
-    except ValueError as error:
+    except (ValueError, CheckpointError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -728,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact or approximate miss-ratio curve via the profiling engine",
         parents=[
             _engine_flags("write the curve to this CSV file (single trace only)"),
-            _workers_flag("process pool size (batch of traces, or chunks of one trace in reuse mode)"),
+            _workers_flag("process pool size for a batch of traces"),
         ],
     )
     profile.add_argument("trace_files", nargs="+", help="text trace file(s)")

@@ -358,9 +358,6 @@ def run_replay(
     position = 0
     phase = 0
     settling = False
-    # Last-known-good windowed profile per tenant: an epoch whose extraction
-    # fails for a tenant holds this instead of crashing the replay.
-    held_profiles: list[tuple | None] = [None] * num_tenants
     # The epoch end each detector took its reference curve at (None before).
     anchors: list[int | None] = [None] * num_tenants
     counters = {"static": [0, 0], "adaptive": [0, 0], "oracle": [0, 0]}  # [hits, misses] this epoch
@@ -398,9 +395,8 @@ def run_replay(
         # reset — so the epoch counters are implicitly zero and everything
         # deterministic (distance arrays, static/oracle profiles, the stop
         # schedule) was already recomputed above, identically.  So are the
-        # sketch windows and every profile extracted from them: the snapshot
-        # holds only the profiles of the tenants whose extraction failed at
-        # its epoch end, and the epoch end each detector reference came from.
+        # sketch windows and every detector reference: the snapshot holds
+        # only the epoch end each reference was taken at.
         state = load_checkpoint(checkpoint_dir, fingerprint=fingerprint).state
         position = int(state["position"])
         phase = int(state["phase"])
@@ -414,9 +410,6 @@ def run_replay(
         profile_failures = int(state["profile_failures"])
         lanes.load_state_dict(state["lanes"])
         sketches = sketches_at(position)
-        stored = state["held_profiles"]
-        for t, sketch in enumerate(sketches):
-            held_profiles[t] = stored[t] if t in stored else _windowed_profile((sketch.snapshot(), budget, unit))
         windows = {position: sketches}
         for t, (detector, detector_state) in enumerate(zip(detectors, state["detectors"])):
             anchors[t] = anchor = detector_state["reference"]
@@ -454,20 +447,18 @@ def run_replay(
                     _fire_fault("online.profile", t)
                     profile = _windowed_profile((snap, budget, unit))
                 except Exception:
-                    # Degrade, never crash: hold the tenant's last-known-good
-                    # profile (idle demand before any succeeded) and skip the
-                    # controller below so the allocation stays put this epoch.
+                    # Degrade, never crash: the detector skips the tenant and
+                    # the controller is skipped below, so the allocation
+                    # stays put this epoch.
                     failed.add(t)
-                    profile = held_profiles[t] if held_profiles[t] is not None else (None, idle_curve(unit))
-                else:
-                    held_profiles[t] = profile
+                    profile = (None, idle_curve(unit))
                 profiles.append(profile)
             profile_failures += len(failed)
             window_curves = [discretized for _curve, discretized in profiles]
             distance = 0.0
             changed = False
             for t, (curve, _discretized) in enumerate(profiles):
-                if curve is None or t in failed:
+                if curve is None:  # no traffic, or a failed extraction
                     continue
                 observation = detectors[t].observe(curve)
                 if detectors[t].reference is curve:
@@ -558,7 +549,6 @@ def run_replay(
                         "reallocations": reallocations,
                         "phase_changes": phase_changes,
                         "profile_failures": profile_failures,
-                        "held_profiles": {t: held_profiles[t] for t in failed},
                         "lanes": lanes.state_dict(),
                         "detectors": [
                             {**detector.state_dict(), "reference": anchor}

@@ -1,4 +1,4 @@
-"""Approximate MRC profiling: sampling, streaming models, sharded execution.
+"""Approximate MRC profiling: sampling, streaming models, batch execution.
 
 The exact miss-ratio-curve machinery in :mod:`repro.cache` processes every
 reference of a materialised trace in one process.  This subsystem provides
@@ -13,15 +13,11 @@ accuracy for orders-of-magnitude cost reductions:
     average-eviction-time (AET) conversion to a miss-ratio curve; works on
     generator-backed traces that are never materialised.
 :mod:`repro.profiling.engine`
-    A sharded execution engine: ``ProfileJob`` specs fanned over a
-    ``multiprocessing`` pool, plus mergeable chunk partials that parallelise
-    one long trace with bit-identical results.
+    ``ProfileJob`` specs, one per trace, fanned over the shared process pool
+    of :mod:`repro.engine.runner`.
 :mod:`repro.profiling.accuracy`
     Mean/max absolute-error comparison of approximate vs. exact curves, used
     by the tests and benchmarks to assert error bounds.
-:mod:`repro.engine.runner` (re-exported here for compatibility)
-    The shared fork-first process-pool helpers used by both this engine and
-    the policy-sweep engine in :mod:`repro.sim`.
 
 Examples
 --------
@@ -36,18 +32,7 @@ True
 """
 
 from .accuracy import CurveComparison, compare_curves, curve_values, mean_absolute_error
-from .engine import (
-    ChunkPartial,
-    ProfileJob,
-    ProfileResult,
-    chunk_partial,
-    merge_partials,
-    parallel_reuse_histogram,
-    parallel_reuse_mrc,
-    run_job,
-    run_jobs,
-)
-from ..engine.runner import check_workers, fork_available, fork_pool, pool_map
+from .engine import ProfileJob, ProfileResult, run_job, run_jobs
 from .reuse import ReuseTimeHistogram, ReuseTimeProfiler, reuse_mrc
 from .shards import (
     HASH_SPACE,
@@ -63,19 +48,10 @@ __all__ = [
     "compare_curves",
     "curve_values",
     "mean_absolute_error",
-    "ChunkPartial",
     "ProfileJob",
     "ProfileResult",
-    "chunk_partial",
-    "merge_partials",
-    "parallel_reuse_histogram",
-    "parallel_reuse_mrc",
     "run_job",
     "run_jobs",
-    "check_workers",
-    "fork_available",
-    "fork_pool",
-    "pool_map",
     "ReuseTimeHistogram",
     "ReuseTimeProfiler",
     "reuse_mrc",

@@ -20,10 +20,10 @@ generator-backed traces can be profiled without ever materialising them:
 The histogram is exact for reuse times up to ``fine_limit`` and logarithmic
 beyond it (each power-of-two octave split into ``coarse_per_octave`` equal
 buckets), so its size is ``O(fine_limit + log(trace length))`` — independent
-of both trace length and footprint.  All bucket arithmetic is integral, which
-makes histograms mergeable bit-for-bit: the sharded execution engine
-(:mod:`repro.profiling.engine`) computes chunk partials in parallel and merges
-them into exactly the histogram a single pass would have produced.
+of both trace length and footprint.  An in-memory array skips the
+per-reference loop: one pass of the native kernel (or a stable argsort in
+numpy) counts every reuse time, and the counts are summed per bucket range
+into exactly the histogram the profiler would have built.
 
 Unlike SHARDS (:mod:`repro.profiling.shards`), which is exact modulo sampling,
 the AET conversion is itself a model: it assumes reuse times describe the
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cache._native import native_kernels
 from ..cache.mrc import MissRatioCurve
 
 __all__ = [
@@ -61,8 +62,7 @@ class ReuseTimeHistogram:
 
     Buckets: reuse time ``t`` (``t >= 1``) lands in bucket ``t - 1`` while
     ``t <= fine_limit``; beyond that, the octave ``[2^k, 2^(k+1))`` is split
-    into ``coarse_per_octave`` equal-width buckets.  Counts are additive, so
-    two histograms with the same parameters merge exactly.
+    into ``coarse_per_octave`` equal-width buckets.
     """
 
     fine_limit: int = 4096
@@ -96,23 +96,6 @@ class ReuseTimeHistogram:
         offset = ((t - (1 << k)) * self.coarse_per_octave) >> k
         return self.fine_limit + octave * self.coarse_per_octave + offset
 
-    def bucket_indices(self, reuse_times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`bucket_index` (bit-identical to the scalar form)."""
-        t = np.asarray(reuse_times, dtype=np.int64)
-        if t.size and int(t.min()) < 1:
-            raise ValueError("reuse times must be >= 1")
-        out = t - 1
-        coarse = t > self.fine_limit
-        if np.any(coarse):
-            tc = t[coarse]
-            # frexp is exact for integers below 2^53: bit_length == exponent.
-            _, exponent = np.frexp(tc.astype(np.float64))
-            k = exponent.astype(np.int64) - 1
-            octave = k - (self.fine_limit.bit_length() - 1)
-            offset = ((tc - (np.int64(1) << k)) * self.coarse_per_octave) >> k
-            out[coarse] = self.fine_limit + octave * self.coarse_per_octave + offset
-        return out
-
     def bucket_upper_edge(self, index: int) -> int:
         """Largest reuse time mapped to bucket ``index``."""
         index = int(index)
@@ -132,7 +115,7 @@ class ReuseTimeHistogram:
         return np.where(index < self.fine_limit, index + 1, coarse)
 
     # ----------------------------------------------------------------- #
-    # Recording and merging
+    # Recording
     # ----------------------------------------------------------------- #
     def _ensure(self, index: int) -> None:
         if index >= self.counts.size:
@@ -146,21 +129,6 @@ class ReuseTimeHistogram:
         self._ensure(index)
         self.counts[index] += 1
         self.accesses += 1
-
-    def record_reuses(self, reuse_times: np.ndarray) -> None:
-        """Record a batch of finite reuse times (vectorised)."""
-        t = np.asarray(reuse_times, dtype=np.int64)
-        if t.size == 0:
-            return
-        if int(t.min()) < 1:
-            raise ValueError("reuse times must be >= 1")
-        longest = int(t.max())
-        if longest <= 4 * t.size:
-            self.record_time_counts(np.bincount(t))
-            return
-        self._ensure(self.bucket_index(longest))
-        self.counts += np.bincount(self.bucket_indices(t), minlength=self.counts.size)
-        self.accesses += int(t.size)
 
     def record_time_counts(self, counts: np.ndarray) -> None:
         """Record ``counts[d]`` accesses of reuse time ``d`` and ``counts[0]`` cold ones."""
@@ -181,16 +149,6 @@ class ReuseTimeHistogram:
         """Record ``n`` cold (first-ever) accesses."""
         self.cold += int(n)
         self.accesses += int(n)
-
-    def merge(self, other: "ReuseTimeHistogram") -> "ReuseTimeHistogram":
-        """Add another histogram's counts into this one (in place)."""
-        if other.fine_limit != self.fine_limit or other.coarse_per_octave != self.coarse_per_octave:
-            raise ValueError("cannot merge histograms with different bucket layouts")
-        self._ensure(other.counts.size - 1)
-        self.counts[: other.counts.size] += other.counts
-        self.cold += other.cold
-        self.accesses += other.accesses
-        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReuseTimeHistogram):
@@ -246,6 +204,20 @@ class ReuseTimeHistogram:
         floor = self.cold / n if self.cold else 0.0
         ratios = np.append(survival, floor)[first]
         return MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(self.accesses))
+
+
+def _reuse_time_counts(arr: np.ndarray) -> np.ndarray:
+    """``counts[d]``: references whose item was last accessed ``d`` references earlier; ``counts[0]``: cold ones."""
+    native = native_kernels()
+    if native is not None:
+        return native.reuse_time_counts(arr)
+    # A stable sort puts each item's accesses next to each other, in order.
+    order = np.argsort(arr, kind="stable")
+    later, earlier = order[1:], order[:-1]
+    reuse = arr[later] == arr[earlier]
+    times = np.zeros(arr.size, dtype=np.int64)
+    times[later[reuse]] = later[reuse] - earlier[reuse]
+    return np.bincount(times, minlength=arr.size + 1)
 
 
 class ReuseTimeProfiler:
@@ -314,25 +286,18 @@ def reuse_mrc(
 ) -> MissRatioCurve:
     """One-pass approximate miss-ratio curve of a trace or reference stream.
 
-    Array inputs (including :class:`repro.trace.trace.Trace` objects) take a
-    vectorised path through the sharded engine's chunk machinery (identical
-    results, tested); other iterables stream through
-    :class:`ReuseTimeProfiler` one reference at a time.
+    Array inputs (including :class:`repro.trace.trace.Trace` objects) count
+    their reuse times in one vectorised pass (identical results, tested);
+    other iterables stream through :class:`ReuseTimeProfiler` one reference
+    at a time.
     """
     accesses = getattr(trace, "accesses", None)
     if accesses is not None:
         trace = accesses
     if isinstance(trace, np.ndarray) or isinstance(trace, Sequence):
-        from .engine import parallel_reuse_histogram
-
-        histogram = parallel_reuse_histogram(
-            np.asarray(trace),
-            workers=1,
-            fine_limit=fine_limit,
-            coarse_per_octave=coarse_per_octave,
-        )
-        limit = max_cache_size if max_cache_size is not None else max(histogram.cold, 1)
-        return histogram.to_mrc(limit)
+        histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
+        histogram.record_time_counts(_reuse_time_counts(np.asarray(trace, dtype=np.int64)))
+        return histogram.to_mrc(max_cache_size)
     profiler = ReuseTimeProfiler(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
     profiler.feed(trace)
     return profiler.mrc(max_cache_size)

@@ -194,18 +194,17 @@ def histogram_to_mrc(
     ratios /= denominator
     np.subtract(1.0, ratios, out=ratios)
     np.minimum.accumulate(np.clip(ratios, 0.0, 1.0, out=ratios), out=ratios)
+    if max_cache_size is not None:
+        if max_cache_size < 1:
+            raise ValueError(f"max_cache_size must be >= 1, got {max_cache_size}")
+        # Crop, or hold the last ratio out to max_cache_size (as curve[c] does).
+        ratios = ratios[:max_cache_size]
+        if 0 < ratios.size < max_cache_size:
+            ratios = np.append(ratios, np.full(max_cache_size - ratios.size, ratios[-1]))
     # ndarray.tolist() builds plain floats in one C pass — the per-element
     # generator version showed up in online-replay profiles, where this runs
     # for every tenant on every epoch.
-    curve = MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(accesses))
-    if max_cache_size is not None:
-        from .accuracy import curve_values
-
-        curve = MissRatioCurve(
-            ratios=tuple(curve_values(curve, max_cache_size).tolist()),
-            accesses=int(accesses),
-        )
-    return curve
+    return MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(accesses))
 
 
 def shards_mrc(

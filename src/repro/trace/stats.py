@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cache.stack_distance import COLD, reuse_intervals, stack_distances
+from ..cache.stack_distance import COLD, reuse_intervals, stack_distances_vectorized
 from .trace import Trace
 
 __all__ = ["TraceStats", "summarize", "locality_score"]
@@ -43,7 +43,7 @@ def summarize(trace: Trace) -> TraceStats:
     if arr.size == 0:
         raise ValueError("cannot summarise an empty trace")
     intervals = reuse_intervals(arr)
-    distances = stack_distances(arr)
+    distances = stack_distances_vectorized(arr)
     finite_intervals = intervals[intervals != COLD]
     finite_distances = distances[distances != COLD]
     cold = int(arr.size - finite_distances.size)

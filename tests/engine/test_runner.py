@@ -30,16 +30,6 @@ class TestCheckWorkers:
             check_workers(bad)
 
 
-class TestReexports:
-    def test_package_level_import_stays_silent(self, recwarn):
-        from repro.profiling import check_workers as profiling_check_workers
-        from repro.profiling import pool_map as profiling_pool_map
-
-        assert profiling_pool_map is pool_map
-        assert profiling_check_workers is check_workers
-        assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-
-
 class TestPoolMap:
     def test_inline_when_single_worker(self):
         values, pids = zip(*pool_map(_tag_pid, [1, 2, 3], workers=1))

@@ -1,4 +1,4 @@
-"""Tests for the sharded profiling execution engine."""
+"""Tests for the profiling job engine."""
 
 from __future__ import annotations
 
@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cache.mrc import mrc_from_trace
-from repro.profiling import (
-    ProfileJob,
-    ReuseTimeProfiler,
-    chunk_partial,
-    merge_partials,
-    parallel_reuse_histogram,
-    parallel_reuse_mrc,
-    reuse_mrc,
-    run_job,
-    run_jobs,
-)
+from repro.profiling import ProfileJob, run_job, run_jobs
 from repro.trace.generators import zipfian_trace
 from repro.trace.io import write_text
 
@@ -67,62 +57,3 @@ class TestRunJobs:
         with pytest.raises(ValueError):
             run_jobs([], workers=0)
 
-
-class TestChunkPartials:
-    def test_single_chunk_matches_streaming_profiler(self):
-        trace = zipfian_trace(20_000, 1_024, rng=1).accesses
-        partial = chunk_partial(trace, 0)
-        merged = merge_partials([partial])
-        sequential = ReuseTimeProfiler().feed(int(x) for x in trace)
-        assert merged == sequential.histogram
-
-    @pytest.mark.parametrize("chunks", [2, 3, 7, 16])
-    def test_merged_partials_bit_identical_to_sequential(self, chunks):
-        """The acceptance property: sharded execution changes nothing."""
-        trace = zipfian_trace(30_000, 2_048, rng=2).accesses
-        sharded = parallel_reuse_histogram(trace, workers=1, chunks=chunks)
-        sequential = ReuseTimeProfiler().feed(int(x) for x in trace)
-        assert sharded == sequential.histogram
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_pool_bit_identical_to_single_process(self, workers):
-        trace = zipfian_trace(40_000, 2_048, rng=3).accesses
-        single = parallel_reuse_histogram(trace, workers=1, chunks=workers)
-        pooled = parallel_reuse_histogram(trace, workers=workers)
-        assert single == pooled
-        assert np.array_equal(np.trim_zeros(single.counts, "b"), np.trim_zeros(pooled.counts, "b"))
-
-    def test_uneven_chunk_sizes(self):
-        trace = zipfian_trace(10_001, 512, rng=4).accesses
-        sharded = parallel_reuse_histogram(trace, workers=1, chunks=7)
-        sequential = ReuseTimeProfiler().feed(int(x) for x in trace)
-        assert sharded == sequential.histogram
-
-    def test_cross_chunk_reuses_resolved(self):
-        """Items split across chunks contribute the same reuse times."""
-        trace = np.array([1, 2, 3, 1, 2, 3, 1, 2, 3])
-        sharded = parallel_reuse_histogram(trace, workers=1, chunks=4)
-        assert sharded.cold == 3
-        assert sharded.accesses == 9
-        # Six reuses, all at reuse time 3.
-        assert int(sharded.counts[2]) == 6
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_reuse_histogram(np.array([], dtype=np.int64))
-
-    @pytest.mark.parametrize("chunks", [1, 5])
-    def test_numpy_fallback_is_identical(self, monkeypatch, chunks):
-        from repro.profiling import engine
-
-        trace = zipfian_trace(20_000, 1_024, rng=6).accesses
-        native, native_partial = parallel_reuse_histogram(trace, workers=1, chunks=chunks), chunk_partial(trace, 10)
-        monkeypatch.setattr(engine, "native_kernels", lambda: None)  # as on a machine without a compiler
-        assert parallel_reuse_histogram(trace, workers=1, chunks=chunks) == native
-        assert chunk_partial(trace, 10) == native_partial
-
-
-class TestParallelCurve:
-    def test_parallel_curve_matches_reuse_mrc(self):
-        trace = zipfian_trace(15_000, 1_024, rng=5).accesses
-        assert parallel_reuse_mrc(trace, workers=2).ratios == reuse_mrc(trace).ratios

@@ -12,6 +12,7 @@ from repro.profiling import (
     ReuseTimeHistogram,
     ReuseTimeProfiler,
     mean_absolute_error,
+    reuse,
     reuse_mrc,
 )
 from repro.trace.generators import zipfian_stream, zipfian_trace
@@ -23,22 +24,6 @@ class TestBucketArithmetic:
         for t in range(1, 65):
             assert hist.bucket_index(t) == t - 1
             assert hist.bucket_upper_edge(t - 1) == t
-
-    def test_scalar_and_vector_agree(self):
-        hist = ReuseTimeHistogram(fine_limit=256, coarse_per_octave=32)
-        rng = np.random.default_rng(0)
-        times = np.concatenate(
-            [
-                np.arange(1, 2_000),
-                rng.integers(1, 1 << 40, size=2_000),
-                # power-of-two boundaries and their neighbours
-                np.array([(1 << k) + d for k in range(1, 45) for d in (-1, 0, 1)]),
-            ]
-        )
-        times = times[times >= 1]
-        vector = hist.bucket_indices(times)
-        scalar = np.array([hist.bucket_index(int(t)) for t in times])
-        assert np.array_equal(vector, scalar)
 
     def test_upper_edge_contains_bucket(self):
         hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
@@ -53,22 +38,13 @@ class TestBucketArithmetic:
         indices = np.arange(64 + 16 * 40)
         assert hist.bucket_upper_edges(indices).tolist() == [hist.bucket_upper_edge(int(i)) for i in indices]
 
-    @pytest.mark.parametrize("high", [300, 1 << 40], ids=["dense", "sparse"])
-    def test_recording_matches_per_reuse_buckets(self, high):
-        # Dense reuse times are counted per time and summed per bucket range;
-        # sparse ones are bucketed one by one.  Both give the same counts.
-        hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
-        times = np.random.default_rng(5).integers(1, high, size=1_000)
-        hist.record_reuses(times)
-        want = np.bincount(hist.bucket_indices(times))
-        assert np.array_equal(hist.counts, want) and hist.accesses == times.size
-
     def test_time_counts_match_recorded_reuses_and_cold(self):
         # counts[d] reuses of time d and counts[0] cold accesses; trailing
         # zero times (a trace's counts run to its length) grow no bucket.
         times = np.random.default_rng(6).integers(1, 300, size=1_000)
         want = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
-        want.record_reuses(times)
+        for t in times:
+            want.record_reuse(t)
         want.record_cold(9)
         got = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
         counts = np.bincount(times, minlength=5_000)
@@ -93,27 +69,6 @@ class TestBucketArithmetic:
             ReuseTimeHistogram().bucket_index(0)
 
 
-class TestHistogramMerge:
-    def test_merge_equals_combined_recording(self):
-        rng = np.random.default_rng(1)
-        times = rng.integers(1, 100_000, size=5_000)
-        one = ReuseTimeHistogram(fine_limit=512, coarse_per_octave=64)
-        one.record_reuses(times)
-        one.record_cold(7)
-
-        left = ReuseTimeHistogram(fine_limit=512, coarse_per_octave=64)
-        left.record_reuses(times[:2_000])
-        left.record_cold(3)
-        right = ReuseTimeHistogram(fine_limit=512, coarse_per_octave=64)
-        right.record_reuses(times[2_000:])
-        right.record_cold(4)
-        assert left.merge(right) == one
-
-    def test_layout_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ReuseTimeHistogram(fine_limit=64).merge(ReuseTimeHistogram(fine_limit=128))
-
-
 class TestProfiler:
     def test_counts_and_footprint(self):
         profiler = ReuseTimeProfiler()
@@ -125,10 +80,10 @@ class TestProfiler:
     def test_scalar_feed_matches_vectorised_array_path(self):
         trace = zipfian_trace(30_000, 1_024, rng=2).accesses
         streamed = ReuseTimeProfiler().feed(int(x) for x in trace)
-        from repro.profiling import parallel_reuse_histogram
-
-        vectorised = parallel_reuse_histogram(trace, workers=1)
+        vectorised = ReuseTimeHistogram()
+        vectorised.record_time_counts(reuse._reuse_time_counts(trace))
         assert streamed.histogram == vectorised
+        assert reuse_mrc(trace) == streamed.mrc()
 
     def test_incremental_updates_match_feed(self):
         trace = [5, 3, 5, 5, 2, 3]
@@ -137,6 +92,58 @@ class TestProfiler:
             a.update(x)
         b = ReuseTimeProfiler().feed(trace)
         assert a.histogram == b.histogram
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+#: Trace shapes for the array-pass differentials: skewed, cyclic, no reuse at
+#: all, one hot item, and labels far from a dense id range.
+_SHAPES = {
+    "zipf": lambda: zipfian_trace(20_000, 1_024, rng=6).accesses,
+    "cyclic": lambda: np.tile(np.arange(300), 40),
+    "all-distinct": lambda: np.arange(5_000),
+    "one-item": lambda: np.zeros(3_000, dtype=np.int64),
+    "sparse-labels": lambda: zipfian_trace(8_000, 256, rng=2).accesses * 1_000_003 - 2**40,
+    "strided-labels": lambda: zipfian_trace(8_000, 256, rng=3).accesses << 32,
+}
+
+
+class TestArrayPass:
+    """The one array pass of :func:`reuse_mrc`: native kernel, numpy fallback and profiler agree."""
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_numpy_fallback_is_identical(self, monkeypatch, shape):
+        trace = _SHAPES[shape]()
+        counts, curve = reuse._reuse_time_counts(trace), reuse_mrc(trace)
+        monkeypatch.setattr(reuse, "native_kernels", lambda: None)  # as on a machine without a compiler
+        np.testing.assert_array_equal(reuse._reuse_time_counts(trace), counts)
+        assert reuse_mrc(trace) == curve
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_array_pass_matches_the_streaming_profiler(self, shape):
+        trace = _SHAPES[shape]()
+        profiler = ReuseTimeProfiler().feed(trace.tolist())
+        assert reuse_mrc(trace) == profiler.mrc()
+        assert reuse_mrc(trace.tolist(), max_cache_size=64) == profiler.mrc(64)
+
+    @given(
+        labels=st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([_INT64.min, _INT64.max])), min_size=1),
+        limit=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_native_and_numpy_passes_match_the_profiler(self, labels, limit):
+        # A small fine region puts most reuse times in the coarse buckets.
+        layout = {"fine_limit": 4, "coarse_per_octave": 2}
+        want = ReuseTimeProfiler(**layout).feed(labels).mrc(limit)
+        trace = np.array(labels, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            assert reuse_mrc(trace, max_cache_size=limit, **layout) == want
+            patch.setattr(reuse, "native_kernels", lambda: None)
+            assert reuse_mrc(trace, max_cache_size=limit, **layout) == want
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError):
+            reuse_mrc(np.array([], dtype=np.int64))
 
 
 def _aet_walk(hist: ReuseTimeHistogram, limit: int) -> tuple[float, ...]:

@@ -10,15 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache.mrc import mrc_from_trace
+from repro.cache.stack_distance import stack_distance_histogram
 from repro.profiling import (
     HASH_SPACE,
     adaptive_rate,
+    curve_values,
     mean_absolute_error,
     sample_trace,
+    scaled_distance_histogram,
     shards_mrc,
     spatial_hash,
 )
-from repro.profiling.shards import sampled_positions
+from repro.profiling.shards import histogram_to_mrc, sampled_positions
 from repro.trace.generators import zipfian_trace
 
 
@@ -74,6 +77,19 @@ class TestSampledPositions:
         for positions, t, seed in zip(got, thresholds, range(seeds)):
             np.testing.assert_array_equal(positions, np.flatnonzero(spatial_hash(items, seed) < np.uint64(t)))
 
+    @pytest.mark.parametrize("stride", [1, 1_000_003], ids=["dense-ids", "sparse-ids"])
+    def test_hot_sampled_item_outgrows_the_first_buffer(self, stride):
+        # The kernel's first buffer holds about twice the expected sample; one
+        # hot sampled item overflows it, and the second pass has room for all.
+        threshold = HASH_SPACE // 1000
+        labels = np.arange(5_000) * stride - 2**40
+        hot = int(labels[np.flatnonzero(spatial_hash(labels, 0) < np.uint64(threshold))[0]])
+        items = np.where(np.arange(40_000) % 3 == 0, hot, labels[np.arange(40_000) % 5_000])
+        got = sampled_positions(items, [threshold, threshold], [0, 1])
+        assert got[0].size > 2 * items.size // 1000 + 1024
+        for positions, t, seed in zip(got, [threshold, threshold], [0, 1]):
+            np.testing.assert_array_equal(positions, np.flatnonzero(spatial_hash(items, seed) < np.uint64(t)))
+
     def test_numpy_fallback_is_identical(self, monkeypatch):
         from repro.profiling import shards
 
@@ -121,6 +137,22 @@ class TestAdaptiveRate:
             adaptive_rate(np.arange(10), 0)
 
 
+class TestScaledDistanceHistogram:
+    def test_each_distance_lands_at_its_rescaled_size(self):
+        sub = zipfian_trace(500, 40, rng=5).accesses
+        hist, cold = stack_distance_histogram(sub)
+        want = np.zeros(int(np.ceil(hist.size / 0.3)))
+        for distance, count in enumerate(hist.tolist(), start=1):
+            want[int(np.ceil(distance / 0.3)) - 1] += count
+        full, got_cold, sampled = scaled_distance_histogram(sub, 0.3)
+        np.testing.assert_array_equal(full, want)
+        assert (got_cold, sampled) == (cold, sub.size)
+
+    def test_no_reuse_is_one_empty_size(self):
+        full, cold, sampled = scaled_distance_histogram(np.arange(5), 0.3)
+        assert full.tolist() == [0.0] and (cold, sampled) == (5, 5)
+
+
 class TestShardsMRC:
     def test_rate_one_reproduces_exact_curve(self):
         trace = zipfian_trace(5_000, 256, rng=3).accesses
@@ -147,6 +179,37 @@ class TestShardsMRC:
         long = shards_mrc(trace, 0.1, max_cache_size=5_000)
         assert long.max_cache_size == 5_000
         assert long.ratios[-1] == long.ratios[4_000]
+
+    def test_max_cache_size_matches_curve_values_of_the_full_curve(self):
+        histogram = np.array([5.0, 0.0, 3.0, 2.5, 0.0, 1.0])
+        full = histogram_to_mrc(histogram, 20.0, 20)
+        for size in (1, 5, 6, 7, 50):
+            cut = histogram_to_mrc(histogram, 20.0, 20, max_cache_size=size)
+            assert cut.ratios == tuple(curve_values(full, size).tolist())
+            assert cut.accesses == 20
+        with pytest.raises(ValueError):
+            histogram_to_mrc(histogram, 20.0, 20, max_cache_size=0)
+
+    @given(
+        entries=st.lists(
+            st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 5.0, allow_nan=False, allow_infinity=False)),
+            min_size=1,
+            max_size=60,
+        ),
+        denominator=st.floats(0.5, 100.0),
+        max_cache_size=st.one_of(st.none(), st.integers(1, 90)),
+    )
+    def test_curve_crops_or_holds_the_last_ratio(self, entries, denominator, max_cache_size):
+        # The running sum, clamp and running minimum over every cache size,
+        # then a crop or a hold of the last ratio, bit for bit.
+        histogram = np.array(entries, dtype=np.float64)
+        ratios = np.cumsum(histogram) / denominator
+        ratios = np.minimum.accumulate(np.clip(1.0 - ratios, 0.0, 1.0))
+        if max_cache_size is not None:
+            ratios = np.append(ratios, np.full(max(max_cache_size - ratios.size, 0), ratios[-1]))[:max_cache_size]
+        curve = histogram_to_mrc(histogram, denominator, 11, max_cache_size=max_cache_size)
+        np.testing.assert_array_equal(np.array(curve.ratios).view(np.int64), ratios.view(np.int64))
+        assert curve.accesses == 11
 
     def test_fixed_size_budget(self):
         trace = zipfian_trace(40_000, 4096, rng=8).accesses

@@ -210,7 +210,7 @@ class _FailAtEpochs:
 
 
 class TestResumeAfterFailedExtraction:
-    """A snapshot stores only the failed tenants' held profiles; resume re-derives the rest."""
+    """A snapshot stores no profile, failed extraction or not; resume re-derives them all."""
 
     def test_always_failing_tenant(self, workload, tmp_path):
         faults = FaultPlan((transient("online.profile", 1),))
@@ -219,7 +219,7 @@ class TestResumeAfterFailedExtraction:
         crash = FaultPlan((*faults.specs, FaultSpec(site="online.checkpoint", index=3, kind="error")))
         with install_faults(crash), pytest.raises(FaultInjected):
             run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
-        assert load_checkpoint(tmp_path).state["held_profiles"] == {1: None}  # never extracted yet
+        assert "held_profiles" not in load_checkpoint(tmp_path).state
         with install_faults(faults):
             resumed = run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
         assert resumed.profile_failures == reference.profile_failures == len(reference.epochs)
@@ -227,16 +227,13 @@ class TestResumeAfterFailedExtraction:
         assert resumed.summary() == reference.summary()
         assert resumed == reference
 
-    def test_failure_in_the_snapshot_epoch_holds_an_earlier_profile(self, workload, tmp_path):
+    def test_failure_in_the_snapshot_epoch_resumes_identically(self, workload, tmp_path):
         # Tenant 0 fails in epochs 3 (snapshot step 4) and 4 (after the resume).
         with install_faults(_FailAtEpochs(0, {3, 4})):
             reference = run_replay(workload, JOB)
         with install_faults(_FailAtEpochs(0, {3, 4}, crash_step=4)), pytest.raises(FaultInjected):
             run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
-        held = load_checkpoint(tmp_path).state["held_profiles"]
-        assert list(held) == [0]
-        curve, discretized = held[0]
-        assert curve is not None and discretized.misses.size > 1
+        assert "held_profiles" not in load_checkpoint(tmp_path).state
         with install_faults(_FailAtEpochs(0, {3, 4}, first=4)):
             resumed = run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
         assert resumed.profile_failures == reference.profile_failures == 2
@@ -246,16 +243,16 @@ class TestResumeAfterFailedExtraction:
     @pytest.mark.parametrize(
         "failing",
         [
-            # Epoch 3's snapshot (step 4) stores tenant 0's held profile from epoch 2.
+            # Tenant 0 fails in the epoch of the resumed snapshot (step 4) too.
             {3, 4},
-            # Epoch 3's snapshot does not store tenant 0's profile; the resume re-derives it.
+            # Tenant 0 extracts fine in the epoch of the resumed snapshot.
             {4},
         ],
         ids=["stored", "re-derived"],
     )
-    def test_resumed_run_holds_the_same_profile(self, workload, tmp_path, failing):
-        # Tenant 0 fails in epoch 4, so snapshot 5 stores the profile it holds:
-        # with a resume after snapshot 4, the one the resume restored.
+    def test_resumed_run_writes_the_same_next_snapshot(self, workload, tmp_path, failing):
+        # Tenant 0 fails in epoch 4: snapshot 5, written after a resume from
+        # snapshot 4, matches the uninterrupted run's.
         uninterrupted, resumed = tmp_path / "uninterrupted", tmp_path / "resumed"
         with install_faults(_FailAtEpochs(0, failing, crash_step=5)), pytest.raises(FaultInjected):
             run_replay(workload, JOB, checkpoint_dir=uninterrupted, checkpoint_every=1)
@@ -263,17 +260,14 @@ class TestResumeAfterFailedExtraction:
             run_replay(workload, JOB, checkpoint_dir=resumed, checkpoint_every=1)
         with install_faults(_FailAtEpochs(0, failing, first=4, crash_step=5)), pytest.raises(FaultInjected):
             run_replay(workload, JOB, checkpoint_dir=resumed, checkpoint_every=1, resume=True)
-        (want_curve, want), (got_curve, got) = (
-            load_checkpoint(store, step=5).state["held_profiles"][0] for store in (uninterrupted, resumed)
-        )
-        assert want_curve is not None and got_curve == want_curve
-        np.testing.assert_array_equal(got.misses, want.misses)
-        assert (got.unit, got.accesses) == (want.unit, want.accesses)
+        want, got = (load_checkpoint(store, step=5).state for store in (uninterrupted, resumed))
+        assert "held_profiles" not in got
+        assert got == want
 
     def test_healthy_snapshots_store_no_profiles(self, workload, tmp_path):
         run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
         state = load_checkpoint(tmp_path).state
-        assert state["held_profiles"] == {}
+        assert "held_profiles" not in state
         # No sketch window and no detector curve either: only the epoch end
         # each reference was taken at, which a resume re-derives it from.
         assert "sketches" not in state

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -13,6 +15,14 @@ def trace_file(tmp_path):
     path = tmp_path / "saw.trace"
     assert main(["generate", "sawtooth", "--items", "16", "-o", str(path)]) == 0
     return path
+
+
+def _set_manifest_schema(store, schema):
+    """Rewrite a checkpoint store's manifest as if an older layout had written it."""
+    manifest_path = store / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["schema"] = schema
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 class TestParser:
@@ -232,6 +242,14 @@ class TestSweep:
         assert code == 2
         assert "multiple of ways" in capsys.readouterr().err
 
+    def test_sweep_resume_of_an_unreadable_store_is_an_error(self, zipf_file, tmp_path, capsys):
+        argv = ["sweep", str(zipf_file), "--policies", "lru", "--capacities", "1:8", "--checkpoint", str(tmp_path)]
+        assert main(argv) == 0
+        _set_manifest_schema(tmp_path, 1)
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint schema mismatch")
+
 
 class TestPartition:
     ACCEPTANCE_TENANTS = "zipf:length=15000:items=2048,sawtooth:items=2000,stream:n=1000:repetitions=3"
@@ -351,6 +369,14 @@ class TestOnline:
                 main([*bad, flag, value])
             assert exit_info.value.code == 2
             assert flag in capsys.readouterr().err
+
+    def test_online_resume_of_an_unreadable_store_is_an_error(self, tmp_path, capsys):
+        argv = [*self.ARGS, "--checkpoint", str(tmp_path)]
+        assert main(argv) == 0
+        _set_manifest_schema(tmp_path, 1)
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint schema mismatch")
 
 
 class TestMainModuleEntryPoint:
