@@ -10,11 +10,14 @@ trace-tool trade-off.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.analysis import format_table, write_csv
-from repro.cache import mrc_by_simulation, mrc_from_trace
+from repro.cache import mrc_from_trace
 from repro.core import (
     chain_find,
     count_inversions_fenwick,
@@ -24,6 +27,10 @@ from repro.core import (
     random_permutation,
 )
 from repro.trace import zipfian_trace
+
+# The per-size simulation oracle lives with the test suite (``tests/oracles.py``).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import mrc_by_simulation  # noqa: E402
 
 
 @pytest.mark.parametrize("m", [256, 1024, 4096])

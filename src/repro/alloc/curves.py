@@ -125,7 +125,7 @@ def discretize_curve(curve: MissRatioCurve, budget: int, *, unit: int = 1) -> Di
     # Vectorised curve[c] gather (sizes beyond the curve clamp to its last
     # point) — this runs once per tenant per epoch in the online engine, so a
     # per-size Python loop would be a real hot spot.
-    values = curve.as_array()
+    values = curve.ratios
     ratios = values[np.minimum(sizes, values.size) - 1]
     ratios = np.minimum.accumulate(ratios)
     misses = np.concatenate([[float(curve.accesses)], ratios * curve.accesses])

@@ -27,7 +27,7 @@ from .footprint import (
 )
 from .hierarchy import CacheHierarchy, HierarchyLevelResult
 from .lru import LRUCache
-from .mrc import MissRatioCurve, average_curves, mrc_by_simulation, mrc_from_trace
+from .mrc import MissRatioCurve, average_curves, mrc_from_trace
 from .random_policy import RandomCache
 from .set_associative import SetAssociativeCache
 from .stack_distance import (
@@ -37,7 +37,6 @@ from .stack_distance import (
     reuse_intervals,
     stack_distance_histogram,
     stack_distances,
-    stack_distances_naive,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "LRUCache",
     "MissRatioCurve",
     "average_curves",
-    "mrc_by_simulation",
     "mrc_from_trace",
     "RandomCache",
     "SetAssociativeCache",
@@ -68,7 +66,6 @@ __all__ = [
     "reuse_intervals",
     "stack_distance_histogram",
     "stack_distances",
-    "stack_distances_naive",
     "stack_distances_vectorized",
     "stack_distances_with_previous",
 ]

@@ -1,18 +1,13 @@
 """Miss-ratio curves for arbitrary traces.
 
 ``MRC(T)`` (Definition 2) maps each cache size to the miss ratio of the trace
-under a fully-associative LRU cache.  This module builds the curve either in
-one pass from stack distances (exact, the default) or by independently
-simulating each cache size with :class:`repro.cache.lru.LRUCache` (slow; used
-as a cross-check in the test-suite).
-
-It also provides convenience wrappers for the paper's periodic traces so the
-closed-form curves of :func:`repro.core.hits.miss_ratio_curve` can be compared
-against trace-level measurement, and an element-wise averaging helper used by
+under a fully-associative LRU cache.  This module builds the curve in one
+pass from stack distances (the test-suite's oracle simulates each cache size
+separately instead), and provides an element-wise averaging helper used by
 the Figure 1 experiment.
 
-Both construction paths here are *exact* and cost at least ``O(N log N)`` in
-the trace length; for long traces :mod:`repro.profiling` builds approximate
+The construction here is *exact* and costs ``O(N log N)`` in the trace
+length; for long traces :mod:`repro.profiling` builds approximate
 curves at a fraction of the cost (SHARDS sampling at rate ``R`` does roughly
 ``R`` times the work, the one-pass reuse-time model never materialises the
 trace), with the accuracy loss measured by
@@ -22,52 +17,68 @@ trace), with the accuracy loss measured by
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lru import LRUCache
 from .stack_distance import hit_counts
 
-__all__ = [
-    "MissRatioCurve",
-    "mrc_from_trace",
-    "mrc_by_simulation",
-    "average_curves",
-]
+__all__ = ["MissRatioCurve", "mrc_from_trace", "average_curves"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MissRatioCurve:
     """A miss-ratio curve: ``ratios[c - 1]`` is the miss ratio at cache size ``c``.
 
     The curve is monotonically non-increasing for LRU (a larger cache never
     hurts, by the stack inclusion property).
+
+    ``ratios`` is a read-only ``float64`` array: an owned ``float64`` array
+    is taken over and frozen, anything else is copied.  Curves are equal when
+    ``accesses`` and the ratios' bits agree, and are not hashable; edges that
+    need Python floats (rows, CSV, JSON) call ``ratios.tolist()``.
     """
 
-    ratios: tuple[float, ...]
+    ratios: np.ndarray
     accesses: int
 
     def __post_init__(self):
-        if not self.ratios:
+        ratios = self.ratios
+        if not (isinstance(ratios, np.ndarray) and ratios.dtype == np.float64 and ratios.flags.owndata):
+            ratios = np.array(ratios, dtype=np.float64)
+        if ratios.ndim != 1:
+            raise ValueError(f"miss ratios must be one-dimensional, got shape {ratios.shape}")
+        if ratios.size == 0:
             raise ValueError("a miss-ratio curve needs at least one cache size")
+        ratios.flags.writeable = False
+        object.__setattr__(self, "ratios", ratios)
+
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MissRatioCurve):
+            return NotImplemented
+        mine, theirs = self.ratios.view(np.int64), other.ratios.view(np.int64)
+        return self.accesses == other.accesses and mine.size == theirs.size and bool((mine == theirs).all())
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)  # unpickled ratios are writeable (or, from an older pickle, a tuple)
 
     @property
     def max_cache_size(self) -> int:
         """Number of cache sizes the curve covers."""
-        return len(self.ratios)
+        return self.ratios.size
 
     def __getitem__(self, cache_size: int) -> float:
         """Miss ratio at a given cache size (sizes beyond the curve reuse the last value)."""
         if cache_size < 1:
             raise ValueError(f"cache size must be >= 1, got {cache_size}")
-        index = min(cache_size, len(self.ratios)) - 1
-        return self.ratios[index]
+        return float(self.ratios[min(cache_size, self.ratios.size) - 1])
 
     def as_array(self) -> np.ndarray:
-        """The miss ratios as a ``float64`` array (index ``c - 1`` is cache size ``c``)."""
-        return np.asarray(self.ratios, dtype=np.float64)
+        """The read-only ``ratios`` array itself (index ``c - 1`` is cache size ``c``)."""
+        return self.ratios
 
     def footprint(self, target_miss_ratio: float) -> int | None:
         """Smallest cache size whose miss ratio is at most ``target_miss_ratio`` (or ``None``).
@@ -76,11 +87,10 @@ class MissRatioCurve:
         non-decreasing, so the count of ratios at or below the target locates
         the answer in ``O(log n)``.
         """
-        reversed_ratios = self.as_array()[::-1]
-        at_or_below = int(np.searchsorted(reversed_ratios, target_miss_ratio, side="right"))
+        at_or_below = int(np.searchsorted(self.ratios[::-1], target_miss_ratio, side="right"))
         if at_or_below == 0:
             return None
-        return len(self.ratios) - at_or_below + 1
+        return self.ratios.size - at_or_below + 1
 
 
 def mrc_from_trace(trace: Sequence[int] | np.ndarray, *, max_cache_size: int | None = None) -> MissRatioCurve:
@@ -90,22 +100,7 @@ def mrc_from_trace(trace: Sequence[int] | np.ndarray, *, max_cache_size: int | N
         raise ValueError("cannot build a miss-ratio curve for an empty trace")
     hits = hit_counts(arr, max_cache_size=max_cache_size)
     ratios = 1.0 - hits.astype(np.float64) / arr.size
-    return MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(arr.size))
-
-
-def mrc_by_simulation(trace: Sequence[int] | np.ndarray, cache_sizes: Iterable[int]) -> dict[int, float]:
-    """Miss ratios measured by running an independent LRU simulation per cache size.
-
-    Quadratically slower than :func:`mrc_from_trace`; intended for validation
-    and for small traces.
-    """
-    arr = np.asarray(trace)
-    out: dict[int, float] = {}
-    for c in cache_sizes:
-        cache = LRUCache(int(c))
-        stats = cache.run(int(x) for x in arr)
-        out[int(c)] = stats.miss_ratio
-    return out
+    return MissRatioCurve(ratios=ratios, accesses=int(arr.size))
 
 
 def average_curves(curves: Sequence[MissRatioCurve] | Sequence[Sequence[float]]) -> np.ndarray:

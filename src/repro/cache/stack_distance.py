@@ -8,8 +8,6 @@ periodic special case can be cross-validated:
 
 * :func:`reuse_intervals` — the time (access count) between consecutive uses
   of the same item (Definition 4).
-* :func:`stack_distances_naive` — Mattson's original stack simulation,
-  ``O(N·M)``; the readable oracle.
 * :func:`stack_distances` — the Olken/Bennett–Kruskal algorithm: a Fenwick
   tree over access times marks the *last* access of every item, so the number
   of distinct items touched since the previous access of the current item is a
@@ -55,7 +53,6 @@ from ._native import native_kernels
 __all__ = [
     "COLD",
     "reuse_intervals",
-    "stack_distances_naive",
     "stack_distances",
     "stack_distances_vectorized",
     "stack_distances_with_previous",
@@ -94,27 +91,6 @@ def reuse_intervals(trace: Sequence[int] | np.ndarray) -> np.ndarray:
         if item in last_seen:
             out[pos] = pos - last_seen[item] - 1
         last_seen[item] = pos
-    return out
-
-
-def stack_distances_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:
-    """LRU stack distances by direct stack simulation (``O(N·M)`` oracle).
-
-    Maintains the explicit LRU stack; the distance of an access is the depth
-    (1-based) of the item in the stack, or :data:`COLD` if absent.
-    """
-    arr = _as_trace(trace)
-    stack: list[int] = []  # most recently used at the end
-    out = np.full(arr.size, COLD, dtype=np.int64)
-    for pos in range(arr.size):
-        item = int(arr[pos])
-        try:
-            depth_from_top = len(stack) - stack.index(item)
-            out[pos] = depth_from_top
-            stack.remove(item)
-        except ValueError:
-            pass
-        stack.append(item)
     return out
 
 

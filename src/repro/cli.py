@@ -111,7 +111,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     stats = summarize(trace)
     print(format_table([stats.__dict__], title=f"Trace statistics — {trace.name}"))
-    print(f"locality score (0 = cyclic, 1 = sawtooth): {locality_score(trace):.4f}")
+    print(f"locality score (0 = cyclic, 1 = sawtooth): {locality_score(stats):.4f}")
     curve = mrc_from_trace(trace.accesses)
     samples = sorted({max(1, trace.footprint // 8), max(1, trace.footprint // 2), trace.footprint})
     rows = [{"cache_size": c, "miss_ratio": curve[c]} for c in samples]
@@ -130,7 +130,7 @@ def _cmd_mrc(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     curve = mrc_from_trace(trace.accesses, max_cache_size=args.max_size)
-    rows = [{"cache_size": c + 1, "miss_ratio": ratio} for c, ratio in enumerate(curve.ratios)]
+    rows = [{"cache_size": c + 1, "miss_ratio": ratio} for c, ratio in enumerate(curve.ratios.tolist())]
     if args.csv:
         path = write_csv(args.csv, rows)
         print(f"wrote {len(rows)} rows to {path}")

@@ -119,7 +119,7 @@ def discretized_from_distances(distances: np.ndarray, budget: int, unit: int):
     within = distances[distances <= budget]
     hist = np.bincount(within - 1, minlength=budget)[:budget]
     ratios = 1.0 - np.cumsum(hist).astype(np.float64) / n
-    curve = MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=n)
+    curve = MissRatioCurve(ratios=ratios, accesses=n)
     return discretize_curve(curve, budget, unit=unit)
 
 

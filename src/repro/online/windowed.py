@@ -102,7 +102,7 @@ class WindowedShardsSketch:
     --------
     >>> sketch = WindowedShardsSketch(window=4, rate=1.0)
     >>> sketch.update([0, 1, 0, 1, 2, 1, 2, 1])
-    >>> [round(r, 2) for r in sketch.curve().ratios]  # window is [2, 1, 2, 1]
+    >>> [round(r, 2) for r in sketch.curve().ratios.tolist()]  # window is [2, 1, 2, 1]
     [1.0, 0.5]
     """
 

@@ -31,7 +31,7 @@ def curve_values(curve: MissRatioCurve, max_cache_size: int) -> np.ndarray:
     """
     if max_cache_size < 1:
         raise ValueError(f"max_cache_size must be >= 1, got {max_cache_size}")
-    ratios = curve.as_array()
+    ratios = curve.ratios
     if ratios.size >= max_cache_size:
         return ratios[:max_cache_size]
     return np.concatenate([ratios, np.full(max_cache_size - ratios.size, ratios[-1])])

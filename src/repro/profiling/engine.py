@@ -69,7 +69,7 @@ class ProfileResult:
 
     def rows(self) -> list[dict]:
         """Per-cache-size curve rows for tables and CSV export."""
-        return [{"cache_size": c + 1, "miss_ratio": ratio} for c, ratio in enumerate(self.curve.ratios)]
+        return [{"cache_size": c + 1, "miss_ratio": ratio} for c, ratio in enumerate(self.curve.ratios.tolist())]
 
     def summary(self) -> dict:
         """One aggregate row (name, mode, size and timing of the profile)."""

@@ -203,7 +203,7 @@ class ReuseTimeHistogram:
         )
         floor = self.cold / n if self.cold else 0.0
         ratios = np.append(survival, floor)[first]
-        return MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(self.accesses))
+        return MissRatioCurve(ratios=ratios, accesses=int(self.accesses))
 
 
 def _reuse_time_counts(arr: np.ndarray) -> np.ndarray:

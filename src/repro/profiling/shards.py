@@ -190,21 +190,21 @@ def histogram_to_mrc(
     ``denominator`` is the reference mass the cumulative hit counts are
     normalised by (expected sample size under the SHARDS-adj correction).
     """
-    ratios = np.cumsum(histogram, dtype=np.float64)
-    ratios /= denominator
-    np.subtract(1.0, ratios, out=ratios)
-    np.minimum.accumulate(np.clip(ratios, 0.0, 1.0, out=ratios), out=ratios)
-    if max_cache_size is not None:
-        if max_cache_size < 1:
-            raise ValueError(f"max_cache_size must be >= 1, got {max_cache_size}")
-        # Crop, or hold the last ratio out to max_cache_size (as curve[c] does).
-        ratios = ratios[:max_cache_size]
-        if 0 < ratios.size < max_cache_size:
-            ratios = np.append(ratios, np.full(max_cache_size - ratios.size, ratios[-1]))
-    # ndarray.tolist() builds plain floats in one C pass — the per-element
-    # generator version showed up in online-replay profiles, where this runs
-    # for every tenant on every epoch.
-    return MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(accesses))
+    if max_cache_size is not None and max_cache_size < 1:
+        raise ValueError(f"max_cache_size must be >= 1, got {max_cache_size}")
+    if histogram.size == 0:
+        raise ValueError("a miss-ratio curve needs at least one cache size")
+    # Running sum, clamp and running minimum over the kept prefix, in the
+    # curve's one array; then the last ratio held out (as curve[c] does).
+    size = histogram.size if max_cache_size is None else max_cache_size
+    ratios = np.empty(size, dtype=np.float64)
+    head = ratios[: min(histogram.size, size)]
+    np.cumsum(histogram[: head.size], dtype=np.float64, out=head)
+    head /= denominator
+    np.subtract(1.0, head, out=head)
+    np.minimum.accumulate(np.clip(head, 0.0, 1.0, out=head), out=head)
+    ratios[head.size :] = head[-1]
+    return MissRatioCurve(ratios=ratios, accesses=int(accesses))
 
 
 def shards_mrc(

@@ -59,15 +59,17 @@ def summarize(trace: Trace) -> TraceStats:
     )
 
 
-def locality_score(trace: Trace) -> float:
+def locality_score(trace: Trace | TraceStats) -> float:
     """Position of the trace's mean stack distance between sawtooth (1) and cyclic (0).
 
     For the trace's footprint ``m``, the best possible mean stack distance of
     a full re-traversal is ``(m + 1) / 2`` (sawtooth) and the worst is ``m``
     (cyclic).  The score linearly interpolates between those anchors and is
-    clipped to ``[0, 1]``; traces with no reuse at all return 0.
+    clipped to ``[0, 1]``; traces with no reuse at all return 0.  Pass the
+    trace's :class:`TraceStats` when they are already at hand, so the trace
+    is not summarised a second time.
     """
-    stats = summarize(trace)
+    stats = trace if isinstance(trace, TraceStats) else summarize(trace)
     m = stats.footprint
     if m <= 1 or np.isnan(stats.mean_stack_distance):
         return 0.0

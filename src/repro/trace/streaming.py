@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,17 +186,37 @@ def _stem_of(items_path: Path) -> Path:
     return items_path.with_name(name[: -len(suffix)])
 
 
+#: The version-1.0 ``.npy`` header ``numpy.save`` writes for a C-order
+#: one-dimensional integer column (magic, version, little-endian length, dict).
+_NPY_V1_INTEGER_COLUMN = re.compile(
+    rb"\x93NUMPY\x01\x00..\{'descr': '([<>|][iu][1248])', 'fortran_order': False, "
+    rb"'shape': \((0|[1-9][0-9]{0,18}),\), \} {0,64}\n",
+    re.DOTALL,
+)
+
+
 def _read_column_header(handle) -> tuple[tuple[int, ...], np.dtype]:
     """Shape and dtype of the ``.npy`` column open in ``handle``, from its header alone.
 
-    Raises ``ValueError`` on a malformed header or on a payload shorter than
-    the header promises, as mapping the column would.
+    The header of a column as ``numpy.save`` writes it is matched directly;
+    any other header (format 2.0/3.0, Fortran order, another dtype or shape,
+    extra keys) goes through :mod:`numpy.lib.format`.  Raises ``ValueError``
+    on a malformed header or on a payload shorter than the header promises,
+    as mapping the column would.
     """
-    version = np.lib.format.read_magic(handle)
-    if version == (1, 0):
-        shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+    prelude = handle.read(10)
+    length = 10 + int.from_bytes(prelude[8:10], "little")
+    header = prelude + handle.read(length - 10)
+    match = _NPY_V1_INTEGER_COLUMN.fullmatch(header) if len(header) == length else None
+    if match is not None:
+        shape, dtype = (int(match[2]),), np.dtype(match[1].decode("ascii"))
     else:
-        shape, _, dtype = np.lib.format.read_array_header_2_0(handle)
+        handle.seek(0)
+        version = np.lib.format.read_magic(handle)
+        if version == (1, 0):
+            shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+        else:
+            shape, _, dtype = np.lib.format.read_array_header_2_0(handle)
     data_bytes = os.fstat(handle.fileno()).st_size - handle.tell()
     if data_bytes < math.prod(shape) * dtype.itemsize:
         raise ValueError(f"payload is {data_bytes} bytes, the header promises shape {shape} of {dtype}")

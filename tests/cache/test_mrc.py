@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from oracles import mrc_by_simulation
 
-from repro.cache import MissRatioCurve, average_curves, mrc_by_simulation, mrc_from_trace
+from repro.cache import MissRatioCurve, average_curves, mrc_from_trace
 from repro.core import Permutation, miss_ratio_curve
 from repro.trace import PeriodicTrace, zipfian_trace
 
@@ -80,6 +83,79 @@ class TestMissRatioCurve:
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):
             mrc_from_trace([])
+
+
+class TestCurveContract:
+    """``ratios`` is a read-only ``float64`` array; equality is bit for bit."""
+
+    def test_ratios_are_a_read_only_float64_array(self):
+        curve = mrc_from_trace([0, 1, 0, 2, 1, 0])
+        assert isinstance(curve.ratios, np.ndarray) and curve.ratios.dtype == np.float64
+        assert curve.as_array() is curve.ratios
+        with pytest.raises(ValueError, match="read-only"):
+            curve.ratios[0] = 0.0
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.25), [0.5, 0.25], np.array([0.5, 0.25], dtype=np.float32)])
+    def test_tuple_list_and_other_dtypes_are_copied(self, ratios):
+        curve = MissRatioCurve(ratios=ratios, accesses=4)
+        assert curve.ratios.tolist() == [0.5, 0.25]
+        assert curve.ratios.dtype == np.float64 and not curve.ratios.flags.writeable
+
+    def test_an_owned_float64_array_is_taken_over(self):
+        fresh = np.array([0.75, 0.5])
+        curve = MissRatioCurve(ratios=fresh, accesses=4)
+        assert curve.ratios is fresh and not fresh.flags.writeable
+
+    def test_a_view_is_copied_so_its_base_stays_writeable(self):
+        base = np.array([0.75, 0.5, 0.25])
+        curve = MissRatioCurve(ratios=base[:2], accesses=4)
+        base[0] = 0.0
+        assert curve.ratios.tolist() == [0.75, 0.5]
+
+    def test_ratios_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            MissRatioCurve(ratios=np.zeros((2, 2)), accesses=4)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            MissRatioCurve(ratios=0.5, accesses=4)
+
+    def test_equality_is_bit_equality(self):
+        curve = MissRatioCurve(ratios=(0.5, 0.25), accesses=4)
+        assert curve == MissRatioCurve(ratios=[0.5, 0.25], accesses=4)
+        assert curve != MissRatioCurve(ratios=(0.5, 0.25, 0.25), accesses=4)  # length
+        assert curve != MissRatioCurve(ratios=(0.5,), accesses=4)
+        assert curve != MissRatioCurve(ratios=(0.5, 0.25), accesses=5)  # accesses
+        assert curve != MissRatioCurve(ratios=(0.5, np.nextafter(0.25, 1.0)), accesses=4)  # one ulp
+        assert MissRatioCurve(ratios=(0.0,), accesses=1) != MissRatioCurve(ratios=(-0.0,), accesses=1)
+        assert curve != (0.5, 0.25)
+
+    def test_curves_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(MissRatioCurve(ratios=(0.5,), accesses=1))
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_stays_read_only(self, protocol):
+        curve = mrc_from_trace([0, 1, 2, 0, 1, 2, 3])
+        back = pickle.loads(pickle.dumps(curve, protocol=protocol))
+        assert back == curve
+        assert not back.ratios.flags.writeable
+
+    def test_a_pickle_of_a_tuple_curve_loads_as_an_array_curve(self):
+        # The state a pickle holds when ratios were a tuple of floats.
+        curve = MissRatioCurve.__new__(MissRatioCurve)
+        curve.__setstate__({"ratios": (0.5, 0.25), "accesses": 4})
+        assert curve == MissRatioCurve(ratios=(0.5, 0.25), accesses=4)
+        assert not curve.ratios.flags.writeable
+
+    def test_pool_round_trip_stays_read_only(self):
+        from repro.profiling.engine import ProfileJob, run_jobs
+
+        trace = zipfian_trace(2_000, 128, rng=1).accesses
+        jobs = [ProfileJob(trace=trace, name=str(i), mode=mode) for i, mode in enumerate(("exact", "shards", "reuse"))]
+        inline = run_jobs(jobs, workers=1)
+        pooled = run_jobs(jobs, workers=2)
+        for a, b in zip(inline, pooled):
+            assert a.curve == b.curve
+            assert not b.curve.ratios.flags.writeable
 
 
 class TestAverageCurves:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import stack_distances_naive
 
 from repro.cache import (
     COLD,
@@ -22,7 +23,6 @@ from repro.cache import (
     reuse_intervals,
     stack_distance_histogram,
     stack_distances,
-    stack_distances_naive,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )

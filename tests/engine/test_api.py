@@ -42,7 +42,7 @@ class TestProtocols:
         assert isinstance(result, ExperimentResult)
         profile = api.profile(TRACE, mode="exact")
         assert isinstance(profile, ExperimentResult)
-        assert profile.rows()[0] == {"cache_size": 1, "miss_ratio": profile.curve.ratios[0]}
+        assert profile.rows()[0] == {"cache_size": 1, "miss_ratio": profile.curve.ratios.tolist()[0]}
         assert profile.summary()["mode"] == "exact"
 
 
@@ -88,7 +88,7 @@ class TestProfileFacade:
     def test_batch_input_list_result(self):
         results = api.profile([TRACE, TRACE], mode="exact", workers=2)
         assert len(results) == 2
-        assert results[0].curve.ratios == results[1].curve.ratios
+        assert results[0].curve == results[1].curve
 
     def test_path_input(self, tmp_path):
         from repro.trace.io import write_text

@@ -46,7 +46,7 @@ class TestGoldenProfile:
         result = api.profile(GEN.sweep_trace(), mode=mode, seed=0, name="golden", **extra)
         want = _fixture("profile")["curves"][mode]
         assert result.accesses == want["accesses"]
-        assert GEN._jsonable(list(result.curve.ratios)) == want["ratios"]
+        assert result.curve.ratios.tolist() == want["ratios"]
 
     def test_pooled_batch_matches_recorded(self):
         from repro import api
@@ -57,7 +57,7 @@ class TestGoldenProfile:
         results = api.profile(jobs, workers=2)
         curves = _fixture("profile")["curves"]
         for job, result in zip(jobs, results):
-            assert GEN._jsonable(list(result.curve.ratios)) == curves[job.mode]["ratios"]
+            assert result.curve.ratios.tolist() == curves[job.mode]["ratios"]
 
 
 class TestGoldenSweep:

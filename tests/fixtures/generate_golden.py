@@ -89,7 +89,7 @@ def golden_profile() -> dict:
         result = run_jobs([job], workers=1)[0]
         curves[mode] = {
             "accesses": result.accesses,
-            "ratios": list(result.curve.ratios),
+            "ratios": result.curve.ratios.tolist(),
         }
     return {"trace": PROFILE_TRACE, "curves": curves}
 

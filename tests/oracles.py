@@ -1,4 +1,4 @@
-"""Slow, from-scratch oracles for the online replay's and the sweep's fast paths.
+"""Slow, from-scratch oracles for the distance, curve, replay and sweep fast paths.
 
 The production replay (:func:`repro.online.run_replay`) derives every
 profile from one stack-distance pass per tenant and drives its lanes
@@ -16,13 +16,15 @@ partition and the exact MRC pipeline:
   from-scratch exact profiles, and asserts every recorded miss ratio and
   allocation;
 * :func:`naive_sweep_hits` — replays a trace once per capacity through a
-  fresh LRU or FIFO cache model, the baseline of the sweep kernels.
+  fresh LRU or FIFO cache model, the baseline of the sweep kernels;
+* :func:`stack_distances_naive` — Mattson's explicit LRU stack, ``O(N·M)``;
+* :func:`mrc_by_simulation` — one independent LRU simulation per cache size.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.alloc.curves import discretize_curve
 from repro.cache.fifo import FIFOCache
 from repro.cache.lru import LRUCache
 from repro.cache.mrc import mrc_from_trace
+from repro.cache.stack_distance import COLD
 from repro.engine.columnar import idle_curve
 from repro.online.controller import ReallocationController
 from repro.online.replay import _initial_split
@@ -230,3 +233,33 @@ def replay_lanes(workload, result, job) -> dict[str, list[int]]:
         assert sims[lane].miss_ratio == getattr(result, f"{lane}_miss_ratio"), lane
     assert sims["adaptive"].capacities == result.final_allocation
     return series
+
+
+def stack_distances_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:
+    """LRU stack distances by direct stack simulation (``O(N·M)`` oracle).
+
+    Maintains the explicit LRU stack; the distance of an access is the depth
+    (1-based) of the item in the stack, or :data:`~repro.cache.COLD` if absent.
+    """
+    arr = np.asarray(trace, dtype=np.int64)
+    stack: list[int] = []  # most recently used at the end
+    out = np.full(arr.size, COLD, dtype=np.int64)
+    for pos in range(arr.size):
+        item = int(arr[pos])
+        try:
+            out[pos] = len(stack) - stack.index(item)
+            stack.remove(item)
+        except ValueError:
+            pass
+        stack.append(item)
+    return out
+
+
+def mrc_by_simulation(trace: Sequence[int] | np.ndarray, cache_sizes: Iterable[int]) -> dict[int, float]:
+    """Miss ratios measured by running an independent LRU simulation per cache size.
+
+    Quadratically slower than :func:`~repro.cache.mrc_from_trace`; for
+    validation on small traces.
+    """
+    arr = np.asarray(trace)
+    return {int(c): LRUCache(int(c)).run(int(x) for x in arr).miss_ratio for c in cache_sizes}

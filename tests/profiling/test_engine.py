@@ -27,7 +27,7 @@ class TestProfileJob:
         path = tmp_path / "z.trace"
         write_text(trace, path)
         result = run_job(ProfileJob(path=str(path), mode="exact"))
-        assert result.curve.ratios == mrc_from_trace(trace.accesses).ratios
+        assert result.curve == mrc_from_trace(trace.accesses)
         assert result.accesses == 2_000
 
 
@@ -47,7 +47,7 @@ class TestRunJobs:
         assert len(inline) == len(pooled) == len(jobs)
         for a, b in zip(inline, pooled):
             assert a.name == b.name and a.mode == b.mode
-            assert a.curve.ratios == b.curve.ratios
+            assert a.curve == b.curve
 
     def test_results_keep_job_order(self, jobs):
         results = run_jobs(jobs, workers=2)

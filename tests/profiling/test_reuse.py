@@ -146,7 +146,7 @@ class TestArrayPass:
             reuse_mrc(np.array([], dtype=np.int64))
 
 
-def _aet_walk(hist: ReuseTimeHistogram, limit: int) -> tuple[float, ...]:
+def _aet_walk(hist: ReuseTimeHistogram, limit: int) -> list[float]:
     """The AET model as a sequential walk over the non-empty buckets (the reference form)."""
     n = float(hist.accesses)
     tail = int(hist.counts.sum())
@@ -166,7 +166,7 @@ def _aet_walk(hist: ReuseTimeHistogram, limit: int) -> tuple[float, ...]:
         prev_edge = edge
     while len(ratios) < limit:
         ratios.append(hist.cold / n if hist.cold else 0.0)
-    return tuple(ratios)
+    return ratios
 
 
 class TestAETModel:
@@ -179,12 +179,12 @@ class TestAETModel:
         accesses = sum(counts) + cold
         hist = ReuseTimeHistogram(fine_limit=16, coarse_per_octave=4, cold=cold, accesses=accesses, counts=counts)
         if hist.accesses:
-            assert hist.to_mrc(limit).ratios == _aet_walk(hist, limit)
+            assert hist.to_mrc(limit).ratios.tolist() == _aet_walk(hist, limit)
 
     def test_zipfian_curve_matches_sequential_walk(self):
         trace = zipfian_trace(60_000, 4_096, exponent=0.8, rng=7).accesses
         hist = ReuseTimeProfiler().feed(trace).histogram
-        assert hist.to_mrc(hist.cold).ratios == _aet_walk(hist, hist.cold)
+        assert hist.to_mrc(hist.cold).ratios.tolist() == _aet_walk(hist, hist.cold)
 
     def test_cyclic_trace_is_exact(self):
         """All reuse times equal m: AET reproduces the LRU cliff exactly."""

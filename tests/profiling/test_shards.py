@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cache.mrc import mrc_from_trace
@@ -164,7 +164,7 @@ class TestShardsMRC:
         trace = zipfian_trace(20_000, 2048, rng=4).accesses
         a = shards_mrc(trace, 0.1, seed=5)
         b = shards_mrc(trace, 0.1, seed=5)
-        assert a.ratios == b.ratios
+        assert a == b
 
     def test_curve_is_monotone_and_bounded(self):
         trace = zipfian_trace(30_000, 2048, rng=5).accesses
@@ -185,10 +185,12 @@ class TestShardsMRC:
         full = histogram_to_mrc(histogram, 20.0, 20)
         for size in (1, 5, 6, 7, 50):
             cut = histogram_to_mrc(histogram, 20.0, 20, max_cache_size=size)
-            assert cut.ratios == tuple(curve_values(full, size).tolist())
+            assert cut.ratios.tolist() == curve_values(full, size).tolist()
             assert cut.accesses == 20
         with pytest.raises(ValueError):
             histogram_to_mrc(histogram, 20.0, 20, max_cache_size=0)
+        with pytest.raises(ValueError):
+            histogram_to_mrc(np.zeros(0), 20.0, 20, max_cache_size=3)
 
     @given(
         entries=st.lists(
@@ -199,6 +201,9 @@ class TestShardsMRC:
         denominator=st.floats(0.5, 100.0),
         max_cache_size=st.one_of(st.none(), st.integers(1, 90)),
     )
+    @example(entries=[0.0, -0.0, 0.0], denominator=2.0, max_cache_size=None)  # all zero
+    @example(entries=[-0.0], denominator=1.0, max_cache_size=5)  # all zero, held
+    @example(entries=[1.0, 0.0, -0.0, 2.0, 0.0], denominator=4.0, max_cache_size=2)  # cropped inside a run
     def test_curve_crops_or_holds_the_last_ratio(self, entries, denominator, max_cache_size):
         # The running sum, clamp and running minimum over every cache size,
         # then a crop or a hold of the last ratio, bit for bit.
@@ -208,7 +213,7 @@ class TestShardsMRC:
         if max_cache_size is not None:
             ratios = np.append(ratios, np.full(max(max_cache_size - ratios.size, 0), ratios[-1]))[:max_cache_size]
         curve = histogram_to_mrc(histogram, denominator, 11, max_cache_size=max_cache_size)
-        np.testing.assert_array_equal(np.array(curve.ratios).view(np.int64), ratios.view(np.int64))
+        np.testing.assert_array_equal(curve.ratios.view(np.int64), ratios.view(np.int64))
         assert curve.accesses == 11
 
     def test_fixed_size_budget(self):

@@ -150,3 +150,76 @@ class TestFillBounds:
         trace = open_memmap_trace(stem)
         with pytest.raises(ValueError, match="does not fit"):
             trace.fill(-1, np.arange(2), np.zeros(2, dtype=np.int64))
+
+
+def _numpy_header(file):
+    """Shape and dtype of a ``.npy`` file as numpy's own header reader sees them."""
+    with open(file, "rb") as handle:
+        if np.lib.format.read_magic(handle) == (1, 0):
+            shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+        else:
+            shape, _, dtype = np.lib.format.read_array_header_2_0(handle)
+    return shape, dtype
+
+
+def _read_header(file):
+    with open(file, "rb") as handle:
+        return streaming._read_column_header(handle)
+
+
+class TestColumnHeader:
+    @pytest.mark.parametrize("dtype", ["<i8", ">i8", "<u4", "|i1", "|u1", "<i2"])
+    @pytest.mark.parametrize("length", [0, 1, 1000])
+    def test_saved_columns_read_as_numpy_reads_them(self, tmp_path, dtype, length):
+        file = tmp_path / "column.npy"
+        np.save(file, np.zeros(length, dtype=dtype))
+        assert streaming._NPY_V1_INTEGER_COLUMN.match(file.read_bytes())  # the direct parse
+        assert _read_header(file) == _numpy_header(file) == ((length,), np.dtype(dtype))
+
+    def test_version_2_header_falls_back_to_numpy(self, tmp_path):
+        file = tmp_path / "column.npy"
+        with open(file, "wb") as handle:
+            np.lib.format.write_array(handle, np.arange(7), version=(2, 0))
+        assert _read_header(file) == _numpy_header(file) == ((7,), np.dtype(np.int64))
+
+    def test_fortran_order_header_falls_back_to_numpy(self, tmp_path):
+        file = tmp_path / "column.npy"
+        with open(file, "wb") as handle:
+            header = {"descr": "<i8", "fortran_order": True, "shape": (5,)}
+            np.lib.format.write_array_header_1_0(handle, header)
+            handle.write(np.arange(5, dtype="<i8").tobytes())
+        assert _read_header(file) == _numpy_header(file) == ((5,), np.dtype(np.int64))
+
+    def test_truncated_header_is_unreadable(self, stem):
+        file = stem.with_name("trace.items.npy")
+        file.write_bytes(file.read_bytes()[:40])
+        with pytest.raises(TraceIntegrityError, match="unreadable .npy column"):
+            verify_memmap_trace(stem)
+
+    def test_header_longer_than_the_file_is_unreadable(self, tmp_path):
+        file = tmp_path / "column.npy"
+        np.save(file, np.zeros(0, dtype=np.int64))
+        raw = bytearray(file.read_bytes())
+        raw[8:10] = (len(raw) - 10 + 64).to_bytes(2, "little")  # promise 64 more header bytes
+        file.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            _read_header(file)
+
+    def test_non_integer_column_is_refused(self, stem):
+        np.save(stem.with_name("trace.items.npy"), np.zeros(LENGTH, dtype=np.float64))
+        with pytest.raises(TraceIntegrityError, match="not integral"):
+            verify_memmap_trace(stem)
+
+    def test_two_dimensional_column_is_refused(self, stem):
+        np.save(stem.with_name("trace.items.npy"), np.zeros((LENGTH, 2), dtype=np.int64))
+        with pytest.raises(TraceIntegrityError, match="not one-dimensional"):
+            verify_memmap_trace(stem)
+
+    def test_short_payload_is_unreadable(self, stem):
+        file = stem.with_name("trace.items.npy")
+        file.write_bytes(file.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="payload is"):
+            _read_header(file)
+        stem.with_name("trace.manifest.json").unlink()  # the header check alone catches it
+        with pytest.raises(TraceIntegrityError, match="unreadable .npy column"):
+            verify_memmap_trace(stem)

@@ -103,6 +103,26 @@ class TestAnalyzeAndMrc:
         assert "locality score" in out
         assert "1.0000" in out  # sawtooth has perfect locality score
 
+    def test_analyze_summarizes_the_trace_once(self, tmp_path, capsys, monkeypatch):
+        from repro.analysis.reporting import format_table
+        from repro.core import Permutation
+        from repro.trace import PeriodicTrace, stats
+        from repro.trace.io import read_text, write_text
+
+        path = tmp_path / "mixed.trace"
+        write_text(PeriodicTrace(Permutation([3, 1, 0, 2, 4])).to_trace(), path)
+        trace = read_text(path)
+        table = format_table([stats.summarize(trace).__dict__], title=f"Trace statistics — {trace.name}")
+        score = f"locality score (0 = cyclic, 1 = sawtooth): {stats.locality_score(trace):.4f}"
+        calls = []
+        summarize = stats.summarize
+        monkeypatch.setattr(stats, "summarize", lambda t: calls.append(t) or summarize(t))
+        assert main(["analyze", str(path)]) == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[: len(table.splitlines()) + 1] == [*table.splitlines(), score]
+        assert 0.0 < float(score.split()[-1]) < 1.0  # strictly between the cyclic and sawtooth anchors
+
     def test_mrc_prints_curve(self, trace_file, capsys):
         assert main(["mrc", str(trace_file)]) == 0
         out = capsys.readouterr().out
