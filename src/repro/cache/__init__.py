@@ -36,7 +36,6 @@ from .stack_distance import (
     hit_counts,
     reuse_intervals,
     stack_distance_histogram,
-    stack_distances,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "hit_counts",
     "reuse_intervals",
     "stack_distance_histogram",
-    "stack_distances",
     "stack_distances_vectorized",
     "stack_distances_with_previous",
 ]

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .stack_distance import COLD, reuse_intervals, stack_distances
+from .stack_distance import COLD, _as_trace, last_accesses, stack_distances_with_previous
 
 __all__ = [
     "footprint_curve",
@@ -54,23 +54,20 @@ def footprint_curve(trace: Sequence[int] | np.ndarray) -> np.ndarray:
     Returns an array ``fp`` of length ``N + 1`` with ``fp[0] = 0`` and
     ``fp[N]`` equal to the number of distinct items.
     """
-    arr = np.asarray(trace)
+    arr = _as_trace(trace)
     n = arr.size
     if n == 0:
         return np.zeros(1, dtype=np.float64)
 
-    # reuse-interval histogram (intervals measured as gaps: accesses strictly between)
-    intervals = reuse_intervals(arr)
-    finite = intervals[intervals != COLD] + 1  # convert to "distance in accesses" between the pair
-
-    first_seen: dict[int, int] = {}
-    last_seen: dict[int, int] = {}
-    for pos in range(n):
-        item = int(arr[pos])
-        if item not in first_seen:
-            first_seen[item] = pos
-        last_seen[item] = pos
-    distinct = len(first_seen)
+    # One pass gives every access's previous position: the reuse gaps (accesses
+    # strictly between a pair), and the first and last access of each item.
+    previous = stack_distances_with_previous(arr)[1]
+    reused = previous >= 0
+    between_gaps = np.flatnonzero(reused) - previous[reused] - 1
+    # gap before the first access and after the last access of each item
+    heads = np.flatnonzero(~reused)
+    tails = n - 1 - np.flatnonzero(last_accesses(previous))
+    distinct = heads.size
 
     # Xiang's formula: the total "absence" of items from windows of length w is
     #   sum over reuse intervals r > w of (r - w)
@@ -97,12 +94,6 @@ def footprint_curve(trace: Sequence[int] | np.ndarray) -> np.ndarray:
         # sum over gaps g >= w of (g - w + 1)
         result = sum_ge[: max_w + 1] - w * count_ge[: max_w + 1] + count_ge[: max_w + 1]
         return result
-
-    # gaps between consecutive accesses of the same item (positions strictly between)
-    between_gaps = (finite - 1).astype(np.int64)
-    # gap before the first access and after the last access of each item
-    heads = np.asarray([first_seen[item] for item in first_seen], dtype=np.int64)
-    tails = np.asarray([n - 1 - last_seen[item] for item in last_seen], dtype=np.int64)
 
     absence = window_deficit(between_gaps) + window_deficit(heads) + window_deficit(tails)
 
@@ -159,11 +150,7 @@ def data_movement_distance(trace: Sequence[int] | np.ndarray) -> float:
     as the inversion number (both are monotone in the stack-distance
     multiset), which is why the paper considered it as a labeling ingredient.
     """
-    arr = np.asarray(trace)
-    if arr.size == 0:
-        return 0.0
-    distances = stack_distances(arr)
-    footprint_size = int(np.unique(arr).size)
+    distances = stack_distances_with_previous(trace)[0]
     finite = distances[distances != COLD].astype(np.float64)
-    cold = distances.size - finite.size
-    return float(np.sqrt(finite).sum() + cold * np.sqrt(footprint_size))
+    cold = distances.size - finite.size  # one cold access per distinct item: the footprint M
+    return float(np.sqrt(finite).sum() + cold * np.sqrt(cold))

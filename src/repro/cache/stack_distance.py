@@ -7,32 +7,34 @@ trace-processing algorithms so that arbitrary traces can be analysed and the
 periodic special case can be cross-validated:
 
 * :func:`reuse_intervals` — the time (access count) between consecutive uses
-  of the same item (Definition 4).
-* :func:`stack_distances` — the Olken/Bennett–Kruskal algorithm: a Fenwick
-  tree over access times marks the *last* access of every item, so the number
-  of distinct items touched since the previous access of the current item is a
-  suffix sum — ``O(N log N)`` overall.
-* :func:`stack_distances_with_previous` — the one fast entry point every
+  of the same item (Definition 4), read off the distance pass's
+  previous-access positions.
+* :func:`stack_distances_with_previous` — the one distance pass every
   consumer goes through (:func:`stack_distances_vectorized`,
-  :func:`hit_counts`, the SHARDS sketch, the per-tenant distance passes and
-  :class:`StackDistanceStream`).  It runs the same Olken algorithm as a C
-  kernel (``_olken.c``: an open-addressing label table plus a Fenwick tree
-  over time, ``O(N log N)`` in one pass, ~7–10M refs/s), compiled on first
-  use and loaded through :mod:`ctypes` by :mod:`repro.cache._native`.  Where
-  no C compiler is available it falls back to a loop-free numpy form: each
-  reuse pair becomes an *arc* ``(j, next(j))``, the distance is
-  ``next(j) - j`` minus the number of arcs strictly nested inside, and
-  nested-arc counting is "count smaller elements to the right" of the
-  arc-end sequence — a level-by-level vectorised merge sort
-  (``O(N log^2 N)`` NumPy work, ~0.7–1M refs/s).  Both are bit-identical.
+  :func:`reuse_intervals`, :func:`hit_counts`, the footprint metrics, the
+  SHARDS sketch, the per-tenant distance passes and
+  :class:`StackDistanceStream`).  It runs the Olken/Bennett–Kruskal
+  algorithm as a C kernel (``_olken.c``: an open-addressing label table plus
+  a Fenwick tree over time, ``O(N log N)`` in one pass, ~7–10M refs/s),
+  compiled on first use and loaded through :mod:`ctypes` by
+  :mod:`repro.cache._native`.  Where no C compiler is available it falls
+  back to a loop-free numpy form: each reuse pair becomes an *arc*
+  ``(j, next(j))``, the distance is ``next(j) - j`` minus the number of arcs
+  strictly nested inside, and nested-arc counting is "count smaller elements
+  to the right" of the arc-end sequence — a level-by-level vectorised merge
+  sort (``O(N log^2 N)`` NumPy work, ~0.7–1M refs/s).  Both are
+  bit-identical.
 * :func:`stack_distance_histogram` and :func:`hit_counts` — aggregate forms
   used by the miss-ratio-curve construction in :mod:`repro.cache.mrc`.
-* :class:`StackDistanceStream` — the *chunked* form of the vectorised
-  algorithm: exact distances for a trace delivered in segments, carrying
-  ``O(footprint)`` state between segments so arbitrarily long (for example
-  ``numpy.memmap``-backed) traces are processed in bounded memory.  This is
-  the distance source of the batch partitioned-LRU replay data plane in
-  :mod:`repro.sim.partitioned`.
+* :class:`StackDistanceStream` — exact distances for a trace delivered in
+  segments, in bounded memory, by the paper's re-traversal identity: after a
+  prefix of the trace the LRU stack holds the prefix's distinct items in
+  recency order, so prepending them (least recent first) to the next chunk
+  and running the one distance pass gives every chunk access its
+  whole-stream distance.  Arbitrarily long (for example
+  ``numpy.memmap``-backed) traces stream through carrying ``O(footprint)``
+  state; this is the distance source of the batch partitioned-LRU replay
+  data plane in :mod:`repro.sim.partitioned`.
 
 Distances use the same convention as the rest of the library: the *stack
 distance* of an access is ``1 +`` the number of distinct items referenced since
@@ -47,13 +49,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.inversions import FenwickTree
 from ._native import native_kernels
 
 __all__ = [
     "COLD",
     "reuse_intervals",
-    "stack_distances",
     "stack_distances_vectorized",
     "stack_distances_with_previous",
     "stack_distance_histogram",
@@ -83,43 +83,20 @@ def reuse_intervals(trace: Sequence[int] | np.ndarray) -> np.ndarray:
     here, is the standard trace-processing convention and carries the same
     multiset of finite values.)
     """
-    arr = _as_trace(trace)
-    out = np.full(arr.size, COLD, dtype=np.int64)
-    last_seen: dict[int, int] = {}
-    for pos in range(arr.size):
-        item = int(arr[pos])
-        if item in last_seen:
-            out[pos] = pos - last_seen[item] - 1
-        last_seen[item] = pos
-    return out
+    previous = stack_distances_with_previous(trace)[1]
+    return np.where(previous >= 0, np.arange(previous.size, dtype=np.int64) - previous - 1, np.int64(COLD))
 
 
-def stack_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
-    """LRU stack distances via the Olken / Bennett–Kruskal Fenwick-tree algorithm.
+def last_accesses(previous: np.ndarray) -> np.ndarray:
+    """Mask of the accesses no later access reuses: each item's last access.
 
-    For each access the algorithm needs the number of *distinct* items touched
-    since the previous access to the same item.  Keeping a Fenwick tree with a
-    1 at the position of every item's most recent access, that count is the
-    sum of the tree over positions after the item's previous access.  Each
-    access does O(log N) work.
+    ``previous`` is the second array of :func:`stack_distances_with_previous`;
+    every position it names is a non-last access.  The unmasked positions,
+    in order, list the distinct items least recently used first.
     """
-    arr = _as_trace(trace)
-    n = arr.size
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return out
-    tree = FenwickTree(n)
-    last_pos: dict[int, int] = {}
-    for pos in range(n):
-        item = int(arr[pos])
-        prev = last_pos.get(item)
-        if prev is not None:
-            distinct_between = tree.range_sum(prev + 1, pos - 1)
-            out[pos] = distinct_between + 1
-            tree.add(prev, -1)
-        tree.add(pos, 1)
-        last_pos[item] = pos
-    return out
+    last = np.ones(previous.size, dtype=bool)
+    last[previous[previous >= 0]] = False
+    return last
 
 
 def _count_smaller_right(values: np.ndarray) -> np.ndarray:
@@ -190,22 +167,9 @@ def _reuse_arcs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stack_distances_vectorized(trace: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Exact LRU stack distances with no per-access Python loop.
+    """Exact LRU stack distances of a trace (:data:`COLD` for first accesses).
 
-    Identity: write each reuse as an *arc* from a position to the next access
-    of the same item.  For the access closing arc ``(p, t)`` the stack
-    distance is ``1 +`` the number of distinct items in ``(p, t)``; a position
-    ``j`` in that window contributes a distinct item iff its own next access
-    falls at or after ``t``, so the non-contributing positions are exactly the
-    arcs strictly nested inside ``(p, t)`` and
-
-    ``distance(t) = t - p - #{arcs (j, next(j)) : p < j, next(j) < t}``.
-
-    Arc starts are increasing, so the nested count per arc is "count smaller
-    elements to the right" over the arc-end sequence — the numpy fallback of
-    :func:`stack_distances_with_previous`, whose C kernel runs the Fenwick
-    algorithm of :func:`stack_distances` instead.  Bit-identical to
-    :func:`stack_distances` either way (cross-validated in the test-suite).
+    The first array of :func:`stack_distances_with_previous`.
     """
     return stack_distances_with_previous(trace)[0]
 
@@ -236,8 +200,19 @@ def stack_distances_with_previous(trace: Sequence[int] | np.ndarray) -> tuple[np
 def _stack_distances_with_previous_numpy(trace: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`stack_distances_with_previous` by the nested-arc identity, in numpy only.
 
-    The fallback where the C kernel cannot be built, and the differential
-    reference the test-suite holds the kernel to.
+    Write each reuse as an *arc* from a position to the next access of the
+    same item.  For the access closing arc ``(p, t)`` the stack distance is
+    ``1 +`` the number of distinct items in ``(p, t)``; a position ``j`` in
+    that window contributes a distinct item iff its own next access falls at
+    or after ``t``, so the non-contributing positions are exactly the arcs
+    strictly nested inside ``(p, t)`` and
+
+    ``distance(t) = t - p - #{arcs (j, next(j)) : p < j, next(j) < t}``.
+
+    Arc starts are increasing, so the nested count per arc is "count smaller
+    elements to the right" over the arc-end sequence.  The fallback where the
+    C kernel cannot be built, and the differential reference the test-suite
+    holds the kernel to.
     """
     arr = _as_trace(trace)
     n = arr.size
@@ -254,49 +229,35 @@ def _stack_distances_with_previous_numpy(trace: Sequence[int] | np.ndarray) -> t
     return out, previous
 
 
-def _count_larger_left(values: np.ndarray) -> np.ndarray:
-    """For each element, the number of *strictly larger* elements to its left.
-
-    Reduction to :func:`_count_smaller_right`: negating flips the order and
-    reversing flips left/right, so larger-to-the-left of ``a`` is
-    smaller-to-the-right of ``-a`` reversed (same distinct-values
-    requirement; callers pass last-access positions, which are unique).
-    """
-    return _count_smaller_right(-values[::-1])[::-1]
-
-
 class StackDistanceStream:
     """Exact LRU stack distances for a trace consumed chunk by chunk.
 
     :meth:`feed` returns the stack distances of a chunk's accesses measured
     over the *whole* stream consumed so far — bit-identical to running
     :func:`stack_distances_vectorized` over the concatenation of every chunk
-    — while carrying only ``O(footprint)`` state between chunks.  Long
-    (``numpy.memmap``-backed) traces therefore stream through in bounded
-    memory: per chunk the cost is one vectorised in-chunk distance pass plus
-    ``O((footprint + chunk) log)`` NumPy work for the cross-chunk reuses.
+    — while carrying only ``O(footprint)`` state between chunks.
 
-    The cross-chunk correction uses the same arc identity as the one-shot
-    algorithm.  An access at chunk position ``t`` whose previous access ``p``
-    lies in an earlier chunk has distance ``1 + |{items last accessed in
-    (p, t)}|``, split into (a) items with an in-chunk access before ``t``
-    (the rank of ``t`` among in-chunk first occurrences), plus (b) carried
-    items whose pre-chunk last access exceeds ``p`` (a sorted-array rank),
-    minus (c) carried items counted by both — an offline dominance count over
-    the cross-chunk reuses themselves (:func:`_count_larger_left`).
+    The carried state is the LRU stack itself: the distinct items seen so
+    far, least recently used first.  Prepended to the next chunk, it puts
+    every carried item's last access in the same recency order as in the
+    whole stream, so an access reusing an item from an earlier chunk sees
+    exactly the distinct items touched since — the paper's re-traversal
+    identity (after a traversal ``A``, the stack is ``A`` in recency order).
+    One :func:`stack_distances_with_previous` pass over ``stack + chunk``
+    therefore serves the chunk, and the new stack is that array minus every
+    position the pass names as some access's previous one.
 
     Examples
     --------
     >>> stream = StackDistanceStream()
     >>> stream.feed([1, 2]).tolist() == [COLD, COLD]
     True
-    >>> stream.feed([2, 3, 2, 1]).tolist()  # == stack_distances([1,2,2,3,2,1])[2:]
+    >>> stream.feed([2, 3, 2, 1]).tolist()  # == stack_distances_vectorized([1,2,2,3,2,1])[2:]
     [1, 9223372036854775807, 2, 3]
     """
 
     def __init__(self) -> None:
-        self._labels = np.zeros(0, dtype=np.int64)  # distinct items, sorted
-        self._positions = np.zeros(0, dtype=np.int64)  # last global access position, aligned to _labels
+        self._recency = np.zeros(0, dtype=np.int64)  # distinct items, least recently used first
         self._clock = 0
 
     @property
@@ -307,26 +268,7 @@ class StackDistanceStream:
     @property
     def footprint(self) -> int:
         """Number of distinct items seen so far."""
-        return int(self._labels.size)
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot of the carried state (for checkpoint/resume).
-
-        The whole carried state is the sorted distinct labels, their aligned
-        last-access positions, and the clock — restoring it and continuing to
-        :meth:`feed` is bit-identical to never having stopped.
-        """
-        return {
-            "labels": self._labels.copy(),
-            "positions": self._positions.copy(),
-            "clock": int(self._clock),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore carried state captured by :meth:`state_dict`."""
-        self._labels = np.asarray(state["labels"], dtype=np.int64).copy()
-        self._positions = np.asarray(state["positions"], dtype=np.int64).copy()
-        self._clock = int(state["clock"])
+        return int(self._recency.size)
 
     def feed(self, chunk: Sequence[int] | np.ndarray) -> np.ndarray:
         """Consume one chunk; return its whole-stream stack distances.
@@ -334,47 +276,14 @@ class StackDistanceStream:
         Cold accesses (first-ever across *all* chunks) report :data:`COLD`.
         """
         arr = _as_trace(chunk)
-        n = int(arr.size)
-        out = stack_distances_vectorized(arr)
-        if n == 0:
-            return out
-        start = self._clock
-        uniq, first_idx = np.unique(arr, return_index=True)
-
-        # Previous (pre-chunk) global position of every distinct chunk item.
-        if self._labels.size:
-            loc = np.minimum(np.searchsorted(self._labels, uniq), self._labels.size - 1)
-            found = self._labels[loc] == uniq
-            prev = np.where(found, self._positions[loc], np.int64(-1))
-        else:
-            loc = np.zeros(uniq.size, dtype=np.intp)
-            found = np.zeros(uniq.size, dtype=bool)
-            prev = np.full(uniq.size, -1, dtype=np.int64)
-
-        reused = prev >= 0
-        if reused.any():
-            active = np.sort(self._positions)  # one last position per carried item
-            order = np.argsort(first_idx[reused])  # cross-chunk reuses in chunk order
-            q_first = first_idx[reused][order]
-            q_prev = prev[reused][order]
-            distinct_before = np.searchsorted(np.sort(first_idx), q_first)
-            carried_above = active.size - np.searchsorted(active, q_prev, side="right")
-            dominated = _count_larger_left(q_prev)
-            out[q_first] = 1 + distinct_before + carried_above - dominated
-
-        # Advance the carried state to this chunk's last occurrences.
-        last_global = start + (n - 1) - np.unique(arr[::-1], return_index=True)[1]
-        if found.any():
-            self._positions[loc[found]] = last_global[found]
-        new = ~found
-        if new.any():
-            labels = np.concatenate([self._labels, uniq[new]])
-            positions = np.concatenate([self._positions, last_global[new]])
-            merge = np.argsort(labels, kind="stable")
-            self._labels = labels[merge]
-            self._positions = positions[merge]
-        self._clock = start + n
-        return out
+        if arr.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        carried = self._recency.size
+        joined = np.concatenate([self._recency, arr])
+        distances, previous = stack_distances_with_previous(joined)
+        self._recency = joined[last_accesses(previous)]
+        self._clock += int(arr.size)
+        return distances[carried:]
 
 
 def stack_distance_histogram(

@@ -202,18 +202,6 @@ class TenantDistanceStreams:
         streams = split_by_tenant(items, tenant_ids, len(self._streams))
         return [stream.feed(tenant_items) for stream, tenant_items in zip(self._streams, streams)]
 
-    def state_dict(self) -> dict:
-        """Picklable snapshot of every tenant stream's carried state."""
-        return {"streams": [stream.state_dict() for stream in self._streams]}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore carried state captured by :meth:`state_dict`."""
-        states = state["streams"]
-        if len(states) != len(self._streams):
-            raise ValueError(f"state holds {len(states)} tenant streams, this provider has {len(self._streams)}")
-        for stream, stream_state in zip(self._streams, states):
-            stream.load_state_dict(stream_state)
-
 
 class PrecomputedTenantDistances:
     """Whole-stream per-tenant stack distances, sliced out chunk by chunk.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cache.stack_distance import COLD, reuse_intervals, stack_distances_vectorized
+from ..cache.stack_distance import COLD, stack_distances_with_previous
 from .trace import Trace
 
 __all__ = ["TraceStats", "summarize", "locality_score"]
@@ -42,9 +42,9 @@ def summarize(trace: Trace) -> TraceStats:
     arr = trace.accesses
     if arr.size == 0:
         raise ValueError("cannot summarise an empty trace")
-    intervals = reuse_intervals(arr)
-    distances = stack_distances_vectorized(arr)
-    finite_intervals = intervals[intervals != COLD]
+    distances, previous = stack_distances_with_previous(arr)
+    reused = previous >= 0
+    finite_intervals = np.flatnonzero(reused) - previous[reused] - 1
     finite_distances = distances[distances != COLD]
     cold = int(arr.size - finite_distances.size)
     return TraceStats(

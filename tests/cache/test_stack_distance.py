@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import stack_distances_naive
+from oracles import reuse_intervals_naive, stack_distances_fenwick, stack_distances_naive
 
 from repro.cache import (
     COLD,
@@ -22,7 +22,6 @@ from repro.cache import (
     hit_counts,
     reuse_intervals,
     stack_distance_histogram,
-    stack_distances,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
@@ -59,33 +58,35 @@ class TestReuseIntervals:
 
 
 class TestStackDistances:
+    """The Fenwick oracle of ``tests/oracles.py``, the reference the fast paths are held to."""
+
     def test_known_trace(self):
         # a b c c b a: stack distances of the second half are 1, 2, 3
-        distances = stack_distances([0, 1, 2, 2, 1, 0])
+        distances = stack_distances_fenwick([0, 1, 2, 2, 1, 0])
         assert distances.tolist() == [COLD, COLD, COLD, 1, 2, 3]
 
     def test_abcabc(self):
-        distances = stack_distances([0, 1, 2, 0, 1, 2])
+        distances = stack_distances_fenwick([0, 1, 2, 0, 1, 2])
         assert distances.tolist() == [COLD, COLD, COLD, 3, 3, 3]
 
     def test_fenwick_matches_naive_on_random_traces(self, rng):
         for _ in range(10):
             trace = rng.integers(0, 25, size=int(rng.integers(1, 300)))
-            assert np.array_equal(stack_distances(trace), stack_distances_naive(trace))
+            assert np.array_equal(stack_distances_fenwick(trace), stack_distances_naive(trace))
 
     def test_matches_periodic_closed_form(self, rng):
         for _ in range(5):
             sigma = random_permutation(20, rng)
             trace = PeriodicTrace(sigma).to_trace().accesses
-            measured = stack_distances(trace)[20:]
+            measured = stack_distances_fenwick(trace)[20:]
             assert np.array_equal(measured, periodic_stack_distances(sigma))
 
     def test_repeated_single_item(self):
-        distances = stack_distances([3] * 5)
+        distances = stack_distances_fenwick([3] * 5)
         assert distances.tolist() == [COLD, 1, 1, 1, 1]
 
     def test_empty(self):
-        assert stack_distances([]).size == 0
+        assert stack_distances_fenwick([]).size == 0
 
 
 class TestVectorizedStackDistances:
@@ -101,17 +102,17 @@ class TestVectorizedStackDistances:
     def test_matches_fenwick_on_random_traces(self, rng):
         for _ in range(10):
             trace = rng.integers(0, 25, size=int(rng.integers(1, 300)))
-            assert np.array_equal(stack_distances_vectorized(trace), stack_distances(trace))
+            assert np.array_equal(stack_distances_vectorized(trace), stack_distances_fenwick(trace))
 
     def test_matches_fenwick_on_zipf_trace(self):
         trace = zipfian_trace(6000, 400, exponent=0.9, rng=4).accesses
-        assert np.array_equal(stack_distances_vectorized(trace), stack_distances(trace))
+        assert np.array_equal(stack_distances_vectorized(trace), stack_distances_fenwick(trace))
 
     def test_matches_fenwick_on_periodic_retraversals(self, rng):
         for _ in range(5):
             sigma = random_permutation(24, rng)
             trace = PeriodicTrace(sigma).to_trace().accesses
-            assert np.array_equal(stack_distances_vectorized(trace), stack_distances(trace))
+            assert np.array_equal(stack_distances_vectorized(trace), stack_distances_fenwick(trace))
 
     def test_all_cold_and_power_of_two_padding_edges(self):
         # no reuse arcs at all
@@ -119,7 +120,7 @@ class TestVectorizedStackDistances:
         # lengths around powers of two exercise the sentinel padding
         for n in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33):
             trace = np.arange(n) % max(1, n // 2)
-            assert np.array_equal(stack_distances_vectorized(trace), stack_distances(trace))
+            assert np.array_equal(stack_distances_vectorized(trace), stack_distances_fenwick(trace))
 
 
 class TestHistogramAndHits:
@@ -222,7 +223,7 @@ INT64 = np.iinfo(np.int64)
 
 def _previous_oracle(trace: np.ndarray) -> np.ndarray:
     """Previous-access positions from the reuse intervals (independent of both kernels)."""
-    intervals = reuse_intervals(trace)
+    intervals = reuse_intervals_naive(trace)
     positions = np.arange(trace.size, dtype=np.int64)
     return np.where(intervals == COLD, np.int64(-1), positions - intervals - 1)
 
@@ -254,7 +255,7 @@ class TestNativeKernel:
         ref_distances, ref_previous = _stack_distances_with_previous_numpy(trace)
         np.testing.assert_array_equal(distances, ref_distances)
         np.testing.assert_array_equal(previous, ref_previous)
-        np.testing.assert_array_equal(distances, stack_distances(trace))
+        np.testing.assert_array_equal(distances, stack_distances_fenwick(trace))
         np.testing.assert_array_equal(previous, _previous_oracle(trace))
         # The reuse-time pass skips the Fenwick tree but not the table:
         # counts[t - previous[t]], cold ones at 0.
@@ -371,7 +372,7 @@ class TestKernelBuild:
         ref_distances, ref_previous = _stack_distances_with_previous_numpy(trace)
         np.testing.assert_array_equal(distances, ref_distances)
         np.testing.assert_array_equal(previous, ref_previous)
-        np.testing.assert_array_equal(distances, stack_distances(trace))
+        np.testing.assert_array_equal(distances, stack_distances_fenwick(trace))
         assert _tree(package) == before
         assert not any(fresh.iterdir())  # no partial build left behind
 
@@ -396,7 +397,7 @@ class TestKernelBuild:
         _native.native_kernels.cache_clear()
         assert _native.kernel_name() == "native"
         trace = zipfian_trace(3000, 200, exponent=0.8, rng=9).accesses
-        np.testing.assert_array_equal(stack_distances_with_previous(trace)[0], stack_distances(trace))
+        np.testing.assert_array_equal(stack_distances_with_previous(trace)[0], stack_distances_fenwick(trace))
         assert sorted(fresh.iterdir()) == [cached]
 
     def test_world_writable_cache_dir_is_never_used(self, fresh):

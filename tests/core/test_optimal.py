@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from oracles import stack_distances_fenwick
 
-from repro.cache import LRUCache, stack_distances
+from repro.cache import LRUCache
 from repro.cache.stack_distance import COLD
 from repro.core import (
     Permutation,
@@ -88,7 +89,7 @@ class TestAlternatingSchedule:
         schedule = alternating_schedule(Permutation.reverse(m), passes)
         closed = schedule_total_reuse(schedule)
         trace = schedule_trace(schedule)
-        distances = stack_distances(trace)
+        distances = stack_distances_fenwick(trace)
         measured = int(distances[distances != COLD].sum())
         assert closed == measured
 

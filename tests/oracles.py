@@ -18,6 +18,11 @@ partition and the exact MRC pipeline:
 * :func:`naive_sweep_hits` — replays a trace once per capacity through a
   fresh LRU or FIFO cache model, the baseline of the sweep kernels;
 * :func:`stack_distances_naive` — Mattson's explicit LRU stack, ``O(N·M)``;
+* :func:`stack_distances_fenwick` — the Olken / Bennett–Kruskal Fenwick-tree
+  algorithm, one Python step per access, ``O(N log N)``;
+* :func:`reuse_intervals_naive` — reuse intervals from a last-seen dict;
+* :func:`footprint_curve_naive` — the average footprint by enumerating every
+  window;
 * :func:`mrc_by_simulation` — one independent LRU simulation per cache size.
 """
 
@@ -34,6 +39,7 @@ from repro.cache.fifo import FIFOCache
 from repro.cache.lru import LRUCache
 from repro.cache.mrc import mrc_from_trace
 from repro.cache.stack_distance import COLD
+from repro.core.inversions import FenwickTree
 from repro.engine.columnar import idle_curve
 from repro.online.controller import ReallocationController
 from repro.online.replay import _initial_split
@@ -253,6 +259,64 @@ def stack_distances_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:
             pass
         stack.append(item)
     return out
+
+
+def stack_distances_fenwick(trace: Sequence[int] | np.ndarray) -> np.ndarray:
+    """LRU stack distances via the Olken / Bennett–Kruskal Fenwick-tree algorithm.
+
+    For each access the algorithm needs the number of *distinct* items touched
+    since the previous access to the same item.  Keeping a Fenwick tree with a
+    1 at the position of every item's most recent access, that count is the
+    sum of the tree over positions after the item's previous access.  Each
+    access does O(log N) work.
+    """
+    arr = np.asarray(trace, dtype=np.int64)
+    n = arr.size
+    out = np.full(n, COLD, dtype=np.int64)
+    if n == 0:
+        return out
+    tree = FenwickTree(n)
+    last_pos: dict[int, int] = {}
+    for pos in range(n):
+        item = int(arr[pos])
+        prev = last_pos.get(item)
+        if prev is not None:
+            out[pos] = tree.range_sum(prev + 1, pos - 1) + 1
+            tree.add(prev, -1)
+        tree.add(pos, 1)
+        last_pos[item] = pos
+    return out
+
+
+def reuse_intervals_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Accesses strictly between each access and the previous use of its item.
+
+    :data:`~repro.cache.COLD` for first accesses; the dict-loop reference of
+    :func:`~repro.cache.reuse_intervals`.
+    """
+    arr = np.asarray(trace, dtype=np.int64)
+    out = np.full(arr.size, COLD, dtype=np.int64)
+    last_seen: dict[int, int] = {}
+    for pos in range(arr.size):
+        item = int(arr[pos])
+        if item in last_seen:
+            out[pos] = pos - last_seen[item] - 1
+        last_seen[item] = pos
+    return out
+
+
+def footprint_curve_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Mean distinct items over every window of each length ``0 .. N`` (``O(N^3)``).
+
+    The by-definition reference of :func:`~repro.cache.footprint_curve`.
+    """
+    items = [int(x) for x in trace]
+    n = len(items)
+    curve = [0.0]
+    for w in range(1, n + 1):
+        windows = [len(set(items[i : i + w])) for i in range(n - w + 1)]
+        curve.append(sum(windows) / len(windows))
+    return np.asarray(curve)
 
 
 def mrc_by_simulation(trace: Sequence[int] | np.ndarray, cache_sizes: Iterable[int]) -> dict[int, float]:

@@ -16,10 +16,12 @@ This module pits them against each other:
 * the batch partitioned-LRU data plane (:mod:`repro.sim.partitioned`)
   against the per-event ``OrderedDict`` reference on hypothesis-generated
   drifting traffic with random reallocation schedules (hits, misses,
-  occupancies at shrink boundaries, per-segment counts), the chunked
-  :class:`~repro.cache.stack_distance.StackDistanceStream` against the
-  whole-array pass, and a full online replay against the per-event oracle
-  of ``tests/oracles.py`` end to end;
+  occupancies at shrink boundaries, per-segment counts), and a full online
+  replay against the per-event oracle of ``tests/oracles.py`` end to end;
+* the chunked :class:`~repro.cache.stack_distance.StackDistanceStream`,
+  :func:`~repro.cache.reuse_intervals` and :func:`~repro.cache.footprint_curve`
+  against the oracle loops of ``tests/oracles.py``, on the C kernel and on
+  the numpy fallback;
 * metamorphic properties: the optimal partition *value* is invariant under
   tenant order permutation, MRCs are monotone non-increasing in capacity,
   and a windowed profile of a concatenated trace with decay → 0 equals the
@@ -28,20 +30,28 @@ This module pits them against each other:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import PartitionedLRU, replay_lanes, stack_distances_naive
+from oracles import (
+    PartitionedLRU,
+    footprint_curve_naive,
+    replay_lanes,
+    reuse_intervals_naive,
+    stack_distances_fenwick,
+    stack_distances_naive,
+)
 
 from repro.alloc import DiscretizedMRC, dp_allocate, total_misses
 from repro.alloc.partition import PartitionJob, run_partition
-from repro.cache import FIFOCache, LRUCache, SetAssociativeCache
+from repro.cache import FIFOCache, LRUCache, SetAssociativeCache, footprint_curve, reuse_intervals, stack_distance
 from repro.cache.mrc import mrc_from_trace
 from repro.cache.stack_distance import (
     COLD,
     StackDistanceStream,
-    stack_distances,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
@@ -174,7 +184,7 @@ class TestHypothesisDifferential:
     @given(traces)
     def test_stack_distance_implementations_agree(self, trace):
         vectorised = stack_distances_vectorized(trace)
-        assert np.array_equal(vectorised, stack_distances(trace))
+        assert np.array_equal(vectorised, stack_distances_fenwick(trace))
         assert np.array_equal(vectorised, stack_distances_naive(trace))
 
     @given(traces, st.integers(min_value=1, max_value=16))
@@ -258,13 +268,6 @@ class TestPartitionedKernelDifferential:
                 assert batch.occupancies == reference.occupancies
         assert (batch.hits, batch.misses) == (reference.hits, reference.misses)
 
-    @given(traces, st.integers(min_value=1, max_value=7))
-    def test_streamed_distances_match_whole_array(self, trace, chunk):
-        arr = np.asarray(trace, dtype=np.int64)
-        stream = StackDistanceStream()
-        parts = [stream.feed(arr[start : start + chunk]) for start in range(0, arr.size, chunk)]
-        assert np.array_equal(np.concatenate(parts), stack_distances_vectorized(arr))
-
     @given(traces)
     def test_previous_positions_are_consistent_with_distances(self, trace):
         distances, previous = stack_distances_with_previous(trace)
@@ -276,6 +279,90 @@ class TestPartitionedKernelDifferential:
                 prev = int(previous[position])
                 assert arr[prev] == arr[position]
                 assert not np.any(arr[prev + 1 : position] == arr[position])
+
+
+# --------------------------------------------------------------------------- #
+# The chunked stream and the pass-derived metrics vs. the oracle loops
+# --------------------------------------------------------------------------- #
+INT64 = np.iinfo(np.int64)
+# A small dense alphabet, negatives, and the int64 extremes.
+wide_labels = st.one_of(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([INT64.min, INT64.min + 1, -1, 0, INT64.max - 1, INT64.max]),
+)
+wide_traces = st.lists(wide_labels, max_size=80)
+# Chunk sizes: empty chunks interleaved, and sizes past any trace's length;
+# whatever the plan leaves unfed goes in as one last chunk.
+chunk_plans = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=1, max_value=8), st.integers(min_value=81, max_value=200)),
+    min_size=1,
+    max_size=30,
+)
+PATHS = ("native", "numpy")
+
+
+@contextmanager
+def distance_path(path: str):
+    """Serve stack distances by the C kernel (where it builds) or the numpy fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "numpy":
+            patch.setattr(stack_distance, "native_kernels", lambda: None)
+        yield
+
+
+def _stream_in_chunks(stream: StackDistanceStream, arr: np.ndarray, sizes) -> np.ndarray:
+    """Feed ``arr`` in chunks of ``sizes`` (then the rest), checking clock and footprint."""
+    parts, seen, consumed = [], set(), 0
+    for chunk in np.split(arr, np.minimum(np.cumsum(sizes), arr.size)):
+        parts.append(stream.feed(chunk))
+        consumed += chunk.size
+        seen.update(chunk.tolist())
+        assert (stream.clock, stream.footprint) == (consumed, len(seen))
+    return np.concatenate(parts)
+
+
+class TestStreamDifferential:
+    """:class:`StackDistanceStream`, :func:`reuse_intervals` and :func:`footprint_curve`
+    against the per-access oracle loops, on the C kernel and on the numpy fallback."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(trace=wide_traces, plan=chunk_plans)
+    def test_streamed_distances_match_the_oracle(self, path, trace, plan):
+        arr = np.asarray(trace, dtype=np.int64)
+        with distance_path(path):
+            streamed = _stream_in_chunks(StackDistanceStream(), arr, plan)
+        assert np.array_equal(streamed, stack_distances_fenwick(arr))
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("chunk", [5, 97])
+    def test_footprint_far_larger_than_the_chunk(self, path, chunk):
+        arr = np.random.default_rng(3).integers(0, 4000, size=12_000)
+        with distance_path(path):
+            streamed = _stream_in_chunks(StackDistanceStream(), arr, [chunk] * (arr.size // chunk))
+        assert np.array_equal(streamed, stack_distances_vectorized(arr))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_labels_at_the_int64_limits(self, path):
+        labels = np.array([INT64.min, INT64.max, -1, 0, INT64.min + 1, INT64.max - 1], dtype=np.int64)
+        arr = np.random.default_rng(5).choice(labels, size=300)
+        with distance_path(path):
+            streamed = _stream_in_chunks(StackDistanceStream(), arr, [0, 1, 7, 0, 400])
+        assert np.array_equal(streamed, stack_distances_fenwick(arr))
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(trace=wide_traces)
+    def test_reuse_intervals_match_the_dict_loop(self, path, trace):
+        with distance_path(path):
+            intervals = reuse_intervals(trace)
+        assert np.array_equal(intervals, reuse_intervals_naive(trace))
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(trace=st.lists(wide_labels, max_size=40))
+    def test_footprint_curve_matches_every_window(self, path, trace):
+        with distance_path(path):
+            curve = footprint_curve(trace)
+        np.testing.assert_allclose(curve, footprint_curve_naive(trace), rtol=0, atol=1e-9)
 
 
 class TestReplayEngineDifferential:

@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import footprint_curve_naive, stack_distances_fenwick
 
-from repro.cache import LRUCache, hit_counts, stack_distances as trace_stack_distances
+from repro.cache import LRUCache, hit_counts
 from repro.core import (
     FenwickTree,
     Permutation,
@@ -115,7 +116,7 @@ def test_closed_form_matches_lru_simulation(sigma, cache_size):
 @given(permutations)
 def test_periodic_trace_stack_distances_match_generic_algorithm(sigma):
     trace = PeriodicTrace(sigma).to_trace().accesses
-    measured = trace_stack_distances(trace)[sigma.size :]
+    measured = stack_distances_fenwick(trace)[sigma.size :]
     assert np.array_equal(measured, stack_distances(sigma))
 
 
@@ -238,15 +239,8 @@ def test_footprint_curve_matches_brute_force(trace):
     from repro.cache import footprint_curve
 
     curve = footprint_curve(trace)
-    n = len(trace)
-    assert curve.size == n + 1
-    for w in range(n + 1):
-        if w == 0:
-            expected = 0.0
-        else:
-            windows = [len(set(trace[i : i + w])) for i in range(n - w + 1)]
-            expected = sum(windows) / len(windows)
-        assert abs(curve[w] - expected) < 1e-9
+    assert curve.size == len(trace) + 1
+    np.testing.assert_allclose(curve, footprint_curve_naive(trace), rtol=0, atol=1e-9)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=60))
