@@ -116,20 +116,21 @@ def discretize_curve(curve: MissRatioCurve, budget: int, *, unit: int = 1) -> Di
         raise ValueError(f"budget must be >= 1, got {budget}")
     if int(unit) < 1:
         raise ValueError(f"unit must be >= 1, got {unit}")
-    budget, unit = int(budget), int(unit)
-    max_units = budget // unit
-    # Beyond the curve's last point the miss ratio is flat; keep one unit past
+    return discretize_ratios(curve.ratios[np.newaxis], [curve.accesses], int(budget), int(unit))[0]
+
+
+def discretize_ratios(ratios: np.ndarray, accesses, budget: int, unit: int) -> list[DiscretizedMRC]:
+    """:func:`discretize_curve` of every row of a ``(curves, sizes)`` ratio matrix, row ``i`` over ``accesses[i]``."""
+    # Beyond the curves' last point the miss ratio is flat; keep one unit past
     # the last distinct capacity so that point is representable.
-    useful_units = min(max_units, -(-curve.max_cache_size // unit))
+    useful_units = min(budget // unit, -(-ratios.shape[1] // unit))
     sizes = np.arange(1, useful_units + 1) * unit
-    # Vectorised curve[c] gather (sizes beyond the curve clamp to its last
-    # point) — this runs once per tenant per epoch in the online engine, so a
-    # per-size Python loop would be a real hot spot.
-    values = curve.ratios
-    ratios = values[np.minimum(sizes, values.size) - 1]
-    ratios = np.minimum.accumulate(ratios)
-    misses = np.concatenate([[float(curve.accesses)], ratios * curve.accesses])
-    return DiscretizedMRC(misses=misses, unit=unit, accesses=int(curve.accesses))
+    misses = np.empty((ratios.shape[0], useful_units + 1), dtype=np.float64)
+    misses[:, 0] = accesses
+    # curve[c] gather (sizes beyond the curve clamp to its last point).
+    np.minimum.accumulate(ratios[:, np.minimum(sizes, ratios.shape[1]) - 1], axis=1, out=misses[:, 1:])
+    misses[:, 1:] *= misses[:, :1]
+    return [DiscretizedMRC(misses=row, unit=unit, accesses=int(n)) for row, n in zip(misses, accesses)]
 
 
 def lower_convex_hull(misses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

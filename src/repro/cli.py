@@ -100,21 +100,19 @@ __all__ = ["main", "build_parser"]
 # --------------------------------------------------------------------------- #
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis.reporting import format_table
-    from .cache.mrc import mrc_from_trace
     from .trace.io import read_text
-    from .trace.stats import locality_score, summarize
+    from .trace.stats import locality_score, summarize_with_distances
 
     try:
         trace = read_text(args.trace_file)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    stats = summarize(trace)
+    stats, distances = summarize_with_distances(trace)
     print(format_table([stats.__dict__], title=f"Trace statistics — {trace.name}"))
     print(f"locality score (0 = cyclic, 1 = sawtooth): {locality_score(stats):.4f}")
-    curve = mrc_from_trace(trace.accesses)
     samples = sorted({max(1, trace.footprint // 8), max(1, trace.footprint // 2), trace.footprint})
-    rows = [{"cache_size": c, "miss_ratio": curve[c]} for c in samples]
+    rows = [{"cache_size": c, "miss_ratio": 1.0 - int((distances <= c).sum()) / stats.accesses} for c in samples]
     print(format_table(rows, title="LRU miss ratio at sampled cache sizes"))
     return 0
 

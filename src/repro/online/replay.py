@@ -9,8 +9,8 @@ three partitioned LRU lanes at once:
     allocated once up front (what the offline :mod:`repro.alloc` pipeline
     would deploy) and never changed.
 ``adaptive``
-    The online engine: per-tenant :class:`~repro.online.windowed.WindowedShardsSketch`
-    profiles refreshed every ``epoch`` events, per-tenant
+    The online engine: per-tenant windowed SHARDS profiles
+    (:mod:`repro.online.windowed`) refreshed every ``epoch`` events, per-tenant
     :class:`~repro.online.phases.PhaseChangeDetector` flags, and a
     :class:`~repro.online.controller.ReallocationController` that re-runs the
     allocator and applies the proposal when the predicted gain beats the
@@ -31,18 +31,18 @@ yields the static and per-phase oracle profiles and then drives the
 static/adaptive/oracle lanes of a :class:`repro.engine.lanes.LaneSet`, and
 the merged epoch/phase stop schedule comes from
 :func:`repro.engine.segments.replay_stops`.  The test suite re-drives every
-lane event by event through a per-event ``OrderedDict`` simulator and holds
-the two bit-identical.
+lane event by event through a per-event ``OrderedDict`` simulator and every
+epoch's profiles through per-tenant sketches, and holds both bit-identical.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..alloc.curves import discretize_curve
-from ..engine.columnar import TenantDistancePasses, idle_curve, split_by_tenant
+from ..alloc.curves import discretize_ratios
+from ..cache.mrc import MissRatioCurve
+from ..engine.columnar import TenantDistancePasses, idle_curve
 from ..engine.job import (
     ALLOC_METHODS, check_choice, check_fraction, check_non_negative, check_positive, check_unit, knob
 )
@@ -55,7 +55,7 @@ from ..resilience.faults import fire as _fire_fault
 from ..trace.drift import DriftingWorkload
 from .controller import ReallocationController
 from .phases import PhaseChangeDetector
-from .windowed import WindowedShardsSketch, WindowSnapshot, curve_of_snapshot
+from .windowed import TenantWindows
 
 __all__ = [
     "OnlineJob",
@@ -76,7 +76,7 @@ class OnlineJob:
         Shared cache capacity in blocks.
     window:
         Windowed-profiler span in *composed-trace* events; the replay engine
-        keeps every tenant's sketch on the shared timeline, so a tenant's
+        keeps every tenant's window on the shared timeline, so a tenant's
         window covers roughly ``window × its access share`` own references.
     epoch:
         Re-profiling period in composed-trace events; profiles are refreshed
@@ -234,18 +234,17 @@ class ReplayResult:
         }
 
 
-def _windowed_profile(task: tuple[WindowSnapshot, int, int]):
-    """Windowed-sketch curve (for the detector) plus its discretization.
+def _windowed_profile(windows: TenantWindows, end: int, budget: int, unit: int) -> list[tuple]:
+    """Every tenant's windowed curve (for the detector) plus its discretization at epoch end ``end``, batched.
 
-    Returns ``(curve, discretized)``; ``curve`` is ``None`` for a tenant whose
-    sampled window is empty (no traffic), which maps to the idle zero-demand
-    discretization so the allocator starves it.
+    A tenant with an empty sampled window (no traffic) gets curve ``None`` and the idle zero-demand curve.
     """
-    snapshot, budget, unit = task
-    if snapshot.sampled == 0:
-        return None, idle_curve(unit)
-    curve = curve_of_snapshot(snapshot, max_cache_size=budget)
-    return curve, discretize_curve(curve, budget, unit=unit)
+    tenants, offered, ratios = windows.ratios(end, budget)
+    profiles = [None] * windows.num_tenants
+    discretized = discretize_ratios(ratios, offered, budget, unit)
+    for t, accesses, row, profile in zip(tenants, offered.tolist(), ratios, discretized):
+        profiles[t] = (MissRatioCurve(ratios=row, accesses=accesses), profile)
+    return [profile or (None, idle_curve(unit)) for profile in profiles]
 
 
 def _initial_split(num_tenants: int, budget: int, unit: int) -> tuple[int, ...]:
@@ -286,7 +285,7 @@ def run_replay(
     With ``checkpoint_dir`` the replay snapshots its dynamic state every
     ``checkpoint_every`` completed epochs (atomic, checksummed, fingerprinted
     — see :mod:`repro.resilience.checkpoint`), less what a resume re-derives
-    from the trace: the sketch windows and the curves extracted from them.  A
+    from the trace: the windowed profiles and the curves extracted from them.  A
     killed run restarted with ``resume=True`` continues from the latest
     snapshot and produces rows and summaries **bit-identical** to the
     uninterrupted run (asserted in ``tests/resilience/``).  ``resume=True`` with an empty or absent store
@@ -305,11 +304,17 @@ def run_replay(
 
     controller = ReallocationController(budget=budget, method=job.method, unit=unit, move_cost=job.move_cost)
 
+    # Stops are every epoch end plus every phase boundary (oracle resizes
+    # there); the lanes advance chunk by chunk between stops.
+    stops, ends = replay_stops(n, job.epoch, workload.boundaries)
+
     # Whole-trace (static) and per-phase (oracle) exact profiles — both are
     # method-independent inputs computed up front.  ONE distance pass per
     # tenant yields the static profiles (histogram of the whole array), the
     # per-phase oracle profiles (an access whose previous access predates the
     # phase is simply cold there — no re-processing), and then drives every lane.
+    # One more pass per tenant, over its sampled references, yields every
+    # epoch's windowed (adaptive) profile by the same identity.
     with span("online.profiles"):
         passes = TenantDistancePasses(items, ids, num_tenants)
         static_curves = [passes.whole_stream_curve(t, budget, unit) for t in range(num_tenants)]
@@ -318,6 +323,8 @@ def run_replay(
             for p in range(workload.num_phases)
             for t in range(num_tenants)
         ]
+        passes.previous = None  # read by the phase curves only
+        windows = TenantWindows(items, passes.positions, stops, ends, job.window, job.decay, job.rate, job.profile_seed)
     static_allocation = controller.propose(static_curves)
     oracle_allocations = []
     for p in range(workload.num_phases):
@@ -331,20 +338,9 @@ def run_replay(
             "oracle": oracle_allocations[0],
         },
     )
-    def new_sketches() -> list[WindowedShardsSketch]:
-        return [
-            WindowedShardsSketch(window=job.window, decay=job.decay, rate=job.rate, seed=job.profile_seed)
-            for _ in range(num_tenants)
-        ]
-
-    sketches = new_sketches()
     detectors = []
     for _ in range(num_tenants):
         detectors.append(PhaseChangeDetector(threshold=job.threshold, hysteresis=job.hysteresis))
-
-    # Stops are every epoch end plus every phase boundary (oracle resizes
-    # there); chunks between stops are processed with batched sketch updates.
-    stops, epoch_ends = replay_stops(n, job.epoch, workload.boundaries)
 
     fingerprint = replay_fingerprint(workload, job) if checkpoint_dir is not None else None
 
@@ -362,41 +358,13 @@ def run_replay(
     anchors: list[int | None] = [None] * num_tenants
     counters = {"static": [0, 0], "adaptive": [0, 0], "oracle": [0, 0]}  # [hits, misses] this epoch
 
-    def feed(targets: list[WindowedShardsSketch], start: int, end: int) -> None:
-        """Feed events ``start .. end`` to one sketch per tenant."""
-        chunk_items = items[start:end]
-        for sketch, tenant_items in zip(targets, split_by_tenant(chunk_items, ids[start:end], num_tenants)):
-            sketch.update(tenant_items)
-            # Keep every sketch on the composed timeline: advancing past the
-            # other tenants' events makes windows age in shared time, so a
-            # tenant that goes quiet drains out of its own window.
-            sketch.advance(int(chunk_items.size - tenant_items.size))
-
-    def sketches_at(stop: int) -> list[WindowedShardsSketch]:
-        """The sketches as the replay holds them at ``stop``, rebuilt from the trace.
-
-        A sketch keeps the samples of its last ``window`` timeline positions
-        only, so fresh sketches fed the chunks from the one holding the
-        window's start on end in the same state.
-        """
-        starts = [0, *stops]
-        first = bisect.bisect_right(starts, max(stop - job.window, 0)) - 1
-        rebuilt = new_sketches()
-        for sketch in rebuilt:
-            sketch.advance(starts[first])
-        for start, end in zip(starts[first:], stops[first:]):
-            if start >= stop:
-                break
-            feed(rebuilt, start, end)
-        return rebuilt
-
     if resume and latest_step(checkpoint_dir) is not None:
         # Checkpoints snapshot at epoch ends only, right after the counters
         # reset — so the epoch counters are implicitly zero and everything
         # deterministic (distance arrays, static/oracle profiles, the stop
-        # schedule) was already recomputed above, identically.  So are the
-        # sketch windows and every detector reference: the snapshot holds
-        # only the epoch end each reference was taken at.
+        # schedule, the windows) was already recomputed above, identically.
+        # So is every detector reference: the snapshot holds only the epoch
+        # end each reference was taken at.
         state = load_checkpoint(checkpoint_dir, fingerprint=fingerprint).state
         position = int(state["position"])
         phase = int(state["phase"])
@@ -409,14 +377,10 @@ def run_replay(
         phase_changes = int(state["phase_changes"])
         profile_failures = int(state["profile_failures"])
         lanes.load_state_dict(state["lanes"])
-        sketches = sketches_at(position)
-        windows = {position: sketches}
         for t, (detector, detector_state) in enumerate(zip(detectors, state["detectors"])):
             anchors[t] = anchor = detector_state["reference"]
             if anchor is not None:
-                if anchor not in windows:
-                    windows[anchor] = sketches_at(anchor)
-                reference = curve_of_snapshot(windows[anchor][t].snapshot(), max_cache_size=budget)
+                reference = _windowed_profile(windows, anchor, budget, unit)[t][0]
                 detector_state = {**detector_state, "reference": reference}
             detector.load_state_dict(detector_state)
         controller.evaluations = int(state["controller"]["evaluations"])
@@ -427,32 +391,27 @@ def run_replay(
             if stop <= position:  # already replayed before the resume point
                 continue
             lanes.advance(items[position:stop], ids[position:stop], counters)
-            feed(sketches, position, stop)
             position = stop
             if phase + 1 < workload.num_phases and position >= workload.boundaries[phase + 1]:
                 phase += 1
                 lanes.resize("oracle", oracle_allocations[phase])
-            if position not in epoch_ends:
+            if position not in ends:
                 continue
 
             # Epoch end: refresh windowed profiles, consult detector + controller.
-            # The per-epoch extractions are tiny (the sampled window buffers), so
-            # they run inline.
-            snapshots = [sketch.snapshot() for sketch in sketches]
-            profiled_references += sum(snap.sampled for snap in snapshots)
-            profiles = []
+            retained = windows.retained[position]
+            profiled_references += retained
+            with span("online.window_profile"):
+                profiles = _windowed_profile(windows, position, budget, unit)
             failed: set[int] = set()
-            for t, snap in enumerate(snapshots):
+            for t in range(num_tenants):
                 try:
                     _fire_fault("online.profile", t)
-                    profile = _windowed_profile((snap, budget, unit))
                 except Exception:
-                    # Degrade, never crash: the detector skips the tenant and
-                    # the controller is skipped below, so the allocation
-                    # stays put this epoch.
+                    # Degrade, never crash: the detector skips the tenant and the
+                    # controller is skipped below, so the allocation stays put.
                     failed.add(t)
-                    profile = (None, idle_curve(unit))
-                profiles.append(profile)
+                    profiles[t] = (None, idle_curve(unit))
             profile_failures += len(failed)
             window_curves = [discretized for _curve, discretized in profiles]
             distance = 0.0
@@ -519,7 +478,7 @@ def run_replay(
                 # sample volume — purely observational, never read back.
                 registry.series("online.epochs").record(
                     **epochs[-1].row(),
-                    sketch_sampled=sum(snap.sampled for snap in snapshots),
+                    sketch_sampled=retained,
                     gain=predicted_gain,
                     penalty=move_penalty,
                     profile_failures=len(failed),

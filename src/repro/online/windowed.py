@@ -27,10 +27,10 @@ Design points:
   variance exactly like the ``n_seeds`` knob of
   :func:`~repro.profiling.shards.shards_mrc`.
 * **Deterministic** — state is a pure function of the ingested references and
-  the constructor arguments; the re-partitioning engine in
-  :mod:`repro.online.replay` relies on this to stay bit-identical, and a
-  resumed replay rebuilds its windows by feeding fresh sketches the trace's
-  last ``window`` positions again instead of restoring them from a snapshot.
+  the constructor arguments.
+
+A replay knows its trace up front: :class:`TenantWindows` slices every epoch's
+windows out of one sampled distance pass per tenant, with bit-identical curves.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cache.mrc import MissRatioCurve
-from ..cache.stack_distance import COLD, stack_distances_vectorized
-from ..profiling.shards import HASH_SPACE, histogram_to_mrc, rate_threshold, sampled_positions
+from ..cache.stack_distance import COLD, stack_distances_vectorized, stack_distances_with_previous
+from ..profiling.shards import HASH_SPACE, histogram_ratios, histogram_to_mrc, rate_threshold, sampled_positions
 
 __all__ = ["WindowSnapshot", "WindowedShardsSketch", "curve_of_snapshot", "pooled_curve"]
 
@@ -58,8 +58,7 @@ class WindowSnapshot:
     references actually offered to the sketch inside the window and
     ``offered_weight`` their decayed mass (equal to ``offered`` when
     ``decay == 0``).  Snapshots decouple curve extraction from sketch
-    mutation, so the replay engine can fan :func:`curve_of_snapshot` calls
-    across a process pool without racing the event loop.
+    mutation: a snapshot can be pickled and its curve extracted elsewhere.
     """
 
     items: np.ndarray
@@ -156,11 +155,8 @@ class WindowedShardsSketch:
     def advance(self, count: int) -> None:
         """Advance the clock by ``count`` positions without ingesting references.
 
-        This is how a *shared* timeline is imposed on per-tenant sketches: the
-        replay engine advances every sketch past the events of the *other*
-        tenants, so windows age in composed-trace time and a tenant that goes
-        quiet (departure, load shift) drains out of its own window instead of
-        pinning a stale profile forever.
+        Advancing each tenant's sketch past the *other* tenants' events ages
+        its window in shared (composed-trace) time, so a quiet tenant drains out.
         """
         if int(count) < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -191,15 +187,7 @@ class WindowedShardsSketch:
         offered = int(lengths.sum())
         if self.decay == 0.0:
             return offered, float(offered)
-        newest = self._clock - 1
-        # Positions start .. start+length-1 carry ages newest-p; geometric
-        # series per segment summed in closed form, all exponents <= 0 (no
-        # overflow).  expm1 keeps the ratio finite as decay -> 0, where the
-        # naive (1 - e^-d L) / (1 - e^-d) form degenerates to 0/0 (NaN).
-        denominator = -np.expm1(-self.decay)
-        youngest_ages = newest - (starts + lengths - 1.0)
-        terms = np.exp(-self.decay * youngest_ages) * -np.expm1(-self.decay * lengths) / denominator
-        return offered, float(terms.sum())
+        return offered, _decayed_mass(starts, lengths, self._clock - 1, self.decay)
 
     def snapshot(self) -> WindowSnapshot:
         """Freeze the current window state for (possibly remote) curve extraction."""
@@ -220,44 +208,43 @@ class WindowedShardsSketch:
         return curve_of_snapshot(self.snapshot(), max_cache_size=max_cache_size)
 
 
-def _window_weights(snapshot: WindowSnapshot) -> tuple[np.ndarray, float]:
-    """Per-sampled-reference decay weights and the expected sampled weight mass.
+def _decayed_mass(starts: np.ndarray, lengths: np.ndarray, newest: int, decay: float) -> float:
+    """Decayed weight of the offered runs ``starts[i] .. starts[i]+lengths[i]-1``: geometric series, expm1-stable."""
+    denominator = -np.expm1(-decay)
+    youngest_ages = newest - (starts + lengths - 1.0)
+    terms = np.exp(-decay * youngest_ages) * -np.expm1(-decay * lengths) / denominator
+    return float(terms.sum())
 
-    The expected mass is the decayed weight of all *offered* window positions
-    scaled by the sampling rate — the denominator of the SHARDS-adj
-    correction.  Offered (not elapsed) positions matter: on a shared
-    timeline a sketch only sees its own tenant's share of the window.
+
+def _decay_weights(positions: np.ndarray, newest: int, decay: float) -> np.ndarray:
+    """Weight ``exp(-decay * age)`` of the samples at timeline ``positions``."""
+    return np.exp(-decay * (newest - positions.astype(np.float64)))
+
+
+def _window_histograms(rows, distances, weights, totals, expected, rate: float, count: int, length: int = 0):
+    """Decay-weighted, SHARDS-adj-corrected histograms of sampled windows, one row each (``length`` columns).
+
+    Each reused sample adds its weight at its distance rescaled by ``1 / rate``; the gap between
+    a row's expected and actual sampled weight goes to the smallest size, as in the whole-trace SHARDS-adj.
     """
-    if snapshot.decay == 0.0:
-        weights = np.ones(snapshot.positions.size, dtype=np.float64)
-    else:
-        newest = snapshot.clock - 1
-        weights = np.exp(-snapshot.decay * (newest - snapshot.positions.astype(np.float64)))
-    return weights, snapshot.offered_weight * snapshot.effective_rate
+    scaled = np.ceil(distances.astype(np.float64) / rate).astype(np.int64)
+    length = length or int(scaled.max(initial=1))
+    kept = scaled <= length
+    flat = rows[kept] * length + scaled[kept] - 1
+    histograms = np.bincount(flat, weights[kept], count * length).astype(np.float64, copy=False).reshape(count, length)
+    histograms[:, 0] += expected - totals
+    return histograms
 
 
 def _snapshot_histogram(snapshot: WindowSnapshot) -> tuple[np.ndarray, float]:
-    """Rescaled, decay-weighted, SHARDS-adj-corrected histogram of one snapshot.
-
-    Stack distances are measured on the sampled window buffer (distinct
-    *sampled* items), rescaled by ``1 / R`` to full-trace cache sizes, and
-    accumulated into a decay-weighted histogram; the SHARDS-adj correction
-    charges the gap between the expected and actual sampled weight mass to
-    the smallest cache size, exactly as in
-    :func:`repro.profiling.shards.shards_mrc`.  Returns the histogram and
-    the expected-mass denominator.  The single source of truth for both
-    :func:`curve_of_snapshot` and :func:`pooled_curve`.
-    """
+    """Histogram and expected sampled mass (of the *offered* window positions) of one snapshot."""
     distances = stack_distances_vectorized(snapshot.items)
-    weights, expected = _window_weights(snapshot)
+    weights = _decay_weights(snapshot.positions, snapshot.clock - 1, snapshot.decay)  # exactly 1 without decay
+    expected = snapshot.offered_weight * snapshot.effective_rate
     finite = distances != COLD
-    scaled = np.ceil(distances[finite].astype(np.float64) / snapshot.effective_rate).astype(np.int64)
-    length = int(scaled.max()) if scaled.size else 1
-    histogram = np.zeros(length, dtype=np.float64)
-    if scaled.size:
-        np.add.at(histogram, scaled - 1, weights[finite])
-    histogram[0] += expected - float(weights.sum())
-    return histogram, expected
+    rows, rate = np.zeros(int(finite.sum()), dtype=np.int64), snapshot.effective_rate
+    histogram = _window_histograms(rows, distances[finite], weights[finite], float(weights.sum()), expected, rate, 1)
+    return histogram[0], expected
 
 
 def curve_of_snapshot(snapshot: WindowSnapshot, *, max_cache_size: int | None = None) -> MissRatioCurve:
@@ -290,18 +277,74 @@ def pooled_curve(
     snapshots = [s.snapshot() if isinstance(s, WindowedShardsSketch) else s for s in sketches]
     if len({snap.clock for snap in snapshots}) != 1:
         raise ValueError("pooled sketches must have ingested the same stream (equal clocks)")
-    histograms: list[np.ndarray] = []
-    expected_total = 0.0
-    for snap in snapshots:
-        if snap.sampled == 0:
-            continue
-        histogram, expected = _snapshot_histogram(snap)
-        histograms.append(histogram)
-        expected_total += expected
-    if not histograms:
+    parts = [_snapshot_histogram(snap) for snap in snapshots if snap.sampled]
+    if not parts:
         raise ValueError("every pooled sketch has an empty sampled window")
-    length = max(h.size for h in histograms)
-    pooled = np.zeros(length, dtype=np.float64)
-    for h in histograms:
-        pooled[: h.size] += h
-    return histogram_to_mrc(pooled, expected_total, snapshots[0].offered, max_cache_size=max_cache_size)
+    pooled = np.zeros(max(histogram.size for histogram, _ in parts), dtype=np.float64)
+    for histogram, _ in parts:
+        pooled[: histogram.size] += histogram
+    mass = sum(expected for _, expected in parts)
+    return histogram_to_mrc(pooled, mass, snapshots[0].offered, max_cache_size=max_cache_size)
+
+
+class TenantWindows:
+    """Every tenant's sampled window at every epoch end of a replay, from one sampled pass per tenant.
+
+    In a stop chunk ``[s, e)`` a tenant's ``k``-th event sits at window position ``s + k``, so its window at epoch
+    end ``E`` is the slice of its sampled stream at positions ``>= E - window``: a sample whose previous access fell
+    out of it is cold, any other keeps its whole-stream distance.  Bit-identical to one sketch per tenant fed the
+    ``stops``' chunks of ``items`` (``positions``: each tenant's events in them).  ``retained[E]``: samples held.
+    """
+
+    def __init__(self, items, positions, stops, epoch_ends, window: int, decay: float, rate: float, seed: int):
+        self.window, self.decay, self.effective_rate = int(window), float(decay), rate_threshold(rate) / HASH_SPACE
+        self.num_tenants = len(positions)
+        bounds = np.asarray([0, *stops], dtype=np.int64)
+        # before[k, t]: tenant t's events ahead of chunk k, which starts at bounds[k].
+        before = np.stack([np.searchsorted(tenant, bounds) for tenant in positions], axis=1)
+        ends = np.asarray(sorted(epoch_ends), dtype=np.int64)
+        self._rows = {end: row for row, end in enumerate(ends.tolist())}
+        self._columns, spans = [], []  # per tenant: distances, previous-access indices, positions if decayed
+        for t, tenant in enumerate(positions):
+            events = items[tenant]
+            timeline = sampled_positions(events, [rate_threshold(rate)], [seed])[0]
+            events = events[timeline]
+            timeline += np.repeat(bounds[:-1] - before[:-1, t], np.diff(np.searchsorted(tenant[timeline], bounds)))
+            spans.append(np.searchsorted(timeline, np.stack([ends - self.window, ends])))
+            timeline = timeline if self.decay else None
+            self._columns.append((*stack_distances_with_previous(events), timeline))
+        self._lo, self._hi = np.stack(spans, axis=-1)
+        self.retained = dict(zip(ends.tolist(), (self._hi - self._lo).sum(axis=1).tolist()))
+        # Offered runs: a tenant's c events of chunk k at bounds[k] .. bounds[k] + c - 1, touching runs merged.
+        counts = np.diff(before, axis=0).T
+        tenant, chunk = np.nonzero(counts)
+        starts, stops = bounds[chunk], bounds[chunk] + counts[tenant, chunk]
+        opens = np.append(True, (tenant[1:] != tenant[:-1]) | (starts[1:] != stops[:-1]))
+        self._runs = tenant[opens], starts[opens], stops[np.append(opens[1:], True)]
+
+    def ratios(self, end: int, size: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Non-empty windows at ``end``: their tenants, offered references and miss ratios at sizes ``1 .. size``."""
+        row = self._rows[end]
+        tenants = np.flatnonzero(self._hi[row] > self._lo[row]).tolist()
+        lo, counts = self._lo[row, tenants], (self._hi - self._lo)[row, tenants]
+        owner, starts, stops = self._runs
+        starts, stops = np.maximum(starts, end - self.window), np.minimum(stops, end)  # clipped to the window
+        live = (stops > starts) & np.isin(owner, tenants)
+        owner, starts, lengths = np.searchsorted(tenants, owner[live]), starts[live], (stops - starts)[live]
+        offered = np.bincount(owner, lengths, len(tenants)).astype(np.int64)
+        spans = [(self._columns[t], a, a + c) for t, a, c in zip(tenants, lo.tolist(), counts.tolist())]
+        if not spans:
+            return tenants, offered, np.empty((0, size))
+        finite = np.concatenate([previous[a:b] for (_, previous, _), a, b in spans]) >= np.repeat(lo, counts)
+        distances = np.concatenate([distances[a:b] for (distances, _, _), a, b in spans])[finite]
+        weights, totals, mass = np.ones(distances.size), counts.astype(np.float64), offered.astype(np.float64)
+        if self.decay:
+            every = [_decay_weights(timeline[a:b], end - 1, self.decay) for (_, _, timeline), a, b in spans]
+            weights = np.concatenate(every)[finite]
+            totals = np.array([float(w.sum()) for w in every])
+            runs = [(starts[owner == i], lengths[owner == i]) for i in range(len(tenants))]
+            mass = np.array([_decayed_mass(*run, end - 1, self.decay) for run in runs])
+        expected, rate = mass * self.effective_rate, self.effective_rate
+        rows = np.repeat(np.arange(len(tenants)), counts)[finite]
+        histograms = _window_histograms(rows, distances, weights, totals, expected, rate, len(tenants), size)
+        return tenants, offered, histogram_ratios(histograms, expected[:, np.newaxis], size)

@@ -194,17 +194,23 @@ def histogram_to_mrc(
         raise ValueError(f"max_cache_size must be >= 1, got {max_cache_size}")
     if histogram.size == 0:
         raise ValueError("a miss-ratio curve needs at least one cache size")
-    # Running sum, clamp and running minimum over the kept prefix, in the
-    # curve's one array; then the last ratio held out (as curve[c] does).
     size = histogram.size if max_cache_size is None else max_cache_size
-    ratios = np.empty(size, dtype=np.float64)
-    head = ratios[: min(histogram.size, size)]
-    np.cumsum(histogram[: head.size], dtype=np.float64, out=head)
-    head /= denominator
+    return MissRatioCurve(ratios=histogram_ratios(histogram, denominator, size), accesses=int(accesses))
+
+
+def histogram_ratios(histograms: np.ndarray, denominators, size: int) -> np.ndarray:
+    """Miss ratios at sizes ``1 .. size`` along the last axis of corrected histograms, each row as if alone.
+
+    A running sum, clamp and running minimum, then the last ratio held out (as ``curve[c]`` does).
+    """
+    ratios = np.empty((*histograms.shape[:-1], size), dtype=np.float64)
+    head = ratios[..., : min(histograms.shape[-1], size)]
+    np.cumsum(histograms[..., : head.shape[-1]], axis=-1, dtype=np.float64, out=head)
+    head /= denominators
     np.subtract(1.0, head, out=head)
-    np.minimum.accumulate(np.clip(head, 0.0, 1.0, out=head), out=head)
-    ratios[head.size :] = head[-1]
-    return MissRatioCurve(ratios=ratios, accesses=int(accesses))
+    np.minimum.accumulate(np.clip(head, 0.0, 1.0, out=head), axis=-1, out=head)
+    ratios[..., head.shape[-1] :] = head[..., -1:]
+    return ratios
 
 
 def shards_mrc(

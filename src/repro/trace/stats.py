@@ -39,6 +39,11 @@ class TraceStats:
 
 def summarize(trace: Trace) -> TraceStats:
     """Compute :class:`TraceStats` for a trace."""
+    return summarize_with_distances(trace)[0]
+
+
+def summarize_with_distances(trace: Trace) -> tuple[TraceStats, np.ndarray]:
+    """:func:`summarize` plus the trace's finite stack distances, both from its one distance pass."""
     arr = trace.accesses
     if arr.size == 0:
         raise ValueError("cannot summarise an empty trace")
@@ -56,7 +61,7 @@ def summarize(trace: Trace) -> TraceStats:
         mean_stack_distance=float(finite_distances.mean()) if finite_distances.size else float("nan"),
         median_stack_distance=float(np.median(finite_distances)) if finite_distances.size else float("nan"),
         max_stack_distance=int(finite_distances.max()) if finite_distances.size else 0,
-    )
+    ), finite_distances
 
 
 def locality_score(trace: Trace | TraceStats) -> float:

@@ -15,6 +15,11 @@ partition and the exact MRC pipeline:
   after re-deriving the static and per-phase oracle allocations from
   from-scratch exact profiles, and asserts every recorded miss ratio and
   allocation;
+* :func:`feed_sketches` / :func:`sketches_at` / :func:`sketch_profiles` —
+  the replay's windowed profiles from one
+  :class:`~repro.online.WindowedShardsSketch` per tenant, fed the composed
+  trace chunk by chunk on the shared timeline (what the replay did before
+  :class:`~repro.online.windowed.TenantWindows` sliced them from one pass);
 * :func:`naive_sweep_hits` — replays a trace once per capacity through a
   fresh LRU or FIFO cache model, the baseline of the sweep kernels;
 * :func:`stack_distances_naive` — Mattson's explicit LRU stack, ``O(N·M)``;
@@ -28,6 +33,7 @@ partition and the exact MRC pipeline:
 
 from __future__ import annotations
 
+import bisect
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -40,7 +46,8 @@ from repro.cache.lru import LRUCache
 from repro.cache.mrc import mrc_from_trace
 from repro.cache.stack_distance import COLD
 from repro.core.inversions import FenwickTree
-from repro.engine.columnar import idle_curve
+from repro.engine.columnar import idle_curve, split_by_tenant
+from repro.online import WindowedShardsSketch, curve_of_snapshot
 from repro.online.controller import ReallocationController
 from repro.online.replay import _initial_split
 from repro.sim.kernels import check_capacities
@@ -239,6 +246,63 @@ def replay_lanes(workload, result, job) -> dict[str, list[int]]:
         assert sims[lane].miss_ratio == getattr(result, f"{lane}_miss_ratio"), lane
     assert sims["adaptive"].capacities == result.final_allocation
     return series
+
+
+def feed_sketches(sketches, items: np.ndarray, tenant_ids: np.ndarray, start: int, end: int) -> None:
+    """Feed composed events ``start .. end`` to one sketch per tenant.
+
+    Every sketch also advances past the other tenants' events, so all of them
+    stay on the composed timeline and a quiet tenant drains out of its window.
+    """
+    chunk = items[start:end]
+    for sketch, tenant_items in zip(sketches, split_by_tenant(chunk, tenant_ids[start:end], len(sketches))):
+        sketch.update(tenant_items)
+        sketch.advance(int(chunk.size - tenant_items.size))
+
+
+def new_sketches(num_tenants: int, window: int, decay: float, rate: float, seed: int):
+    """One empty sketch per tenant."""
+    return [WindowedShardsSketch(window=window, decay=decay, rate=rate, seed=seed) for _ in range(num_tenants)]
+
+
+def sketches_at(items, tenant_ids, num_tenants, stops, stop, window, decay, rate, seed):
+    """The sketches as a replay holds them at ``stop``, rebuilt from the chunk holding the window's start.
+
+    A sketch keeps the samples of its last ``window`` timeline positions
+    only, so fresh sketches fed the chunks from that one on end in the same
+    state as sketches fed from the start.
+    """
+    starts = [0, *stops]
+    first = bisect.bisect_right(starts, max(stop - window, 0)) - 1
+    rebuilt = new_sketches(num_tenants, window, decay, rate, seed)
+    for sketch in rebuilt:
+        sketch.advance(starts[first])
+    for start, end in zip(starts[first:], stops[first:]):
+        if start >= stop:
+            break
+        feed_sketches(rebuilt, items, tenant_ids, start, end)
+    return rebuilt
+
+
+def sketch_profile(sketch, budget: int, unit: int):
+    """One tenant's windowed ``(curve, discretization)``: ``(None, idle)`` for an empty sampled window."""
+    snapshot = sketch.snapshot()
+    if snapshot.sampled == 0:
+        return None, idle_curve(unit)
+    curve = curve_of_snapshot(snapshot, max_cache_size=budget)
+    return curve, discretize_curve(curve, budget, unit=unit)
+
+
+def sketch_profiles(items, tenant_ids, num_tenants, stops, epoch_ends, window, decay, rate, seed, budget, unit):
+    """Per epoch end: every tenant's ``(curve, discretization)`` and the samples the sketches hold."""
+    sketches = new_sketches(num_tenants, window, decay, rate, seed)
+    profiles = {}
+    for start, end in zip([0, *stops], stops):
+        feed_sketches(sketches, items, tenant_ids, start, end)
+        if end in epoch_ends:
+            held = sum(sketch.sampled for sketch in sketches)
+            profiles[end] = [sketch_profile(sketch, budget, unit) for sketch in sketches], held
+    return profiles
 
 
 def stack_distances_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -104,7 +104,10 @@ class TestAnalyzeAndMrc:
         assert "1.0000" in out  # sawtooth has perfect locality score
 
     def test_analyze_summarizes_the_trace_once(self, tmp_path, capsys, monkeypatch):
+        """One distance pass serves the statistics and the miss ratios."""
         from repro.analysis.reporting import format_table
+        from repro.cache import stack_distance
+        from repro.cache.mrc import mrc_from_trace
         from repro.core import Permutation
         from repro.trace import PeriodicTrace, stats
         from repro.trace.io import read_text, write_text
@@ -115,12 +118,21 @@ class TestAnalyzeAndMrc:
         table = format_table([stats.summarize(trace).__dict__], title=f"Trace statistics — {trace.name}")
         score = f"locality score (0 = cyclic, 1 = sawtooth): {stats.locality_score(trace):.4f}"
         calls = []
-        summarize = stats.summarize
-        monkeypatch.setattr(stats, "summarize", lambda t: calls.append(t) or summarize(t))
+        for module, name in [
+            (stats, "stack_distances_with_previous"),
+            (stack_distance, "stack_distances_with_previous"),
+            (stack_distance, "stack_distances_vectorized"),
+        ]:
+            monkeypatch.setattr(module, name, lambda t, _pass=getattr(module, name): calls.append(t) or _pass(t))
         assert main(["analyze", str(path)]) == 0
         assert len(calls) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[: len(table.splitlines()) + 1] == [*table.splitlines(), score]
+        curve = mrc_from_trace(trace.accesses)
+        sizes = sorted({max(1, trace.footprint // 8), max(1, trace.footprint // 2), trace.footprint})
+        rows = [{"cache_size": c, "miss_ratio": curve[c]} for c in sizes]
+        ratios = format_table(rows, title="LRU miss ratio at sampled cache sizes").splitlines()
+        assert lines[-len(ratios) :] == ratios
         assert 0.0 < float(score.split()[-1]) < 1.0  # strictly between the cyclic and sawtooth anchors
 
     def test_mrc_prints_curve(self, trace_file, capsys):

@@ -18,6 +18,10 @@ This module pits them against each other:
   drifting traffic with random reallocation schedules (hits, misses,
   occupancies at shrink boundaries, per-segment counts), and a full online
   replay against the per-event oracle of ``tests/oracles.py`` end to end;
+* the replay's batched windowed profiles
+  (:class:`~repro.online.windowed.TenantWindows`) against one sketch per
+  tenant fed chunk by chunk, every epoch and tenant bit for bit, on the C
+  kernels and on the numpy fallbacks;
 * the chunked :class:`~repro.cache.stack_distance.StackDistanceStream`,
   :func:`~repro.cache.reuse_intervals` and :func:`~repro.cache.footprint_curve`
   against the oracle loops of ``tests/oracles.py``, on the C kernel and on
@@ -41,6 +45,8 @@ from oracles import (
     footprint_curve_naive,
     replay_lanes,
     reuse_intervals_naive,
+    sketch_profiles,
+    sketches_at,
     stack_distances_fenwick,
     stack_distances_naive,
 )
@@ -56,7 +62,12 @@ from repro.cache.stack_distance import (
     stack_distances_with_previous,
 )
 from repro.obs import MetricsRegistry, recording
+from repro.engine.columnar import tenant_positions
+from repro.engine.segments import replay_stops
 from repro.online import OnlineJob, WindowedShardsSketch, pooled_curve, run_replay
+from repro.online.replay import _windowed_profile
+from repro.online.windowed import TenantWindows
+from repro.profiling import shards
 from repro.profiling.accuracy import compare_curves
 from repro.sim.kernels import (
     _DEVIATE_SALT,
@@ -363,6 +374,88 @@ class TestStreamDifferential:
         with distance_path(path):
             curve = footprint_curve(trace)
         np.testing.assert_allclose(curve, footprint_curve_naive(trace), rtol=0, atol=1e-9)
+
+
+@st.composite
+def windowed_replays(draw):
+    """A composed trace, its stop schedule and windowed-profile knobs, degenerate cases included.
+
+    Empty tenants and phases, windows shorter than an epoch and longer than the
+    trace, length-1 traces, labels at the int64 limits, sampling rates down to
+    2**-10, allocation units past a tenant's footprint and budgets below the
+    tenant count.
+    """
+    num_tenants = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=90))
+    items = np.asarray(draw(st.lists(wide_labels, min_size=n, max_size=n)), dtype=np.int64)
+    ids = np.asarray(draw(st.lists(st.integers(0, num_tenants - 1), min_size=n, max_size=n)), dtype=np.int64)
+    boundaries = sorted(set(draw(st.lists(st.integers(min_value=0, max_value=n), max_size=3))) | {0})
+    epoch = draw(st.integers(min_value=1, max_value=30))
+    window = draw(st.one_of(st.integers(min_value=1, max_value=30), st.integers(min_value=n + 1, max_value=n + 40)))
+    knobs = dict(
+        window=window,
+        decay=draw(st.sampled_from([0.0, 1e-9, 0.002, 0.5])),
+        rate=draw(st.sampled_from([1.0, 0.5, 2.0**-10])),
+        seed=draw(st.integers(min_value=0, max_value=3)),
+    )
+    budget = draw(st.integers(min_value=1, max_value=24))
+    unit = draw(st.integers(min_value=1, max_value=8))
+    return items, ids, num_tenants, boundaries, epoch, knobs, budget, unit
+
+
+@contextmanager
+def kernel_path(path: str):
+    """Serve distances and SHARDS sampling by the C kernels (where they build) or the numpy fallbacks."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "numpy":
+            patch.setattr(stack_distance, "native_kernels", lambda: None)
+            patch.setattr(shards, "native_kernels", lambda: None)
+        yield
+
+
+class TestWindowedProfileDifferential:
+    """The replay's batched windowed profiles against one sketch per tenant fed chunk by chunk:
+    every epoch and tenant, curve and discretization bit for bit, on the C kernels and on numpy."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(case=windowed_replays(), data=st.data())
+    def test_batched_profiles_match_chunk_fed_sketches(self, path, case, data):
+        items, ids, num_tenants, boundaries, epoch, knobs, budget, unit = case
+        stops, ends = replay_stops(items.size, epoch, boundaries)
+        with kernel_path(path):
+            windows = TenantWindows(items, tenant_positions(ids, num_tenants), stops, ends, *knobs.values())
+            oracle = sketch_profiles(items, ids, num_tenants, stops, ends, *knobs.values(), budget, unit)
+            for end in sorted(ends):
+                expected, held = oracle[end]
+                assert windows.retained[end] == held
+                for (curve, discretized), (want_curve, want) in zip(
+                    _windowed_profile(windows, end, budget, unit), expected, strict=True
+                ):
+                    assert (curve is None) == (want_curve is None)
+                    assert curve is None or curve == want_curve
+                    assert (discretized.unit, discretized.accesses) == (want.unit, want.accesses)
+                    assert discretized.misses.tobytes() == want.misses.tobytes()
+            # The oracle's own resume semantics: sketches rebuilt from the window's
+            # first chunk hold exactly what the sketches fed from the start hold.
+            stop = data.draw(st.sampled_from(sorted(ends)))
+            rebuilt = sketches_at(items, ids, num_tenants, stops, stop, *knobs.values())
+            assert sum(sketch.sampled for sketch in rebuilt) == oracle[stop][1]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_replay_sized_case(self, path):
+        """A replay-sized case: three phases, 4,500 references, a sampled and decayed window, unit 4."""
+        workload = three_phase_pair(1500, seed=11)
+        composed = workload.composed
+        items, ids, num_tenants = composed.trace.accesses, composed.tenant_ids, composed.num_tenants
+        stops, ends = replay_stops(items.size, 400, workload.boundaries)
+        knobs = dict(window=1200, decay=0.002, rate=0.5, seed=1)
+        with kernel_path(path):
+            windows = TenantWindows(items, tenant_positions(ids, num_tenants), stops, ends, *knobs.values())
+            oracle = sketch_profiles(items, ids, num_tenants, stops, ends, *knobs.values(), 300, 4)
+            for end in sorted(ends):
+                got = _windowed_profile(windows, end, 300, 4)
+                assert [c for c, _ in got] == [c for c, _ in oracle[end][0]]
+                assert [d.misses.tobytes() for _, d in got] == [d.misses.tobytes() for _, d in oracle[end][0]]
 
 
 class TestReplayEngineDifferential:
