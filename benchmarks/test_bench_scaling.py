@@ -2,8 +2,8 @@
 
 Section V argues ChainFind runs in ``O(m³)`` time and that the reuse-distance
 algorithm is cheap enough to run inside a JIT.  This benchmark times both
-kernels across a size sweep and additionally compares the Fenwick-tree
-inversion counter against the naive quadratic oracle, and the Olken
+kernels across a size sweep and additionally compares ``count_inversions``
+(one re-traversal distance pass) against the naive quadratic oracle, and the Olken
 stack-distance algorithm against per-size LRU simulation — the classic
 trace-tool trade-off.
 """
@@ -20,17 +20,16 @@ from repro.analysis import format_table, write_csv
 from repro.cache import mrc_from_trace
 from repro.core import (
     chain_find,
-    count_inversions_fenwick,
-    count_inversions_naive,
+    count_inversions,
     Permutation,
     max_inversions,
     random_permutation,
 )
 from repro.trace import zipfian_trace
 
-# The per-size simulation oracle lives with the test suite (``tests/oracles.py``).
+# The per-size simulation and naive inversion-counting oracles live with the test suite (``tests/oracles.py``).
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import mrc_by_simulation  # noqa: E402
+from oracles import count_inversions_naive, mrc_by_simulation  # noqa: E402
 
 
 @pytest.mark.parametrize("m", [256, 1024, 4096])
@@ -50,7 +49,7 @@ def test_chainfind_scaling(benchmark, m):
     assert result.end.is_reverse()
 
 
-def test_inversion_counting_fenwick_vs_naive(benchmark, results_dir):
+def test_inversion_counting_identity_vs_naive(benchmark, results_dir):
     rng = np.random.default_rng(0)
     rows = []
     for m in (256, 1024, 4096):
@@ -61,13 +60,13 @@ def test_inversion_counting_fenwick_vs_naive(benchmark, results_dir):
         naive = count_inversions_naive(word)
         t_naive = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fast = count_inversions_fenwick(word)
-        t_fenwick = time.perf_counter() - t0
+        fast = count_inversions(word)
+        t_identity = time.perf_counter() - t0
         assert naive == fast
-        rows.append({"m": m, "naive_s": t_naive, "fenwick_s": t_fenwick, "speedup": t_naive / max(t_fenwick, 1e-9)})
-    benchmark(count_inversions_fenwick, rng.permutation(4096))
+        rows.append({"m": m, "naive_s": t_naive, "identity_s": t_identity, "speedup": t_naive / max(t_identity, 1e-9)})
+    benchmark(count_inversions, rng.permutation(4096))
     print()
-    print(format_table(rows, title="Inversion counting: naive O(m^2) vs Fenwick O(m log m)"))
+    print(format_table(rows, title="Inversion counting: naive O(m^2) vs the distance-pass identity O(m log m)"))
     write_csv(results_dir / "scaling_inversions.csv", rows)
 
 

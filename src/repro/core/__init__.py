@@ -32,12 +32,7 @@ from .permutation import (
     transposition,
 )
 from .inversions import (
-    FenwickTree,
     count_inversions,
-    count_inversions_fenwick,
-    count_inversions_mergesort,
-    count_inversions_naive,
-    count_inversions_numpy,
     inversion_vector,
     left_inversion_counts,
     max_inversions,
@@ -138,12 +133,7 @@ __all__ = [
     "random_permutation",
     "transposition",
     # inversions
-    "FenwickTree",
     "count_inversions",
-    "count_inversions_fenwick",
-    "count_inversions_mergesort",
-    "count_inversions_naive",
-    "count_inversions_numpy",
     "inversion_vector",
     "left_inversion_counts",
     "max_inversions",

@@ -3,14 +3,16 @@
 This module is the executable form of Section IV of the paper.  For a
 periodic trace :math:`T = A\\,\\sigma(A)` over ``m`` distinct items it computes
 
-* the *reuse distance* of every access in the re-traversal
-  (:func:`reuse_distances`) — the number of **distinct** items accessed
-  strictly between the two accesses of the same item,
-* the *stack distance* (reuse distance + 1, Mattson's LRU stack depth),
+* the *stack distance* of every access in the re-traversal
+  (:func:`stack_distances`, Mattson's LRU stack depth) and the *reuse
+  distance* (:func:`reuse_distances`, one less: the number of **distinct**
+  items accessed strictly between the two accesses of the same item),
+  both read off the one distance pass over ``A σ(A)`` that also counts the
+  inversions (:mod:`repro.core.inversions`),
 * the reuse-distance histogram and cache-hit vector of Algorithm 1
-  (:func:`reuse_distance_histogram`, :func:`cache_hit_vector`), in both a
-  vectorised formulation and a line-by-line faithful transcription of the
-  paper's pseudocode (:func:`algorithm1_paper`),
+  (:func:`reuse_distance_histogram`, :func:`cache_hit_vector`): one
+  ``bincount`` of those distances, checked against a line-by-line faithful
+  transcription of the paper's pseudocode (:func:`algorithm1_paper`),
 * miss-ratio curves (:func:`miss_ratio_curve`) under the two conventions
   described in ``DESIGN.md``,
 * executable checks of Theorem 2, Corollary 1 and Theorem 3
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inversions import FenwickTree, max_inversions
+from .inversions import _retraversal_distances, max_inversions
 from .permutation import Permutation
 
 __all__ = [
@@ -77,25 +79,13 @@ def reuse_distances(sigma: Permutation | Sequence[int]) -> np.ndarray:
     larger than ``sigma(i)`` seen in ``B`` are not new — they already occurred
     in the tail of ``A`` — which is exactly the "repeats" subtraction of the
     paper's Algorithm 1.
-
-    Complexity ``O(m log m)`` using a Fenwick tree.
     """
-    sigma = _as_permutation(sigma)
-    word = sigma.to_array()
-    m = sigma.size
-    out = np.empty(m, dtype=np.int64)
-    tree = FenwickTree(m) if m else None
-    for i in range(m):
-        a = int(word[i])
-        smaller_before = tree.prefix_sum(a - 1)
-        out[i] = (m - 1 - a) + smaller_before
-        tree.add(a)
-    return out
+    return stack_distances(sigma) - 1
 
 
 def stack_distances(sigma: Permutation | Sequence[int]) -> np.ndarray:
-    """Mattson LRU stack distance (reuse distance + 1) for each re-traversal access."""
-    return reuse_distances(sigma) + 1
+    """Mattson LRU stack distance (reuse distance + 1) of each re-traversal access: one pass over ``A sigma(A)``."""
+    return _retraversal_distances(_as_permutation(sigma).to_array())
 
 
 def reuse_distance_histogram(sigma: Permutation | Sequence[int]) -> np.ndarray:
@@ -106,13 +96,7 @@ def reuse_distance_histogram(sigma: Permutation | Sequence[int]) -> np.ndarray:
     ``m``.
     """
     sigma = _as_permutation(sigma)
-    m = sigma.size
-    hist = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return hist
-    sd = stack_distances(sigma)
-    np.add.at(hist, sd - 1, 1)
-    return hist
+    return np.bincount(stack_distances(sigma) - 1, minlength=sigma.size)
 
 
 def cache_hit_vector(sigma: Permutation | Sequence[int]) -> np.ndarray:

@@ -1,28 +1,31 @@
-"""Inversion counting algorithms.
+"""Inversions by the paper's identity: one distance pass over ``A σ(A)``.
 
 The inversion number :math:`\\ell(\\sigma)` is the central quantity of the
 paper: Theorem 2 shows it equals the truncated sum of the cache-hit vector of
 the re-traversal :math:`A\\,\\sigma(A)`, so counting inversions *is* measuring
-symmetric locality.
+symmetric locality.  This module counts them exactly that way.
 
-Several interchangeable implementations are provided, all returning identical
-results (cross-checked by the property tests):
+Rank the input stably (``r[argsort(a, kind="stable")] = arange(m)``, so
+equal values keep their order and a tie is never an inversion) and run the
+one stack-distance pass of :mod:`repro.cache.stack_distance` over the trace
+``(0, ..., m-1, r_0, ..., r_{m-1})``.  The re-access of ``r_i`` has stack
+distance
 
-``count_inversions_naive``
-    The quadratic textbook double loop.  Useful as an oracle.
-``count_inversions_mergesort``
-    Classic divide-and-conquer, :math:`O(m \\log m)` comparisons.
-``count_inversions_fenwick``
-    Binary indexed tree sweep, :math:`O(m \\log m)`; also produces the
-    per-element inversion contributions that Algorithm 1 needs.
-``count_inversions_numpy``
-    Fully vectorised :math:`O(m^2)` memory/compute broadcast; fastest for the
-    small-to-moderate ``m`` used when enumerating whole symmetric groups.
-``count_inversions``
-    Dispatching front-end that picks a sensible implementation by size.
+.. math::
 
-The module also provides :class:`FenwickTree`, reused by the cache
-stack-distance algorithms in :mod:`repro.cache.stack_distance`.
+    d_i = m - r_i + \\#\\{j < i : r_j < r_i\\}
+
+(the tail of the first traversal after ``r_i``, plus the smaller items
+already re-touched), so every per-position count is a subtraction:
+
+* the Lehmer code (:func:`inversion_vector`) is ``m - d``;
+* the left inversion counts (:func:`left_inversion_counts`) are
+  ``i + m - d - r``;
+* the inversion number (:func:`count_inversions`) is ``m^2 - sum(d)``.
+
+The pass is the C kernel where it builds and its numpy fallback elsewhere, in
+:math:`O(m \\log m)` either way; :mod:`repro.core.hits` reads the same
+distances as the re-traversal's stack distances.
 """
 
 from __future__ import annotations
@@ -32,89 +35,15 @@ from collections.abc import Sequence
 import numpy as np
 
 from .._util import as_int_array
+from ..cache.stack_distance import stack_distances_vectorized
+from .permutation import Permutation
 
 __all__ = [
-    "FenwickTree",
     "count_inversions",
-    "count_inversions_naive",
-    "count_inversions_mergesort",
-    "count_inversions_fenwick",
-    "count_inversions_numpy",
     "inversion_vector",
     "left_inversion_counts",
     "max_inversions",
 ]
-
-#: Below this size the vectorised O(m^2) broadcast is faster than the
-#: O(m log m) Fenwick sweep because of constant factors.
-_NUMPY_CUTOFF = 2048
-
-
-class FenwickTree:
-    """A binary indexed tree over ``size`` integer counters (prefix sums).
-
-    Supports point updates and prefix-sum queries in :math:`O(\\log n)`.
-    Used for inversion counting and for the LRU stack-distance algorithm of
-    Mattson/Olken, where it tracks which data items have been touched since a
-    given time.
-    """
-
-    __slots__ = ("_tree", "_size", "_total")
-
-    def __init__(self, size: int):
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        self._size = int(size)
-        self._tree = np.zeros(self._size + 1, dtype=np.int64)
-        self._total = 0
-
-    @property
-    def size(self) -> int:
-        """Number of slots in the tree."""
-        return self._size
-
-    @property
-    def total(self) -> int:
-        """Sum of all counters."""
-        return self._total
-
-    def add(self, index: int, delta: int = 1) -> None:
-        """Add ``delta`` to the counter at ``index`` (0-based)."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"index {index} out of range for FenwickTree of size {self._size}")
-        self._total += delta
-        i = index + 1
-        tree = self._tree
-        while i <= self._size:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of counters at positions ``0 .. index`` inclusive.
-
-        ``index = -1`` returns 0 by convention.
-        """
-        if index < 0:
-            return 0
-        if index >= self._size:
-            index = self._size - 1
-        i = index + 1
-        total = 0
-        tree = self._tree
-        while i > 0:
-            total += int(tree[i])
-            i -= i & (-i)
-        return total
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of counters at positions ``lo .. hi`` inclusive."""
-        if hi < lo:
-            return 0
-        return self.prefix_sum(hi) - self.prefix_sum(lo - 1)
-
-    def suffix_sum(self, index: int) -> int:
-        """Sum of counters at positions ``index .. size-1`` inclusive."""
-        return self._total - self.prefix_sum(index - 1)
 
 
 def max_inversions(m: int) -> int:
@@ -128,104 +57,43 @@ def max_inversions(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def count_inversions_naive(sequence: Sequence[int]) -> int:
-    """Count inversions with the quadratic double loop (reference oracle)."""
-    arr = list(sequence)
-    m = len(arr)
-    return sum(1 for i in range(m) for j in range(i + 1, m) if arr[i] > arr[j])
-
-
-def count_inversions_numpy(sequence: Sequence[int]) -> int:
-    """Count inversions with a vectorised pairwise comparison (:math:`O(m^2)` memory)."""
+def _stable_ranks(sequence: Permutation | Sequence[int]) -> np.ndarray:
+    """Rank of each element, ties broken by position: a permutation with the input's strict inversions."""
+    if isinstance(sequence, Permutation):
+        return sequence.to_array()  # one-line notation is its own ranks
     arr = np.asarray(sequence)
-    if arr.size < 2:
-        return 0
-    # upper-triangular mask of pairs i < j with arr[i] > arr[j]
-    greater = arr[:, None] > arr[None, :]
-    return int(np.count_nonzero(np.triu(greater, k=1)))
+    as_int_array(arr, "sequence")  # validation only: its intp cast would wrap uint64 labels at or above 2**63
+    ranks = np.empty(arr.size, dtype=np.int64)
+    ranks[np.argsort(arr, kind="stable")] = np.arange(arr.size)
+    return ranks
 
 
-def count_inversions_mergesort(sequence: Sequence[int]) -> int:
-    """Count inversions by merge sort in :math:`O(m \\log m)`."""
-    arr = list(sequence)
+def _retraversal_distances(ranks: np.ndarray) -> np.ndarray:
+    """Stack distance ``d_i`` of each access of the re-traversal ``σ(A)`` of ``A = (0, ..., m-1)``.
 
-    def sort(lo: int, hi: int, buf: list) -> int:
-        """Sort ``arr[lo:hi]`` in place, returning the inversions merged away."""
-        if hi - lo <= 1:
-            return 0
-        mid = (lo + hi) // 2
-        count = sort(lo, mid, buf) + sort(mid, hi, buf)
-        i, j, k = lo, mid, lo
-        while i < mid and j < hi:
-            if arr[i] <= arr[j]:
-                buf[k] = arr[i]
-                i += 1
-            else:
-                buf[k] = arr[j]
-                j += 1
-                count += mid - i
-            k += 1
-        while i < mid:
-            buf[k] = arr[i]
-            i += 1
-            k += 1
-        while j < hi:
-            buf[k] = arr[j]
-            j += 1
-            k += 1
-        arr[lo:hi] = buf[lo:hi]
-        return count
-
-    return sort(0, len(arr), arr.copy())
-
-
-def count_inversions_fenwick(sequence: Sequence[int]) -> int:
-    """Count inversions with a Fenwick tree sweep in :math:`O(m \\log m)`.
-
-    Works for arbitrary integer sequences (values are rank-compressed first).
+    ``ranks`` is the one-line permutation ``σ``; ``d_i = m - σ_i + #{j < i : σ_j < σ_i}``.
     """
-    arr = as_int_array(sequence, "sequence")
-    m = arr.size
-    if m < 2:
-        return 0
-    # Rank-compress values so ties are handled and the tree stays small.
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(m, dtype=np.intp)
-    ranks[order] = np.arange(m)
-    tree = FenwickTree(m)
-    count = 0
-    # Sweep right-to-left: an inversion (i, j), i < j, arr[i] > arr[j] is found
-    # when processing i by counting already-seen elements with smaller rank.
-    for i in range(m - 1, -1, -1):
-        count += tree.prefix_sum(int(ranks[i]) - 1)
-        tree.add(int(ranks[i]))
-    return count
+    m = ranks.size
+    return stack_distances_vectorized(np.concatenate([np.arange(m, dtype=np.int64), ranks]))[m:]
 
 
-def count_inversions(sequence: Sequence[int]) -> int:
-    """Count inversions, dispatching to the fastest implementation for the size."""
-    arr = np.asarray(sequence)
-    if arr.size <= _NUMPY_CUTOFF:
-        return count_inversions_numpy(arr)
-    return count_inversions_fenwick(arr)
+def count_inversions(sequence: Permutation | Sequence[int]) -> int:
+    """Number of pairs ``i < j`` with ``sequence[i] > sequence[j]``: ``m^2`` minus the summed re-traversal distances."""
+    ranks = _stable_ranks(sequence)
+    return ranks.size**2 - int(_retraversal_distances(ranks).sum())
 
 
-def inversion_vector(sequence: Sequence[int]) -> np.ndarray:
+def inversion_vector(sequence: Permutation | Sequence[int]) -> np.ndarray:
     """Per-position right inversion counts (the Lehmer code of the sequence).
 
     ``result[i] = #{j > i : sequence[j] < sequence[i]}``; the total number of
     inversions is ``result.sum()``.
     """
-    arr = np.asarray(sequence)
-    m = arr.size
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    less = arr[None, :] < arr[:, None]
-    upper = np.triu(less, k=1)
-    return upper.sum(axis=1).astype(np.int64)
+    ranks = _stable_ranks(sequence)
+    return ranks.size - _retraversal_distances(ranks)
 
 
-def left_inversion_counts(sequence: Sequence[int]) -> np.ndarray:
+def left_inversion_counts(sequence: Permutation | Sequence[int]) -> np.ndarray:
     """Per-position left inversion counts.
 
     ``result[j] = #{i < j : sequence[i] > sequence[j]}`` — the number of larger
@@ -234,10 +102,6 @@ def left_inversion_counts(sequence: Sequence[int]) -> np.ndarray:
     and it is also what Algorithm 1 subtracts when converting a reuse interval
     into a reuse distance.
     """
-    arr = np.asarray(sequence)
-    m = arr.size
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    greater = arr[:, None] > arr[None, :]
-    upper = np.triu(greater, k=1)
-    return upper.sum(axis=0).astype(np.int64)
+    ranks = _stable_ranks(sequence)
+    m = ranks.size
+    return np.arange(m) + m - _retraversal_distances(ranks) - ranks

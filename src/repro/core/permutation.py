@@ -10,9 +10,9 @@ Design notes
 ------------
 * Instances are immutable and hashable so they can be used as graph nodes in
   the Bruhat covering graph (:mod:`repro.core.covering_graph`).
-* The heavy numeric kernels (inversion counting, applying a permutation to a
-  long trace) are NumPy-vectorised; see :mod:`repro.core.inversions` for the
-  algorithmic variants.
+* Inversion counts and the Lehmer code come from one distance pass over the
+  re-traversal (:mod:`repro.core.inversions`); applying a permutation to a
+  long trace is one NumPy fancy index.
 * Group-theoretic helpers (composition, inverse, conjugation, cycle type,
   Lehmer code, rank/unrank in lexicographic order) are provided because the
   ChainFind algorithm and the Mahonian analysis in the appendix rely on them.
@@ -318,7 +318,7 @@ class Permutation:
         """
         from .inversions import count_inversions
 
-        return count_inversions(self._map)
+        return count_inversions(self)
 
     def inversion_pairs(self) -> list[tuple[int, int]]:
         """All pairs ``(i, j)`` with ``i < j`` and ``sigma(i) > sigma(j)``."""
@@ -327,11 +327,9 @@ class Permutation:
 
     def lehmer_code(self) -> tuple[int, ...]:
         """The Lehmer code: ``code[i] = #{j > i : sigma(j) < sigma(i)}``."""
-        m = self.size
-        code = []
-        for i in range(m):
-            code.append(sum(1 for j in range(i + 1, m) if self._map[j] < self._map[i]))
-        return tuple(code)
+        from .inversions import inversion_vector
+
+        return tuple(inversion_vector(self).tolist())
 
     def rank(self) -> int:
         """Lexicographic rank of the permutation in ``S_m`` (0-based)."""

@@ -37,6 +37,7 @@ epoch's profiles through per-tenant sketches, and holds both bit-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -377,10 +378,11 @@ def run_replay(
         phase_changes = int(state["phase_changes"])
         profile_failures = int(state["profile_failures"])
         lanes.load_state_dict(state["lanes"])
+        profile_at = functools.cache(lambda end: _windowed_profile(windows, end, budget, unit))  # once per anchor
         for t, (detector, detector_state) in enumerate(zip(detectors, state["detectors"])):
             anchors[t] = anchor = detector_state["reference"]
             if anchor is not None:
-                reference = _windowed_profile(windows, anchor, budget, unit)[t][0]
+                reference = profile_at(anchor)[t][0]
                 detector_state = {**detector_state, "reference": reference}
             detector.load_state_dict(detector_state)
         controller.evaluations = int(state["controller"]["evaluations"])

@@ -247,13 +247,19 @@ def _snapshot_histogram(snapshot: WindowSnapshot) -> tuple[np.ndarray, float]:
     return histogram[0], expected
 
 
+def _has_mass(snapshot: WindowSnapshot) -> bool:
+    """Whether the window holds samples and an expected mass that did not decay (underflow) to 0."""
+    return snapshot.sampled > 0 and snapshot.offered_weight * snapshot.effective_rate > 0
+
+
 def curve_of_snapshot(snapshot: WindowSnapshot, *, max_cache_size: int | None = None) -> MissRatioCurve:
     """Miss-ratio curve of one :class:`WindowSnapshot`.
 
     See :func:`_snapshot_histogram` for the estimator; at ``rate == 1.0`` and
-    ``decay == 0`` the result is the exact MRC of the window.
+    ``decay == 0`` the result is the exact MRC of the window.  A window whose
+    decayed mass underflowed to 0 has no curve, like an empty one.
     """
-    if snapshot.sampled == 0:
+    if not _has_mass(snapshot):
         raise ValueError("the sampled window is empty; grow the window or the sampling rate")
     histogram, expected = _snapshot_histogram(snapshot)
     return histogram_to_mrc(histogram, expected, snapshot.offered, max_cache_size=max_cache_size)
@@ -277,7 +283,7 @@ def pooled_curve(
     snapshots = [s.snapshot() if isinstance(s, WindowedShardsSketch) else s for s in sketches]
     if len({snap.clock for snap in snapshots}) != 1:
         raise ValueError("pooled sketches must have ingested the same stream (equal clocks)")
-    parts = [_snapshot_histogram(snap) for snap in snapshots if snap.sampled]
+    parts = [_snapshot_histogram(snap) for snap in snapshots if _has_mass(snap)]
     if not parts:
         raise ValueError("every pooled sketch has an empty sampled window")
     pooled = np.zeros(max(histogram.size for histogram, _ in parts), dtype=np.float64)
@@ -347,4 +353,7 @@ class TenantWindows:
         expected, rate = mass * self.effective_rate, self.effective_rate
         rows = np.repeat(np.arange(len(tenants)), counts)[finite]
         histograms = _window_histograms(rows, distances, weights, totals, expected, rate, len(tenants), size)
+        keep = expected > 0  # a window whose decayed mass underflowed to 0 is empty too
+        tenants = np.compress(keep, tenants).tolist()
+        offered, histograms, expected = offered[keep], histograms[keep], expected[keep]
         return tenants, offered, histogram_ratios(histograms, expected[:, np.newaxis], size)

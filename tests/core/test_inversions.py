@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from oracles import FenwickTree, count_inversions_fenwick, count_inversions_naive
 
 from repro.core import (
-    FenwickTree,
     count_inversions,
-    count_inversions_fenwick,
-    count_inversions_mergesort,
-    count_inversions_naive,
-    count_inversions_numpy,
     inversion_vector,
     left_inversion_counts,
     max_inversions,
@@ -20,11 +17,10 @@ from repro.core import Permutation, random_permutation
 
 ALL_IMPLEMENTATIONS = [
     count_inversions_naive,
-    count_inversions_numpy,
-    count_inversions_mergesort,
     count_inversions_fenwick,
     count_inversions,
 ]
+VALIDATED = [count_inversions, inversion_vector, left_inversion_counts]
 
 
 class TestFenwickTree:
@@ -89,9 +85,36 @@ class TestCountImplementationsAgree:
         assert impl([2, 2, 1, 1]) == 4
         assert impl([1, 1, 1]) == 0
 
-    def test_dispatcher_large_input_uses_fenwick_path(self, rng):
+    def test_large_input_matches_fenwick(self, rng):
         seq = rng.permutation(3000)
         assert count_inversions(seq) == count_inversions_fenwick(seq)
+
+
+class TestInputValidation:
+    """One path at every size: the same inputs are rejected at 4 and at 4,096 elements."""
+
+    @pytest.mark.parametrize("func", VALIDATED)
+    @pytest.mark.parametrize("size", [4, 4096])
+    def test_two_dimensional_input_is_rejected(self, func, size):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            func(np.arange(size).reshape(2, size // 2))
+
+    @pytest.mark.parametrize("func", VALIDATED)
+    @pytest.mark.parametrize("size", [4, 4096])
+    def test_non_integral_floats_are_rejected(self, func, size):
+        with pytest.raises(TypeError, match="integers"):
+            func(np.tile([1.5, 0.5], size // 2))
+
+    @pytest.mark.parametrize("size", [4, 4096])
+    def test_integral_floats_count_like_integers(self, size):
+        seq = np.tile([1.0, 0.0], size // 2)
+        assert count_inversions(seq) == count_inversions_fenwick(seq.astype(int))
+
+    def test_uint64_labels_above_the_intp_range_keep_their_order(self):
+        seq = np.array([2**63, 0, 2**64 - 1, 1], dtype=np.uint64)
+        assert count_inversions(seq) == count_inversions_naive(seq.tolist()) == 3
+        assert inversion_vector(seq).tolist() == [2, 0, 1, 0]
+        assert left_inversion_counts(seq).tolist() == [0, 1, 0, 2]
 
 
 class TestInversionIdentities:

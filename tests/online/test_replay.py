@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import pytest
 from oracles import PartitionedLRU, replay_lanes
 
@@ -126,6 +129,16 @@ class TestTenantChurn:
         assert max(e.adaptive_allocation[1] for e in during) > 0
         # after departure the engine hands capacity back to the resident
         assert result.final_allocation[0] > result.final_allocation[1]
+
+    def test_large_decay_drains_a_departed_tenant_without_nan(self):
+        """At decay 0.5 the departed visitor's decayed mass underflows to 0 inside the window: its
+        window counts as empty instead of giving a 0/0 curve, and every epoch's distance is finite."""
+        workload = tenant_churn(3000, seed=11)
+        job = OnlineJob(budget=700, window=4000, epoch=1500, rate=0.5, decay=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_replay(workload, job)
+        assert all(math.isfinite(epoch.distance) for epoch in result.epochs)
 
 
 class TestDetectorGatesReallocation:

@@ -140,6 +140,22 @@ class TestDecay:
         assert np.all(np.isfinite(ratios))
         assert compare_curves(decayed.curve(), plain.curve()).max_absolute_error < 1e-9
 
+    def test_fully_decayed_window_has_no_curve(self):
+        """A window whose offered references all lie ~3,000 positions back weighs exp(-1500) = 0 at decay 0.5:
+        its curve would be 0/0, so it counts as empty, and pooling skips it."""
+        drained = WindowedShardsSketch(window=4000, rate=1.0, decay=0.5)
+        drained.update([1, 2, 1])
+        drained.advance(3000)
+        live = WindowedShardsSketch(window=4000, rate=1.0, decay=0.5)
+        live.advance(3000)
+        live.update([5, 6, 5])
+        assert drained.sampled == 3 and drained.snapshot().offered_weight == 0.0
+        with pytest.raises(ValueError, match="empty"):
+            drained.curve()
+        with pytest.raises(ValueError, match="empty"):
+            pooled_curve([drained])
+        assert pooled_curve([drained, live]) == live.curve()
+
     def test_decay_weights_recent_regime_more(self, rng):
         """Under decay the curve leans toward the newer half of the window."""
         old = rng.integers(0, 200, size=300)  # wide working set: high miss ratio

@@ -24,7 +24,11 @@ partition and the exact MRC pipeline:
   fresh LRU or FIFO cache model, the baseline of the sweep kernels;
 * :func:`stack_distances_naive` — Mattson's explicit LRU stack, ``O(N·M)``;
 * :func:`stack_distances_fenwick` — the Olken / Bennett–Kruskal Fenwick-tree
-  algorithm, one Python step per access, ``O(N log N)``;
+  algorithm, one Python step per access, ``O(N log N)``, on
+  :class:`FenwickTree`;
+* :func:`count_inversions_naive` and :func:`count_inversions_fenwick` — the
+  quadratic double loop and a right-to-left Fenwick sweep, the references of
+  :mod:`repro.core.inversions`' one distance pass;
 * :func:`reuse_intervals_naive` — reuse intervals from a last-seen dict;
 * :func:`footprint_curve_naive` — the average footprint by enumerating every
   window;
@@ -45,7 +49,6 @@ from repro.cache.fifo import FIFOCache
 from repro.cache.lru import LRUCache
 from repro.cache.mrc import mrc_from_trace
 from repro.cache.stack_distance import COLD
-from repro.core.inversions import FenwickTree
 from repro.engine.columnar import idle_curve, split_by_tenant
 from repro.online import WindowedShardsSketch, curve_of_snapshot
 from repro.online.controller import ReallocationController
@@ -285,9 +288,12 @@ def sketches_at(items, tenant_ids, num_tenants, stops, stop, window, decay, rate
 
 
 def sketch_profile(sketch, budget: int, unit: int):
-    """One tenant's windowed ``(curve, discretization)``: ``(None, idle)`` for an empty sampled window."""
+    """One tenant's windowed ``(curve, discretization)``: ``(None, idle)`` for an empty sampled window.
+
+    A window whose decayed offered mass underflowed to 0 counts as empty.
+    """
     snapshot = sketch.snapshot()
-    if snapshot.sampled == 0:
+    if snapshot.sampled == 0 or snapshot.offered_weight * snapshot.effective_rate == 0:
         return None, idle_curve(unit)
     curve = curve_of_snapshot(snapshot, max_cache_size=budget)
     return curve, discretize_curve(curve, budget, unit=unit)
@@ -303,6 +309,91 @@ def sketch_profiles(items, tenant_ids, num_tenants, stops, epoch_ends, window, d
             held = sum(sketch.sampled for sketch in sketches)
             profiles[end] = [sketch_profile(sketch, budget, unit) for sketch in sketches], held
     return profiles
+
+
+class FenwickTree:
+    """A binary indexed tree over ``size`` integer counters (prefix sums).
+
+    Supports point updates and prefix-sum queries in :math:`O(\\log n)`; the
+    tree behind :func:`stack_distances_fenwick` and :func:`count_inversions_fenwick`.
+    """
+
+    __slots__ = ("_tree", "_size", "_total")
+
+    def __init__(self, size: int):
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        self._size = int(size)
+        self._tree = np.zeros(self._size + 1, dtype=np.int64)
+        self._total = 0
+
+    @property
+    def size(self) -> int:
+        """Number of slots in the tree."""
+        return self._size
+
+    @property
+    def total(self) -> int:
+        """Sum of all counters."""
+        return self._total
+
+    def add(self, index: int, delta: int = 1) -> None:
+        """Add ``delta`` to the counter at ``index`` (0-based)."""
+        if not 0 <= index < self._size:
+            raise IndexError(f"index {index} out of range for FenwickTree of size {self._size}")
+        self._total += delta
+        i = index + 1
+        tree = self._tree
+        while i <= self._size:
+            tree[i] += delta
+            i += i & (-i)
+
+    def prefix_sum(self, index: int) -> int:
+        """Sum of counters at positions ``0 .. index`` inclusive (``index = -1`` gives 0)."""
+        if index < 0:
+            return 0
+        if index >= self._size:
+            index = self._size - 1
+        i = index + 1
+        total = 0
+        tree = self._tree
+        while i > 0:
+            total += int(tree[i])
+            i -= i & (-i)
+        return total
+
+    def range_sum(self, lo: int, hi: int) -> int:
+        """Sum of counters at positions ``lo .. hi`` inclusive."""
+        if hi < lo:
+            return 0
+        return self.prefix_sum(hi) - self.prefix_sum(lo - 1)
+
+    def suffix_sum(self, index: int) -> int:
+        """Sum of counters at positions ``index .. size-1`` inclusive."""
+        return self._total - self.prefix_sum(index - 1)
+
+
+def count_inversions_naive(sequence: Sequence[int]) -> int:
+    """Count inversions with the quadratic double loop."""
+    arr = list(sequence)
+    m = len(arr)
+    return sum(1 for i in range(m) for j in range(i + 1, m) if arr[i] > arr[j])
+
+
+def count_inversions_fenwick(sequence: Sequence[int]) -> int:
+    """Count inversions with a Fenwick tree sweep in :math:`O(m \\log m)`, values rank-compressed first."""
+    arr = np.asarray(sequence)
+    m = arr.size
+    ranks = np.empty(m, dtype=np.intp)
+    ranks[np.argsort(arr, kind="stable")] = np.arange(m)
+    tree = FenwickTree(m)
+    count = 0
+    # Sweep right-to-left: an inversion (i, j), i < j, arr[i] > arr[j] is found
+    # when processing i by counting already-seen elements with smaller rank.
+    for i in range(m - 1, -1, -1):
+        count += tree.prefix_sum(int(ranks[i]) - 1)
+        tree.add(int(ranks[i]))
+    return count
 
 
 def stack_distances_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import pytest
 import numpy as np
 from oracles import replay_lanes
 
+from repro.online import replay as replay_module
 from repro.online.replay import OnlineJob, replay_fingerprint, run_replay
 from repro.resilience import CHECKPOINT_SCHEMA, CheckpointError, load_checkpoint
 from repro.resilience.faults import FaultInjected, FaultPlan, FaultSpec, install_faults, transient
@@ -117,6 +118,24 @@ class TestResumeRederivesWindows:
                 run_replay(workload, job, checkpoint_dir=store, checkpoint_every=1)
             resumed = run_replay(workload, job, checkpoint_dir=store, resume=True)
             assert resumed == reference, f"resumed after snapshot {step}"
+
+    def test_resume_profiles_each_anchor_once(self, workload, baseline, tmp_path, monkeypatch):
+        """Detector references taken at one epoch end come from one batched profile on resume."""
+        plan = FaultPlan((FaultSpec(site="online.checkpoint", index=1, kind="error"),))
+        with install_faults(plan), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
+        state = load_checkpoint(tmp_path).state
+        anchors = [detector["reference"] for detector in state["detectors"] if detector["reference"] is not None]
+        assert len(anchors) > len(set(anchors))  # at least two tenants share an anchor
+        calls, profile = [], replay_module._windowed_profile
+
+        def counted(windows, end, *rest):
+            calls.append(end)
+            return profile(windows, end, *rest)
+
+        monkeypatch.setattr(replay_module, "_windowed_profile", counted)
+        assert run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True) == baseline
+        assert sorted(end for end in calls if end <= state["position"]) == sorted(set(anchors))
 
 
 class TestReplaySigkill:

@@ -26,6 +26,10 @@ This module pits them against each other:
   :func:`~repro.cache.reuse_intervals` and :func:`~repro.cache.footprint_curve`
   against the oracle loops of ``tests/oracles.py``, on the C kernel and on
   the numpy fallback;
+* the symmetric core's inversion counts, Lehmer codes and re-traversal
+  distances, all read off one distance pass over ``A σ(A)``, against the
+  naive double loop, per-position comprehensions, the Fenwick oracles and
+  the paper's Algorithm 1, on the C kernel and on the numpy fallback;
 * metamorphic properties: the optimal partition *value* is invariant under
   tenant order permutation, MRCs are monotone non-increasing in capacity,
   and a windowed profile of a concatenated trace with decay → 0 equals the
@@ -42,6 +46,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     PartitionedLRU,
+    count_inversions_fenwick,
+    count_inversions_naive,
     footprint_curve_naive,
     replay_lanes,
     reuse_intervals_naive,
@@ -55,6 +61,16 @@ from repro.alloc import DiscretizedMRC, dp_allocate, total_misses
 from repro.alloc.partition import PartitionJob, run_partition
 from repro.cache import FIFOCache, LRUCache, SetAssociativeCache, footprint_curve, reuse_intervals, stack_distance
 from repro.cache.mrc import mrc_from_trace
+from repro.core import (
+    Permutation,
+    algorithm1_paper,
+    cache_hit_vector,
+    count_inversions,
+    inversion_vector,
+    left_inversion_counts,
+    reuse_distance_histogram,
+)
+from repro.core.hits import stack_distances as retraversal_distances
 from repro.cache.stack_distance import (
     COLD,
     StackDistanceStream,
@@ -374,6 +390,42 @@ class TestStreamDifferential:
         with distance_path(path):
             curve = footprint_curve(trace)
         np.testing.assert_allclose(curve, footprint_curve_naive(trace), rtol=0, atol=1e-9)
+
+
+class TestInversionDifferential:
+    """The symmetric core's one distance pass over ``A σ(A)`` against the oracles: inversion counts,
+    Lehmer codes, left inversion counts and re-traversal distances, on the C kernel and on numpy."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(seq=st.lists(wide_labels, max_size=60))
+    def test_sequences_match_the_naive_counts(self, path, seq):
+        m = len(seq)
+        with distance_path(path):
+            total, right, left = count_inversions(seq), inversion_vector(seq), left_inversion_counts(seq)
+        assert total == count_inversions_naive(seq)
+        assert right.tolist() == [sum(seq[j] < seq[i] for j in range(i + 1, m)) for i in range(m)]
+        assert left.tolist() == [sum(seq[i] > seq[j] for i in range(j)) for j in range(m)]
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(word=st.integers(min_value=0, max_value=40).flatmap(lambda m: st.permutations(range(m))))
+    def test_permutations_match_the_literal_retraversal(self, path, word):
+        m, sigma = len(word), Permutation(word)
+        with distance_path(path):
+            lehmer, length, distances = sigma.lehmer_code(), sigma.inversions(), retraversal_distances(sigma)
+            histogram, hit_vector = reuse_distance_histogram(sigma), cache_hit_vector(sigma)
+        assert lehmer == tuple(sum(word[j] < word[i] for j in range(i + 1, m)) for i in range(m))
+        assert length == count_inversions_naive(word)
+        retraversal = np.concatenate([np.arange(m), np.asarray(word, dtype=np.int64)])
+        assert np.array_equal(distances, stack_distances_fenwick(retraversal)[m:])
+        rdh, chv = algorithm1_paper(sigma)
+        assert np.array_equal(histogram, rdh) and np.array_equal(hit_vector, chv)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_sixteen_thousand_labels_with_ties(self, path):
+        seq = np.random.default_rng(16).integers(-6000, 6000, size=16_384)
+        with distance_path(path):
+            total, right, left = count_inversions(seq), inversion_vector(seq), left_inversion_counts(seq)
+        assert total == count_inversions_fenwick(seq) == int(right.sum()) == int(left.sum())
 
 
 @st.composite
