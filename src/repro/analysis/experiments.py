@@ -62,7 +62,6 @@ from .._util import ensure_rng
 from ..cache.belady import simulate_opt
 from ..cache.fifo import FIFOCache
 from ..cache.lru import LRUCache
-from ..cache.mrc import average_curves
 from ..cache.set_associative import SetAssociativeCache
 from ..core.chainfind import chain_find, count_tie_events
 from ..core.feasibility import (
@@ -71,24 +70,19 @@ from ..core.feasibility import (
     greedy_feasible_extension,
     random_linear_extension,
 )
-from ..core.hits import (
-    cache_hit_vector,
-    corollary1_deficit,
-    miss_ratio_curve,
-    theorem2_deficit,
-    total_reuse,
-)
-from ..core.inversions import max_inversions
+from ..core.hits import _miss_ratio_curves, cache_hit_vector, corollary1_deficit, theorem2_deficit, total_reuse
+from ..core.inversions import _symmetric_group_blocks, max_inversions
 from ..core.labelings import MissRatioLabeling, RankedMissRatioLabeling
 from ..core.mahonian import (
+    _truncated_miss_integrals,
     integer_partitions,
     mahonian_number,
     mahonian_row,
     partition_counts_at_level,
-    truncated_miss_integral,
+    random_permutation_with_inversions,
 )
 from ..core.optimal import matrix_traversal_costs
-from ..core.permutation import Permutation, all_permutations, random_permutation
+from ..core.permutation import Permutation, random_permutation
 from ..ml.schedule import compare_schedules
 from ..trace.trace import PeriodicTrace
 
@@ -123,20 +117,31 @@ def run_fig1_mrc_by_inversion(m: int = 5, *, convention: str = "full", max_cache
     the per-level permutation counts (the Mahonian numbers).
     """
     limit = max_cache_size or m
-    by_level: dict[int, list[np.ndarray]] = {}
-    for sigma in all_permutations(m):
-        curve = miss_ratio_curve(sigma, convention=convention, max_cache_size=limit)
-        by_level.setdefault(sigma.inversions(), []).append(curve)
-    levels = sorted(by_level)
-    curves = {ell: average_curves(by_level[ell]) for ell in levels}
+    by_level = _by_inversion_level(
+        m, lambda distances: _miss_ratio_curves(distances, convention=convention, max_cache_size=limit)
+    )
     return {
         "m": m,
         "convention": convention,
         "cache_sizes": list(range(1, limit + 1)),
-        "levels": levels,
-        "counts": {ell: len(by_level[ell]) for ell in levels},
-        "curves": {ell: [float(x) for x in curves[ell]] for ell in levels},
+        "levels": list(by_level),
+        "counts": {ell: len(curves) for ell, curves in by_level.items()},
+        "curves": {ell: [float(x) for x in curves.mean(axis=0)] for ell, curves in by_level.items()},
     }
+
+
+def _by_inversion_level(m: int, per_row) -> dict[int, np.ndarray]:
+    """``per_row(distances)`` over every permutation of ``S_m``, grouped by inversion number.
+
+    Keys ascend; within a level the rows stay in lexicographic order, so the
+    averages match a one-permutation-at-a-time sweep bit for bit.
+    """
+    parts: dict[int, list[np.ndarray]] = {}
+    for _, distances in _symmetric_group_blocks(m):
+        values, lengths = per_row(distances), m * m - distances.sum(axis=1)
+        for ell in np.unique(lengths).tolist():
+            parts.setdefault(ell, []).append(values[lengths == ell])
+    return {ell: np.concatenate(parts[ell]) for ell in sorted(parts)}
 
 
 def fig1_monotone_violations(result: dict) -> int:
@@ -161,11 +166,7 @@ def fig1_monotone_violations(result: dict) -> int:
 # --------------------------------------------------------------------------- #
 def run_fig2_chainfind_ties(sizes: Sequence[int] = (3, 4, 5, 6, 7, 8)) -> list[dict]:
     """ChainFind tie statistics vs. group size for the λ_e labeling (Figure 2)."""
-    rows = []
-    for m in sizes:
-        stats = count_tie_events(int(m), MissRatioLabeling())
-        rows.append(stats)
-    return rows
+    return [count_tie_events(int(m), MissRatioLabeling()) for m in sizes]
 
 
 def run_s11_ranked_labeling(m: int = 11) -> dict:
@@ -221,7 +222,12 @@ def run_sawtooth_cyclic(sizes: Sequence[int] = (4, 8, 16, 64, 256)) -> list[dict
 
 
 def run_theorem2_random(sizes: Sequence[int] = (16, 64, 256, 1024, 2048), *, trials: int = 5, rng=0) -> list[dict]:
-    """Theorem 2 / Corollary 1 checks on random permutations of large ``m``."""
+    """Theorem 2 / Corollary 1 checks on random permutations of large ``m``.
+
+    Both deficits read their two sides off one distance pass, so a zero
+    ``max_deviation`` checks the code; the tests check the theorem itself
+    against an independent pairwise inversion count.
+    """
     generator = ensure_rng(rng)
     rows = []
     for m in sizes:
@@ -263,7 +269,7 @@ def run_mahonian_partitions(m: int = 6) -> dict:
     per_level = []
     for level in range(max_inversions(m) + 1):
         counts = partition_counts_at_level(m, level)
-        feasible_partitions = {p for p in integer_partitions(level, max_part=m - 1, max_parts=m)}
+        feasible_partitions = set(integer_partitions(level, max_part=m - 1, max_parts=m - 1))
         per_level.append(
             {
                 "inversions": level,
@@ -284,13 +290,10 @@ def run_miss_integral(m: int = 6) -> dict:
     drops linearly from 1 (identity) to 0.5 (sawtooth) with slope
     ``1 / (m(m-1))`` per inversion.
     """
-    by_level: dict[int, list[float]] = {}
-    for sigma in all_permutations(m):
-        by_level.setdefault(sigma.inversions(), []).append(truncated_miss_integral(sigma))
-    levels = sorted(by_level)
+    by_level = _by_inversion_level(m, _truncated_miss_integrals)
+    levels = list(by_level)
     rows = []
-    for level in levels:
-        values = np.asarray(by_level[level])
+    for level, values in by_level.items():
         rows.append(
             {
                 "inversions": level,
@@ -322,8 +325,6 @@ def run_policy_ablation(
     should follow the inversion number exactly (Theorem 3); the others show
     how robust the ranking is to the policy assumption.
     """
-    from ..core.mahonian import random_permutation_with_inversions
-
     generator = ensure_rng(rng)
     capacity = max(1, int(round(cache_fraction * m)))
     ways = 4 if capacity % 4 == 0 else 1
@@ -482,7 +483,6 @@ def run_partition_comparison(
     from ..alloc.partition import METHODS, PartitionJob, partition_composed, profile_tenants, simulate_baselines
     from ..trace.generators import zipfian_trace
     from ..trace.tenancy import TenantSpec, compose_tenants
-    from ..trace.trace import PeriodicTrace
     from ..trace.workloads import stream_copy
 
     tenants = (

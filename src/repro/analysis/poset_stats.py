@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.bruhat import covers
-from ..core.inversions import max_inversions
+from .._util import ensure_rng
+from ..core.inversions import _ranked_permutations, max_inversions
 from ..core.mahonian import mahonian_row
-from ..core.permutation import Permutation, all_permutations
+from ..core.permutation import Permutation, random_permutation
 
 __all__ = [
     "rank_generating_function",
@@ -46,8 +47,8 @@ def cover_degree_by_rank(m: int) -> dict[int, dict[str, float]]:
     has no covers at all.
     """
     stats: dict[int, list[int]] = {}
-    for sigma in all_permutations(m):
-        stats.setdefault(sigma.inversions(), []).append(len(covers(sigma)))
+    for sigma, rank in _ranked_permutations(m):
+        stats.setdefault(rank, []).append(len(covers(sigma)))
     out: dict[int, dict[str, float]] = {}
     for rank in sorted(stats):
         values = np.asarray(stats[rank])
@@ -62,9 +63,6 @@ def cover_degree_by_rank(m: int) -> dict[int, dict[str, float]]:
 
 def expected_cover_degree(m: int, *, samples: int = 200, rng=0) -> float:
     """Monte-Carlo estimate of the average cover degree over ``S_m`` (for large ``m``)."""
-    from .._util import ensure_rng
-    from ..core.permutation import random_permutation
-
     generator = ensure_rng(rng)
     total = 0
     for _ in range(samples):

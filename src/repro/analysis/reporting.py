@@ -31,12 +31,7 @@ def format_table(
     if not rows:
         return (title + "\n" if title else "") + "(no rows)"
     if isinstance(rows[0], Mapping):
-        if headers is None:
-            headers = []
-            for row in rows:
-                for key in row:
-                    if key not in headers:
-                        headers.append(key)
+        headers = _union_of_keys(rows) if headers is None else headers
         table = [[row.get(h, "") for h in headers] for row in rows]
     else:
         if headers is None:
@@ -80,12 +75,7 @@ def format_curve_family(
 ) -> str:
     """Render a family of curves sharing the same x axis (one column per curve)."""
     headers = [x_label] + list(curves)
-    rows = []
-    for i, x in enumerate(xs):
-        row = {x_label: x}
-        for name, ys in curves.items():
-            row[name] = ys[i]
-        rows.append(row)
+    rows = [{x_label: x, **{name: ys[i] for name, ys in curves.items()}} for i, x in enumerate(xs)]
     return format_table(rows, headers=headers, float_format=float_format, title=title)
 
 
@@ -101,15 +91,15 @@ def write_csv(
     if not rows:
         path.write_text("", encoding="utf-8")
         return path
-    if headers is None:
-        headers = []
-        for row in rows:
-            for key in row:
-                if key not in headers:
-                    headers.append(key)
+    headers = _union_of_keys(rows) if headers is None else headers
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(headers))
         writer.writeheader()
         for row in rows:
             writer.writerow({h: row.get(h, "") for h in headers})
     return path
+
+
+def _union_of_keys(rows: Sequence[Mapping[str, object]]) -> list[str]:
+    """Every key of ``rows``, in first-seen order."""
+    return list(dict.fromkeys(key for row in rows for key in row))

@@ -121,19 +121,13 @@ def covers(sigma: Permutation) -> list[Permutation]:
 
 
 def cocovers(sigma: Permutation) -> list[Permutation]:
-    """All permutations ``tau`` with ``tau ◁_B sigma`` (one Bruhat step down)."""
-    m = sigma.size
-    word = sigma.one_line
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if word[i] <= word[j]:
-                continue
-            a, b = word[j], word[i]
-            if any(a < word[k] < b for k in range(i + 1, j)):
-                continue
-            out.append(sigma.swap_positions(i, j))
-    return out
+    """All permutations ``tau`` with ``tau ◁_B sigma`` (one Bruhat step down).
+
+    Complementing the values (``v -> m - 1 - v``) turns the down-swaps of
+    ``sigma`` into the up-swaps of the complement, at the same positions.
+    """
+    complement = Permutation([sigma.size - 1 - v for v in sigma.one_line])
+    return [sigma.swap_positions(i, j) for i, j in covering_transpositions(complement)]
 
 
 def weak_order_leq(sigma: Permutation, tau: Permutation) -> bool:
@@ -150,23 +144,14 @@ def weak_order_leq(sigma: Permutation, tau: Permutation) -> bool:
     def value_inversions(p: Permutation) -> set[tuple[int, int]]:
         """The value-space inversion set ``{(a, b) : a < b, a after b}`` of ``p``."""
         inv = p.inverse()
-        out = set()
-        for a in range(p.size):
-            for b in range(a + 1, p.size):
-                if inv[a] > inv[b]:
-                    out.add((a, b))
-        return out
+        return {(a, b) for a in range(p.size) for b in range(a + 1, p.size) if inv[a] > inv[b]}
 
     return value_inversions(sigma) <= value_inversions(tau)
 
 
 def weak_covers(sigma: Permutation) -> list[Permutation]:
     """Permutations one step up in the right weak order (adjacent swaps only)."""
-    out = []
-    for i in range(sigma.size - 1):
-        if sigma[i] < sigma[i + 1]:
-            out.append(sigma.swap_positions(i, i + 1))
-    return out
+    return [sigma.swap_positions(i, i + 1) for i in range(sigma.size - 1) if sigma[i] < sigma[i + 1]]
 
 
 def interval(sigma: Permutation, tau: Permutation) -> list[Permutation]:
@@ -180,10 +165,11 @@ def interval(sigma: Permutation, tau: Permutation) -> list[Permutation]:
         return []
     found = {sigma}
     frontier = [sigma]
+    top = tau.inversions()
     while frontier:
         nxt = []
         for x in frontier:
-            if x.inversions() >= tau.inversions():
+            if x.inversions() >= top:
                 continue
             for y in covers(x):
                 if y not in found and bruhat_leq(y, tau):

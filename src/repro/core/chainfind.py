@@ -26,6 +26,7 @@ consistent value and note the discrepancy in ``DESIGN.md``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -33,8 +34,8 @@ import numpy as np
 
 from .._util import ensure_rng
 from .bruhat import covers, weak_covers
-from .hits import cache_hit_vector
-from .inversions import max_inversions
+from .hits import _hit_vectors
+from .inversions import _retraversal_distances, max_inversions
 from .labelings import EdgeLabeling, MissRatioLabeling
 from .permutation import Permutation
 
@@ -101,14 +102,12 @@ class ChainFindResult:
         The ``S_11`` example in Section V-B.2 reports this as the "factor of
         different chains that could be made".
         """
-        out = 1
-        for k in self.tie_multiplicities:
-            out *= k
-        return out
+        return math.prod(self.tie_multiplicities)
 
     def inversion_numbers(self) -> list[int]:
         """``ℓ`` along the chain (consecutive integers when the chain is saturated)."""
-        return [sigma.inversions() for sigma in self.chain]
+        distances = _chain_distances(self.chain)
+        return (distances.shape[1] ** 2 - distances.sum(axis=1)).tolist()
 
     def is_saturated(self) -> bool:
         """Whether each step increases the inversion number by exactly one."""
@@ -215,7 +214,12 @@ def chain_hit_matrix(result: ChainFindResult) -> np.ndarray:
     previous one entrywise and exceeds it by exactly one in a single column.
     Useful both for tests and for visualising the locality ramp of a chain.
     """
-    return np.vstack([cache_hit_vector(sigma) for sigma in result.chain])
+    return _hit_vectors(_chain_distances(result.chain))
+
+
+def _chain_distances(chain: list[Permutation]) -> np.ndarray:
+    """Re-traversal distances of every permutation of a chain, one row each, from one distance pass."""
+    return _retraversal_distances(np.array([sigma.one_line for sigma in chain], dtype=np.int64))
 
 
 def count_tie_events(

@@ -21,8 +21,8 @@ import networkx as nx
 
 from .._util import check_nonnegative_int
 from .bruhat import covers, covering_transpositions
-from .inversions import max_inversions
-from .permutation import Permutation, all_permutations
+from .inversions import _ranked_permutations, max_inversions
+from .permutation import Permutation
 
 __all__ = [
     "build_covering_graph",
@@ -53,16 +53,12 @@ def build_covering_graph(m: int, *, include_transposition_labels: bool = True) -
             "use the lazy covers() enumeration instead"
         )
     graph = nx.DiGraph(m=m)
-    for sigma in all_permutations(m):
-        graph.add_node(sigma, rank=sigma.inversions())
+    for sigma, rank in _ranked_permutations(m):
+        graph.add_node(sigma, rank=rank)
     for sigma in list(graph.nodes):
-        if include_transposition_labels:
-            for i, j in covering_transpositions(sigma):
-                tau = sigma.swap_positions(i, j)
-                graph.add_edge(sigma, tau, positions=(i, j))
-        else:
-            for tau in covers(sigma):
-                graph.add_edge(sigma, tau)
+        for i, j in covering_transpositions(sigma):
+            labels = {"positions": (i, j)} if include_transposition_labels else {}
+            graph.add_edge(sigma, sigma.swap_positions(i, j), **labels)
     return graph
 
 

@@ -23,6 +23,7 @@ This module provides
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -301,11 +302,8 @@ def greedy_feasible_extension(dag: DependencyDAG) -> Permutation:
     preds = dag.predecessors()
     remaining_pred_counts = [len(p) for p in preds]
     succs = dag.successors()
-    available = sorted((v for v in range(m) if remaining_pred_counts[v] == 0), reverse=True)
     order: list[int] = []
-    import heapq
-
-    heap = [-v for v in available]
+    heap = [-v for v in range(m) if remaining_pred_counts[v] == 0]
     heapq.heapify(heap)
     while heap:
         v = -heapq.heappop(heap)

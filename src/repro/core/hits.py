@@ -88,6 +88,18 @@ def stack_distances(sigma: Permutation | Sequence[int]) -> np.ndarray:
     return _retraversal_distances(_as_permutation(sigma).to_array())
 
 
+def _histograms(distances: np.ndarray) -> np.ndarray:
+    """Per-row stack-distance histograms of re-traversal distances: one ``bincount`` over ``row * m + d - 1``."""
+    rows = np.atleast_2d(distances)
+    offsets = np.arange(rows.shape[0])[:, None] * rows.shape[1]
+    return np.bincount((offsets + rows - 1).ravel(), minlength=rows.size).reshape(distances.shape)
+
+
+def _hit_vectors(distances: np.ndarray) -> np.ndarray:
+    """Per-row cache-hit vectors: the row-wise ``cumsum`` of :func:`_histograms`."""
+    return _histograms(distances).cumsum(axis=-1)
+
+
 def reuse_distance_histogram(sigma: Permutation | Sequence[int]) -> np.ndarray:
     """Histogram of stack distances of the re-traversal.
 
@@ -95,8 +107,7 @@ def reuse_distance_histogram(sigma: Permutation | Sequence[int]) -> np.ndarray:
     distance equals ``d`` (``d`` runs from 1 to ``m``).  The histogram sums to
     ``m``.
     """
-    sigma = _as_permutation(sigma)
-    return np.bincount(stack_distances(sigma) - 1, minlength=sigma.size)
+    return _histograms(stack_distances(sigma))
 
 
 def cache_hit_vector(sigma: Permutation | Sequence[int]) -> np.ndarray:
@@ -112,7 +123,7 @@ def cache_hit_vector(sigma: Permutation | Sequence[int]) -> np.ndarray:
     >>> cache_hit_vector(Permutation.identity(4))          # cyclic4
     array([0, 0, 0, 4])
     """
-    return np.cumsum(reuse_distance_histogram(sigma))
+    return _hit_vectors(stack_distances(sigma))
 
 
 def algorithm1_paper(sigma: Permutation | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -149,14 +160,8 @@ def algorithm1_paper(sigma: Permutation | Sequence[int]) -> tuple[np.ndarray, np
 # --------------------------------------------------------------------------- #
 def hits(sigma: Permutation | Sequence[int], cache_size: int) -> int:
     """Number of re-traversal accesses hitting in an LRU cache of ``cache_size``."""
-    sigma = _as_permutation(sigma)
-    if cache_size <= 0:
-        return 0
     vec = cache_hit_vector(sigma)
-    if sigma.size == 0:
-        return 0
-    c = min(cache_size, sigma.size)
-    return int(vec[c - 1])
+    return int(vec[min(cache_size, vec.size) - 1]) if cache_size > 0 and vec.size else 0
 
 
 def miss_ratio(
@@ -174,16 +179,8 @@ def miss_ratio(
         traversal always misses); ``"retraversal"`` divides by the ``m``
         re-traversal accesses only.
     """
-    sigma = _as_permutation(sigma)
-    m = sigma.size
-    if m == 0:
-        raise ValueError("miss ratio undefined for the empty trace")
-    h = hits(sigma, cache_size)
-    if convention == "full":
-        return 1.0 - h / (2 * m)
-    if convention == "retraversal":
-        return 1.0 - h / m
-    raise ValueError(f"unknown convention {convention!r}; use 'full' or 'retraversal'")
+    curve = _miss_ratio_curves(stack_distances(sigma), convention=convention, max_cache_size=None)
+    return float(curve[min(cache_size, curve.size) - 1]) if cache_size > 0 else 1.0
 
 
 def miss_ratio_curve(
@@ -197,14 +194,18 @@ def miss_ratio_curve(
     This is the ``MRC(T)`` of Definition 2, restricted to the interesting
     range ``1 <= c <= m`` (beyond ``m`` the curve is flat).
     """
-    sigma = _as_permutation(sigma)
-    m = sigma.size
+    return _miss_ratio_curves(stack_distances(sigma), convention=convention, max_cache_size=max_cache_size)
+
+
+def _miss_ratio_curves(distances: np.ndarray, *, convention: str, max_cache_size: int | None) -> np.ndarray:
+    """:func:`miss_ratio_curve` of each row of re-traversal distances (one row, or a ``(k, m)`` block)."""
+    m = distances.shape[-1]
     if m == 0:
         raise ValueError("miss ratio curve undefined for the empty trace")
     limit = m if max_cache_size is None else min(int(max_cache_size), m)
     if limit < 1:
         raise ValueError(f"max_cache_size must be at least 1, got {max_cache_size}")
-    vec = cache_hit_vector(sigma)[:limit].astype(np.float64)
+    vec = _hit_vectors(distances)[..., :limit].astype(np.float64)
     if convention == "full":
         return 1.0 - vec / (2 * m)
     if convention == "retraversal":
@@ -219,10 +220,8 @@ def total_reuse(sigma: Permutation | Sequence[int]) -> int:
     ``n x m`` matrix costs ``(nm)^2`` while sawtooth costs ``nm(nm+1)/2``.
     Smaller is better.
     """
-    sigma = _as_permutation(sigma)
-    m = sigma.size
-    # sum of stack distances = m^2 - ℓ(sigma); avoid an O(m log m) pass.
-    return m * m - sigma.inversions()
+    # m^2 - ℓ(sigma), read off the one distance pass that counts ℓ
+    return int(stack_distances(sigma).sum())
 
 
 # --------------------------------------------------------------------------- #
@@ -270,10 +269,11 @@ class LocalityProfile:
 def locality_profile(sigma: Permutation | Sequence[int]) -> LocalityProfile:
     """Compute the full :class:`LocalityProfile` of a re-traversal."""
     sigma = _as_permutation(sigma)
-    hist = reuse_distance_histogram(sigma)
+    distances = stack_distances(sigma)
+    hist = _histograms(distances)
     vec = np.cumsum(hist)
     m = sigma.size
-    ell = sigma.inversions()
+    ell = m * m - int(distances.sum())
     mrc_full = tuple(float(x) for x in (1.0 - vec / (2 * m)))
     mrc_re = tuple(float(x) for x in (1.0 - vec / m))
     return LocalityProfile(
@@ -294,22 +294,26 @@ def theorem2_deficit(sigma: Permutation | Sequence[int]) -> int:
     """Difference between the two sides of Theorem 2 (zero when the theorem holds).
 
     Theorem 2: :math:`\\sum_{c=1}^{m-1} hits_c(\\sigma) = \\ell(\\sigma)`.
+
+    Both sides come from one distance pass (``Σ_{c<m} hits_c = Σ(m - d) = m^2 - Σd = ℓ``), so this
+    checks the code, not the theorem; the tests check that against an independent pairwise count.
     """
-    sigma = _as_permutation(sigma)
-    vec = cache_hit_vector(sigma)
-    lhs = int(vec[:-1].sum()) if sigma.size else 0
-    return lhs - sigma.inversions()
+    distances = stack_distances(sigma)
+    m = distances.size
+    lhs = int(_hit_vectors(distances)[:-1].sum())
+    return lhs - (m * m - int(distances.sum()))
 
 
 def corollary1_deficit(sigma: Permutation | Sequence[int]) -> int:
     """Difference between the two sides of Corollary 1 (zero when it holds).
 
     Corollary 1: :math:`\\sum_{c=1}^{m} hits_c(\\sigma) = m + \\ell(\\sigma)`.
+    Like :func:`theorem2_deficit`, both sides come from one distance pass.
     """
-    sigma = _as_permutation(sigma)
-    vec = cache_hit_vector(sigma)
-    lhs = int(vec.sum())
-    return lhs - (sigma.size + sigma.inversions())
+    distances = stack_distances(sigma)
+    m = distances.size
+    lhs = int(_hit_vectors(distances).sum())
+    return lhs - (m + m * m - int(distances.sum()))
 
 
 def theorem3_compare(sigma: Permutation, tau: Permutation) -> dict[str, object]:

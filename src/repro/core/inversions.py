@@ -26,15 +26,19 @@ already re-touched), so every per-position count is a subtraction:
 The pass is the C kernel where it builds and its numpy fallback elsewhere, in
 :math:`O(m \\log m)` either way; :mod:`repro.core.hits` reads the same
 distances as the re-traversal's stack distances.
+
+Many re-traversals share one pass over ``A P_0 A P_1 ... A P_{k-1}``, so the
+drivers that sweep :math:`S_m` measure ``_BLOCK_ROWS`` permutations at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .._util import as_int_array
+from .._util import as_int_array, check_nonnegative_int
 from ..cache.stack_distance import stack_distances_vectorized
 from .permutation import Permutation
 
@@ -68,13 +72,43 @@ def _stable_ranks(sequence: Permutation | Sequence[int]) -> np.ndarray:
     return ranks
 
 
-def _retraversal_distances(ranks: np.ndarray) -> np.ndarray:
+# Permutations per distance pass when sweeping S_m: bounds peak memory for m >= 9.
+_BLOCK_ROWS = 8192
+
+
+def _retraversal_distances(perms: np.ndarray) -> np.ndarray:
     """Stack distance ``d_i`` of each access of the re-traversal ``σ(A)`` of ``A = (0, ..., m-1)``.
 
-    ``ranks`` is the one-line permutation ``σ``; ``d_i = m - σ_i + #{j < i : σ_j < σ_i}``.
+    ``perms`` is a one-line permutation ``σ`` or a ``(k, m)`` block of them, one per row;
+    ``d_i = m - σ_i + #{j < i : σ_j < σ_i}`` row by row.  A block is one pass over
+    ``A P_0 A P_1 ...``: after a full traversal of ``A`` the LRU stack is ``A`` reversed
+    whatever came before, so each ``P_r`` gets exactly the distances of its own ``A P_r``.
     """
-    m = ranks.size
-    return stack_distances_vectorized(np.concatenate([np.arange(m, dtype=np.int64), ranks]))[m:]
+    m = perms.shape[-1]
+    trace = np.empty(perms.shape[:-1] + (2 * m,), dtype=np.int64)
+    trace[..., :m] = np.arange(m)
+    trace[..., m:] = perms
+    return stack_distances_vectorized(trace.ravel()).reshape(trace.shape)[..., m:]
+
+
+def _distance_blocks(rows: Iterable[Sequence[int]], m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(block, distances)`` for the one-line permutations ``rows`` of ``S_m``, ``_BLOCK_ROWS`` at a time."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        block = np.array(block, dtype=np.int64).reshape(len(block), m)
+        yield block, _retraversal_distances(block)
+
+
+def _symmetric_group_blocks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_distance_blocks` of all of ``S_m`` in lexicographic order."""
+    m = check_nonnegative_int(m, "m")
+    return _distance_blocks(itertools.permutations(range(m)), m)
+
+
+def _ranked_permutations(m: int) -> Iterator[tuple[Permutation, int]]:
+    """Every permutation of ``S_m`` with its inversion number, in lexicographic order."""
+    for block, distances in _symmetric_group_blocks(m):
+        yield from zip(map(Permutation, block.tolist()), (block.shape[1] ** 2 - distances.sum(axis=1)).tolist())
 
 
 def count_inversions(sequence: Permutation | Sequence[int]) -> int:

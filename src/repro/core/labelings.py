@@ -254,10 +254,10 @@ def is_el_labeling(
     """
     from .bruhat import bruhat_less
 
-    by_rank = sorted(nodes, key=lambda p: p.inversions())
-    for x in by_rank:
-        for y in by_rank:
-            gap = y.inversions() - x.inversions()
+    by_rank = sorted(((p.inversions(), p) for p in nodes), key=lambda ranked: ranked[0])
+    for rank_x, x in by_rank:
+        for rank_y, y in by_rank:
+            gap = rank_y - rank_x
             if gap < 1 or gap > max_interval_length:
                 continue
             if not bruhat_less(x, y):

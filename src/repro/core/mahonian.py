@@ -21,14 +21,17 @@ full enumeration of :math:`S_m` is too large.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 import numpy as np
 
 from .._util import check_nonnegative_int, ensure_rng
-from .hits import cache_hit_vector, reuse_distance_histogram
-from .inversions import max_inversions
+from .hits import _miss_ratio_curves, stack_distances
+from .inversions import _distance_blocks, max_inversions
 from .permutation import Permutation
 
 __all__ = [
@@ -163,26 +166,12 @@ def random_permutation_with_inversions(m: int, n: int, rng: np.random.Generator 
     code = []
     remaining = n
     for i in range(m):
-        slots = m - 1 - i  # max value of this Lehmer digit
-        suffix_size = m - i - 1
-        weights = []
-        choices = []
-        for c in range(0, min(slots, remaining) + 1):
-            rest = remaining - c
-            if rest <= max_inversions(suffix_size):
-                weights.append(mahonian_number(suffix_size, rest))
-                choices.append(c)
-        total = sum(weights)
-        if total == 0:
-            raise RuntimeError("sampler ran out of completions; this should not happen")
-        pick = _randint_below(generator, total)
-        acc = 0
-        for c, w in zip(choices, weights):
-            acc += w
-            if pick < acc:
-                code.append(c)
-                remaining -= c
-                break
+        suffix_size = m - 1 - i  # also the largest value of this Lehmer digit
+        # completions of each digit c; a digit with none has weight 0 and is never picked
+        digits = range(min(suffix_size, remaining) + 1)
+        cumulative = list(itertools.accumulate(mahonian_number(suffix_size, remaining - c) for c in digits))
+        code.append(bisect.bisect_right(cumulative, _randint_below(generator, cumulative[-1])))
+        remaining -= code[-1]
     return Permutation.from_lehmer(code)
 
 
@@ -213,9 +202,6 @@ def integer_partitions(
             for rest in rec(remaining - part, part, length + 1):
                 yield (part,) + rest
 
-    if n == 0:
-        yield ()
-        return
     yield from rec(n, cap, 0)
 
 
@@ -229,13 +215,19 @@ def hit_vector_partition(sigma: Permutation | Sequence[int]) -> tuple[int, ...]:
     vector of a permutation at inversion level ``n`` *is* an integer partition
     of ``n`` with parts at most ``m - 1`` — the appendix VIII-F observation.
     """
-    sigma = sigma if isinstance(sigma, Permutation) else Permutation(sigma)
-    m = sigma.size
-    hist = reuse_distance_histogram(sigma)
-    parts: list[int] = []
-    for d in range(1, m):  # stack distances below m
-        parts.extend([m - d] * int(hist[d - 1]))
-    return tuple(sorted(parts, reverse=True))
+    return _partitions(stack_distances(sigma))[0]
+
+
+def _partitions(distances: np.ndarray) -> list[tuple[int, ...]]:
+    """:func:`hit_vector_partition` of each row of re-traversal distances: ``m - d`` over ``d < m``, descending."""
+    rows = distances.shape[-1] - np.sort(np.atleast_2d(distances), axis=1)
+    return [tuple(row[:parts]) for row, parts in zip(rows.tolist(), (rows > 0).sum(axis=1).tolist())]
+
+
+def _level_partitions(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The hit-vector partition of each permutation of ``S_m`` with ``n`` inversions, in enumeration order."""
+    for _, distances in _distance_blocks((sigma.one_line for sigma in permutations_with_inversions(m, n)), m):
+        yield from _partitions(distances)
 
 
 def partitions_at_level(m: int, n: int) -> set[tuple[int, ...]]:
@@ -244,7 +236,7 @@ def partitions_at_level(m: int, n: int) -> set[tuple[int, ...]]:
     Enumerates the permutations with ``n`` inversions (not the whole group),
     maps each to its partition, and returns the distinct set.
     """
-    return {hit_vector_partition(sigma) for sigma in permutations_with_inversions(m, n)}
+    return set(_level_partitions(m, n))
 
 
 def partition_counts_at_level(m: int, n: int) -> dict[tuple[int, ...], int]:
@@ -254,11 +246,7 @@ def partition_counts_at_level(m: int, n: int) -> dict[tuple[int, ...], int]:
     problem stated at the end of the appendix; this function provides the
     empirical counts.  The values sum to the Mahonian number ``M(m, n)``.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for sigma in permutations_with_inversions(m, n):
-        key = hit_vector_partition(sigma)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter(_level_partitions(m, n)))  # keys in first-seen order
 
 
 # --------------------------------------------------------------------------- #
@@ -279,13 +267,15 @@ def truncated_miss_integral(sigma: Permutation | Sequence[int]) -> float:
     which equals 1 for the identity and 1/2 for the sawtooth and drops by
     ``1 / (m (m - 1))`` per inversion — the appendix VIII-F claim.
     """
-    sigma = sigma if isinstance(sigma, Permutation) else Permutation(sigma)
-    m = sigma.size
+    return float(_truncated_miss_integrals(stack_distances(sigma)))
+
+
+def _truncated_miss_integrals(distances: np.ndarray) -> np.ndarray:
+    """:func:`truncated_miss_integral` of each row of re-traversal distances (one row, or a ``(k, m)`` block)."""
+    m = distances.shape[-1]
     if m < 2:
         raise ValueError("truncated miss integral requires at least two items")
-    vec = cache_hit_vector(sigma)[: m - 1].astype(np.float64)
-    miss = 1.0 - vec / m
-    return float(miss.mean())
+    return _miss_ratio_curves(distances, convention="retraversal", max_cache_size=m - 1).mean(axis=-1)
 
 
 def truncated_miss_integral_by_level(m: int) -> dict[int, float]:

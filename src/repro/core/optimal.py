@@ -116,8 +116,7 @@ def schedule_trace(schedule: Sequence[Permutation], *, items: Sequence[int] | No
     base = np.arange(m, dtype=np.intp) if items is None else np.asarray(items, dtype=np.intp)
     if base.size != m:
         raise ValueError(f"items has length {base.size}, expected {m}")
-    parts = [base[np.asarray(p.one_line, dtype=np.intp)] for p in schedule]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    return np.concatenate([base[p.to_array()] for p in schedule])
 
 
 def schedule_total_reuse(schedule: Sequence[Permutation]) -> int:
@@ -129,11 +128,7 @@ def schedule_total_reuse(schedule: Sequence[Permutation]) -> int:
     ``total_reuse(π_{k+1} π_k^{-1})``.  The first traversal is cold and
     contributes ``m`` compulsory misses, not counted here.
     """
-    total = 0
-    for prev, nxt in zip(schedule, schedule[1:]):
-        relative = nxt * prev.inverse()
-        total += total_reuse(relative)
-    return total
+    return sum(total_reuse(nxt * prev.inverse()) for prev, nxt in zip(schedule, schedule[1:]))
 
 
 def naive_schedule_total_reuse(m: int, traversals: int) -> int:

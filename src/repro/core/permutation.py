@@ -426,9 +426,11 @@ def permutations_by_inversions(m: int) -> dict[int, list[Permutation]]:
     The sizes of the groups are the Mahonian numbers ``M(m, ℓ)``
     (see :mod:`repro.core.mahonian`).
     """
+    from .inversions import _ranked_permutations
+
     groups: dict[int, list[Permutation]] = {}
-    for sigma in all_permutations(m):
-        groups.setdefault(sigma.inversions(), []).append(sigma)
+    for sigma, ell in _ranked_permutations(m):
+        groups.setdefault(ell, []).append(sigma)
     return groups
 
 

@@ -47,9 +47,7 @@ __all__ = [
 
 
 def _periodic_trace_array(sigma: Permutation) -> np.ndarray:
-    m = sigma.size
-    first = np.arange(m, dtype=np.intp)
-    return np.concatenate([first, first[np.asarray(sigma.one_line, dtype=np.intp)]])
+    return np.concatenate([np.arange(sigma.size, dtype=np.intp), sigma.to_array()])
 
 
 class TimescaleLabeling(EdgeLabeling):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import count_inversions_naive
 
 from repro.cache import LRUCache
 from repro.core import (
@@ -124,21 +125,25 @@ class TestAgainstLRUSimulation:
 
 
 class TestTheorems:
+    # The deficits read both sides from one distance pass; the pairwise count is the independent side.
     def test_theorem2_small_groups(self):
         for m in range(1, 7):
             for sigma in all_permutations(m):
                 assert theorem2_deficit(sigma) == 0
+                assert sum(cache_hit_vector(sigma)[:-1]) == count_inversions_naive(sigma)
 
     def test_corollary1_small_groups(self):
         for m in range(1, 7):
             for sigma in all_permutations(m):
                 assert corollary1_deficit(sigma) == 0
+                assert sum(cache_hit_vector(sigma)) == m + count_inversions_naive(sigma)
 
     def test_theorems_random_large(self, rng):
         for m in (50, 200, 1000):
             sigma = random_permutation(m, rng)
             assert theorem2_deficit(sigma) == 0
             assert corollary1_deficit(sigma) == 0
+            assert sum(cache_hit_vector(sigma)[:-1]) == count_inversions_naive(sigma)
 
     def test_theorem2_aggregate_form_on_all_covering_pairs(self, s4):
         # For every Bruhat cover the truncated hit-vector sum grows by exactly

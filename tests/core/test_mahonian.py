@@ -126,8 +126,13 @@ class TestHitVectorPartitions:
     def test_every_level_partition_is_valid_partition(self):
         m = 5
         for level in range(max_inversions(m) + 1):
-            valid = set(integer_partitions(level, max_part=m - 1, max_parts=m))
+            valid = set(integer_partitions(level, max_part=m - 1, max_parts=m - 1))
             assert partitions_at_level(m, level) <= valid
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_no_permutation_yields_m_parts(self, m):
+        # item 0's re-access always has stack distance m, so it never contributes a part
+        assert max(len(hit_vector_partition(sigma)) for sigma in all_permutations(m)) == m - 1
 
     def test_partition_counts_sum_to_mahonian(self):
         m = 5

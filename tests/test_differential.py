@@ -30,6 +30,9 @@ This module pits them against each other:
   distances, all read off one distance pass over ``A σ(A)``, against the
   naive double loop, per-position comprehensions, the Fenwick oracles and
   the paper's Algorithm 1, on the C kernel and on the numpy fallback;
+* the same pass over a block of re-traversals ``A P_0 A P_1 ...`` against
+  those oracles row by row, and the drivers that sweep ``S_m`` in row
+  blocks against a single block;
 * metamorphic properties: the optimal partition *value* is invariant under
   tenant order permutation, MRCs are monotone non-increasing in capacity,
   and a windowed profile of a concatenated trace with decay → 0 equals the
@@ -39,6 +42,8 @@ This module pits them against each other:
 from __future__ import annotations
 
 from contextlib import contextmanager
+
+import itertools
 
 import numpy as np
 import pytest
@@ -70,7 +75,13 @@ from repro.core import (
     left_inversion_counts,
     reuse_distance_histogram,
 )
+from repro.analysis.experiments import run_fig1_mrc_by_inversion, run_miss_integral
+from repro.analysis.poset_stats import cover_degree_by_rank
+from repro.core import build_covering_graph, partition_counts_at_level, permutations_by_inversions
+from repro.core.hits import _hit_vectors
 from repro.core.hits import stack_distances as retraversal_distances
+from repro.core.inversions import _retraversal_distances
+from repro.core.mahonian import _partitions
 from repro.cache.stack_distance import (
     COLD,
     StackDistanceStream,
@@ -426,6 +437,66 @@ class TestInversionDifferential:
         with distance_path(path):
             total, right, left = count_inversions(seq), inversion_vector(seq), left_inversion_counts(seq)
         assert total == count_inversions_fenwick(seq) == int(right.sum()) == int(left.sum())
+
+
+def per_row_reference(word) -> tuple:
+    """ℓ, Lehmer code, hit vector and hit-vector partition of one permutation, by the oracles."""
+    m = len(word)
+    rdh, chv = algorithm1_paper(word)
+    lehmer = [sum(word[j] < word[i] for j in range(i + 1, m)) for i in range(m)]
+    parts = sorted((m - d for d in range(1, m) for _ in range(rdh[d - 1])), reverse=True)
+    return count_inversions_naive(word), lehmer, chv.tolist(), tuple(parts)
+
+
+def batched_rows(block: np.ndarray) -> list[tuple]:
+    """The same four per row of a ``(k, m)`` block, from one distance pass over ``A P_0 A P_1 ...``."""
+    m = block.shape[1]
+    distances = _retraversal_distances(block)
+    lengths, lehmer, hit_vectors = m * m - distances.sum(axis=1), m - distances, _hit_vectors(distances)
+    return list(zip(lengths.tolist(), lehmer.tolist(), hit_vectors.tolist(), _partitions(distances)))
+
+
+def group_outputs() -> list:
+    """Every driver that sweeps ``S_6`` (or one of its levels) in row blocks."""
+    return [
+        [(ell, [p.one_line for p in group]) for ell, group in permutations_by_inversions(6).items()],
+        run_fig1_mrc_by_inversion(6),
+        run_fig1_mrc_by_inversion(6, convention="retraversal", max_cache_size=4),
+        run_miss_integral(6),
+        list(partition_counts_at_level(6, 7).items()),
+        cover_degree_by_rank(5),
+        list(build_covering_graph(5).nodes(data="rank")),
+    ]
+
+
+class TestBatchedRetraversalDifferential:
+    """One distance pass over a block of re-traversals against the per-row oracles: inversion
+    numbers, Lehmer codes, hit vectors and partitions, on the C kernel and on numpy."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("m", range(7))
+    def test_every_row_of_the_symmetric_group(self, path, m):
+        words = list(itertools.permutations(range(m)))
+        with distance_path(path):
+            rows = batched_rows(np.array(words, dtype=np.int64).reshape(len(words), m))
+        assert rows == [per_row_reference(word) for word in words]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_random_blocks(self, path):
+        rng = np.random.default_rng(26)
+        for m, k in enumerate([1, 64, *rng.integers(1, 65, size=38).tolist()], start=1):
+            block = np.argsort(rng.random((k, m)), axis=1)
+            with distance_path(path):
+                rows = batched_rows(block)
+            assert rows == [per_row_reference(word) for word in block.tolist()]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_row_blocks_that_do_not_divide_the_group(self, path, monkeypatch):
+        with distance_path(path):
+            whole = group_outputs()
+            monkeypatch.setattr("repro.core.inversions._BLOCK_ROWS", 7)  # divides neither 6! nor 5! nor M(6, 7) = 101
+            blocked = group_outputs()
+        assert repr(blocked) == repr(whole)
 
 
 @st.composite

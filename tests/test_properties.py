@@ -68,14 +68,18 @@ int_sequences = st.lists(st.integers(min_value=0, max_value=50), min_size=0, max
 # --------------------------------------------------------------------------- #
 # Theorems
 # --------------------------------------------------------------------------- #
+# theorem2_deficit and corollary1_deficit read both sides from one distance pass,
+# so each test also checks the summed hit vector against the pairwise count.
 @given(permutations)
 def test_theorem2_holds_for_every_permutation(sigma):
     assert theorem2_deficit(sigma) == 0
+    assert sum(cache_hit_vector(sigma)[:-1]) == count_inversions_naive(sigma)
 
 
 @given(permutations)
 def test_corollary1_holds_for_every_permutation(sigma):
     assert corollary1_deficit(sigma) == 0
+    assert sum(cache_hit_vector(sigma)) == sigma.size + count_inversions_naive(sigma)
 
 
 @given(permutations)
