@@ -54,6 +54,7 @@ run_online_adaptation
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -74,11 +75,11 @@ from ..core.hits import _miss_ratio_curves, cache_hit_vector, corollary1_deficit
 from ..core.inversions import _symmetric_group_blocks, max_inversions
 from ..core.labelings import MissRatioLabeling, RankedMissRatioLabeling
 from ..core.mahonian import (
+    _partitions,
     _truncated_miss_integrals,
     integer_partitions,
     mahonian_number,
     mahonian_row,
-    partition_counts_at_level,
     random_permutation_with_inversions,
 )
 from ..core.optimal import matrix_traversal_costs
@@ -266,9 +267,13 @@ def run_matrix_reuse(shapes: Sequence[tuple[int, int]] = ((4, 8), (16, 16), (32,
 def run_mahonian_partitions(m: int = 6) -> dict:
     """Mahonian counts and the hit-vector ↔ integer-partition characterisation for ``S_m``."""
     row = mahonian_row(m)
+    # One sweep of S_m: each permutation's level is ℓ = m² − Σd (Theorem 2).
+    levels = [Counter() for _ in range(max_inversions(m) + 1)]
+    for _, distances in _symmetric_group_blocks(m):
+        for level, partition in zip((m * m - distances.sum(axis=1)).tolist(), _partitions(distances)):
+            levels[level][partition] += 1
     per_level = []
-    for level in range(max_inversions(m) + 1):
-        counts = partition_counts_at_level(m, level)
+    for level, counts in enumerate(levels):
         feasible_partitions = set(integer_partitions(level, max_part=m - 1, max_parts=m - 1))
         per_level.append(
             {

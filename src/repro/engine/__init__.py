@@ -7,7 +7,7 @@ fan-out.  The engine is that machinery written once; every experiment is the
 same four-stage pipeline over it:
 
 1. **segments** (:mod:`repro.engine.segments`) — boundary arithmetic: epoch
-   stops, phase labels, chunk spans.  Workloads are consumed as columnar
+   stops and phase labels.  Workloads are consumed as columnar
    segments (``items`` / ``tenant_ids`` arrays, plain or memmap-backed).
 2. **columnar state** (:mod:`repro.engine.columnar`) — one stack-distance
    pass per tenant (:class:`~repro.engine.columnar.TenantDistancePasses`),
@@ -57,7 +57,7 @@ from .job import (
 )
 from .lanes import LaneSet
 from .runner import check_workers, fork_available, fork_pool, pool_map, published_arrays, resolve_array
-from .segments import chunk_spans, phase_of_event, phase_of_last_event, replay_stops, strided_spans
+from .segments import phase_of_event, phase_of_last_event, replay_stops
 
 __all__ = [
     "ALLOC_METHODS",
@@ -75,7 +75,6 @@ __all__ = [
     "check_tenant_ids",
     "check_unit",
     "check_workers",
-    "chunk_spans",
     "discretized_from_distances",
     "fork_available",
     "fork_pool",
@@ -87,6 +86,5 @@ __all__ = [
     "replay_stops",
     "resolve_array",
     "split_by_tenant",
-    "strided_spans",
     "tenant_positions",
 ]

@@ -1,20 +1,14 @@
-"""Segment and epoch boundary arithmetic, shared by every trace-iteration loop.
+"""Segment and epoch boundary arithmetic of the epoched replay.
 
-Three experiment paths used to hand-roll the same boundary handling: the
-online replay built its own merged epoch/phase stop schedule and phase
-labels, the parallel profiling engine computed chunk offsets from
-``np.array_split`` by hand, and the streaming-trace iterator re-derived
-fixed-length segment bounds.  The helpers here are that arithmetic, written
-once:
+The online replay pauses its event loop at a merged epoch/phase stop
+schedule and labels each epoch with a phase.  The helpers here are that
+arithmetic, written once:
 
-* :func:`strided_spans` — fixed-length segment bounds over ``n`` events.
-* :func:`chunk_spans` — ``pieces`` near-equal contiguous chunks (the
-  ``np.array_split`` convention: earlier chunks get the remainder).
 * :func:`replay_stops` — the merged stop schedule of an epoched replay over
   a phased workload: every epoch end plus every interior phase boundary.
 * :func:`phase_of_event` / :func:`phase_of_last_event` — phase labeling.
 
-The *boundary epoch* pitfall (found in PR 4, regression-tested in
+The *boundary epoch* pitfall (regression-tested in
 ``tests/engine/test_segments.py``): when an epoch ends exactly on a phase
 boundary, the replay's running phase cursor has already advanced to the new
 regime even though every event recorded in the epoch belongs to the old one.
@@ -24,53 +18,15 @@ the phase of event ``end - 1``, never by the cursor.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
-    "chunk_spans",
     "phase_of_event",
     "phase_of_last_event",
     "replay_stops",
-    "strided_spans",
 ]
-
-
-def strided_spans(n: int, length: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(start, end)`` bounds of fixed-``length`` segments covering ``n``.
-
-    The last span is short when ``length`` does not divide ``n``; ``n == 0``
-    yields nothing.
-    """
-    n = int(n)
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"segment length must be >= 1, got {length}")
-    for start in range(0, n, length):
-        yield start, min(start + length, n)
-
-
-def chunk_spans(n: int, pieces: int) -> list[tuple[int, int]]:
-    """Bounds of ``pieces`` near-equal contiguous chunks of ``n`` events.
-
-    Follows the ``np.array_split`` convention — the first ``n % pieces``
-    chunks are one longer — so chunked passes that split with either idiom
-    agree on every boundary.  ``pieces`` is clamped to ``n`` (no empty
-    chunks) except when ``n == 0``, which yields a single empty span.
-    """
-    n = int(n)
-    pieces = int(pieces)
-    if pieces < 1:
-        raise ValueError(f"pieces must be >= 1, got {pieces}")
-    if n == 0:
-        return [(0, 0)]
-    pieces = min(pieces, n)
-    base, extra = divmod(n, pieces)
-    bounds = [0]
-    for k in range(pieces):
-        bounds.append(bounds[-1] + base + (1 if k < extra else 0))
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def replay_stops(n: int, epoch: int, boundaries: Sequence[int] = ()) -> tuple[list[int], frozenset[int]]:

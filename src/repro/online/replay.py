@@ -38,7 +38,7 @@ epoch's profiles through per-tenant sketches, and holds both bit-identical.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..alloc.curves import discretize_ratios
@@ -54,7 +54,7 @@ from ..resilience.checkpoint import fingerprint as run_fingerprint
 from ..resilience.checkpoint import latest_step, load_checkpoint, write_checkpoint
 from ..resilience.faults import fire as _fire_fault
 from ..trace.drift import DriftingWorkload
-from .controller import ReallocationController
+from .controller import ReallocationController, ReallocationDecision
 from .phases import PhaseChangeDetector
 from .windowed import TenantWindows
 
@@ -273,6 +273,159 @@ def replay_fingerprint(workload: DriftingWorkload, job: OnlineJob) -> str:
     return run_fingerprint("online", basis, {"items": composed.trace.accesses, "ids": composed.tenant_ids})
 
 
+@dataclass
+class _Progress:
+    """Where a replay stands and what it has counted so far.
+
+    Together with the lanes and the detectors this is everything a snapshot
+    holds: :func:`_snapshot` writes one key per field and :func:`_resume`
+    reads them back.
+    """
+
+    position: int = 0
+    phase: int = 0
+    #: Refining after a flag or an applied move: the controller is consulted again next epoch.
+    settling: bool = False
+    epoch_index: int = 0
+    epoch_start: int = 0
+    epochs: list[EpochStats] = field(default_factory=list)
+    profiled_references: int = 0
+    reallocations: int = 0
+    phase_changes: int = 0
+    profile_failures: int = 0
+
+
+#: The decision of an epoch that does not consult the controller.
+_HOLD = ReallocationDecision(applied=False, allocation=(), predicted_gain=0.0, penalty=0.0, moved_blocks=0)
+
+
+def _end_epoch(progress, job, boundaries, windows, lanes, controller, detectors, anchors, counters) -> None:
+    """Close the epoch ending at ``progress.position`` and start the next one.
+
+    Refreshes every tenant's windowed profile, feeds the detectors (``anchors[t]``
+    records the epoch end of detector ``t``'s reference), consults the controller
+    when due, and records the epoch's :class:`EpochStats` from ``counters``.
+    """
+    position, unit = progress.position, int(job.unit)
+    retained = windows.retained[position]
+    progress.profiled_references += retained
+    with span("online.window_profile"):
+        profiles = _windowed_profile(windows, position, int(job.budget), unit)
+    failed = 0
+    for t in range(len(profiles)):
+        try:
+            _fire_fault("online.profile", t)
+        except Exception:
+            # Degrade, never crash: the detector skips the tenant and the
+            # controller is skipped below, so the allocation stays put.
+            failed += 1
+            profiles[t] = (None, idle_curve(unit))
+    progress.profile_failures += failed
+    distance, changed = 0.0, False
+    for t, (curve, _discretized) in enumerate(profiles):
+        if curve is None:  # no traffic, or a failed extraction
+            continue
+        observation = detectors[t].observe(curve)
+        if detectors[t].reference is curve:
+            anchors[t] = position
+        distance = max(distance, observation.distance)
+        changed = changed or observation.changed
+    if changed:
+        progress.phase_changes += 1
+    # The controller is consulted on a phase-change flag, on the fixed
+    # re-allocation cadence, or while *settling* — refining after a flag
+    # or an applied move, when the window is still absorbing the new
+    # regime.  Quiet unflagged epochs between cadence points never
+    # re-partition, so threshold/hysteresis genuinely gate churn.
+    decision = _HOLD
+    if not failed and (changed or progress.settling or progress.epoch_index % job.realloc_epochs == 0):
+        decision = controller.decide(
+            [discretized for _curve, discretized in profiles],
+            lanes.capacities("adaptive"),
+            horizon=job.epoch * job.horizon_epochs,
+        )
+        if decision.applied:
+            lanes.resize("adaptive", decision.allocation)
+            progress.reallocations += 1
+        progress.settling = decision.applied or changed
+
+    total = position - progress.epoch_start
+    stats = EpochStats(
+        index=progress.epoch_index,
+        start=progress.epoch_start,
+        end=position,
+        # Label the epoch with the phase of its *last event*: when an epoch
+        # ends exactly on a boundary, `progress.phase` has already advanced to
+        # the next regime even though every recorded event belongs to the old one.
+        phase=phase_of_last_event(boundaries, position),
+        static_miss_ratio=counters["static"][1] / total,
+        adaptive_miss_ratio=counters["adaptive"][1] / total,
+        oracle_miss_ratio=counters["oracle"][1] / total,
+        distance=distance,
+        phase_change=changed,
+        reallocated=decision.applied,
+        moved_blocks=decision.moved_blocks if decision.applied else 0,
+        adaptive_allocation=lanes.capacities("adaptive"),
+    )
+    progress.epochs.append(stats)
+    registry = get_registry()
+    if registry.enabled:
+        # The per-epoch time series is EpochStats.row() plus the
+        # controller's pricing of the epoch's decision and the sketch
+        # sample volume — purely observational, never read back.
+        registry.series("online.epochs").record(
+            **stats.row(),
+            sketch_sampled=retained,
+            gain=decision.predicted_gain,
+            penalty=decision.penalty,
+            profile_failures=failed,
+        )
+        if changed:
+            registry.counter("online.phase_changes").inc()
+        if decision.applied:
+            registry.counter("online.reallocations").inc()
+            registry.counter("online.moved_blocks").add(decision.moved_blocks)
+
+    progress.epoch_index += 1
+    progress.epoch_start = position
+    for key in counters:
+        counters[key] = [0, 0]
+
+
+def _snapshot(progress, lanes, detectors, anchors) -> dict:
+    """Checkpoint state at an epoch end; each detector's reference is stored as its epoch end."""
+    return {
+        **vars(progress),
+        # Field tuples pickle ~3x faster than the dataclasses.
+        "epochs": [tuple(vars(epoch).values()) for epoch in progress.epochs],
+        "lanes": lanes.state_dict(),
+        "detectors": [{**detector.state_dict(), "reference": anchor} for detector, anchor in zip(detectors, anchors)],
+    }
+
+
+def _resume(state, job, windows, lanes, detectors, anchors) -> _Progress:
+    """Restore a :func:`_snapshot`'s lanes and detectors in place and return its progress.
+
+    Snapshots are taken at epoch ends only, right after the counters reset, so
+    the epoch counters are implicitly zero.  Everything deterministic (distance
+    arrays, static/oracle profiles, the stop schedule, the windows) is
+    recomputed from the trace, and so is every detector reference: the
+    snapshot holds only the epoch end each was taken at.  Other keys (stores
+    of earlier builds also hold the controller's counters) are not read.
+    """
+    lanes.load_state_dict(state["lanes"])
+    budget, unit = int(job.budget), int(job.unit)
+    profile_at = functools.cache(lambda end: _windowed_profile(windows, end, budget, unit))  # once per anchor
+    for t, (detector, detector_state) in enumerate(zip(detectors, state["detectors"])):
+        anchors[t] = anchor = detector_state["reference"]
+        if anchor is not None:
+            detector_state = {**detector_state, "reference": profile_at(anchor)[t][0]}
+        detector.load_state_dict(detector_state)
+    progress = _Progress(**{f.name: state[f.name] for f in fields(_Progress)})
+    progress.epochs = [EpochStats(*epoch) for epoch in progress.epochs]
+    return progress
+
+
 def run_replay(
     workload: DriftingWorkload,
     job: OnlineJob,
@@ -320,17 +473,13 @@ def run_replay(
         passes = TenantDistancePasses(items, ids, num_tenants)
         static_curves = [passes.whole_stream_curve(t, budget, unit) for t in range(num_tenants)]
         phase_curves = [
-            passes.window_curve(t, workload.phase_slice(p), budget, unit)
+            [passes.window_curve(t, workload.phase_slice(p), budget, unit) for t in range(num_tenants)]
             for p in range(workload.num_phases)
-            for t in range(num_tenants)
         ]
         passes.previous = None  # read by the phase curves only
         windows = TenantWindows(items, passes.positions, stops, ends, job.window, job.decay, job.rate, job.profile_seed)
     static_allocation = controller.propose(static_curves)
-    oracle_allocations = []
-    for p in range(workload.num_phases):
-        oracle_allocations.append(controller.propose(phase_curves[p * num_tenants : (p + 1) * num_tenants]))
-
+    oracle_allocations = [controller.propose(curves) for curves in phase_curves]
     lanes = LaneSet(
         passes.distances,
         {
@@ -339,208 +488,54 @@ def run_replay(
             "oracle": oracle_allocations[0],
         },
     )
-    detectors = []
-    for _ in range(num_tenants):
-        detectors.append(PhaseChangeDetector(threshold=job.threshold, hysteresis=job.hysteresis))
-
-    fingerprint = replay_fingerprint(workload, job) if checkpoint_dir is not None else None
-
-    epochs: list[EpochStats] = []
-    profiled_references = 0
-    reallocations = 0
-    phase_changes = 0
-    profile_failures = 0
-    epoch_index = 0
-    epoch_start = 0
-    position = 0
-    phase = 0
-    settling = False
+    detectors = [PhaseChangeDetector(threshold=job.threshold, hysteresis=job.hysteresis) for _ in range(num_tenants)]
     # The epoch end each detector took its reference curve at (None before).
     anchors: list[int | None] = [None] * num_tenants
     counters = {"static": [0, 0], "adaptive": [0, 0], "oracle": [0, 0]}  # [hits, misses] this epoch
+    fingerprint = replay_fingerprint(workload, job) if checkpoint_dir is not None else None
 
+    progress = _Progress()
     if resume and latest_step(checkpoint_dir) is not None:
-        # Checkpoints snapshot at epoch ends only, right after the counters
-        # reset — so the epoch counters are implicitly zero and everything
-        # deterministic (distance arrays, static/oracle profiles, the stop
-        # schedule, the windows) was already recomputed above, identically.
-        # So is every detector reference: the snapshot holds only the epoch
-        # end each reference was taken at.
         state = load_checkpoint(checkpoint_dir, fingerprint=fingerprint).state
-        position = int(state["position"])
-        phase = int(state["phase"])
-        settling = bool(state["settling"])
-        epoch_index = int(state["epoch_index"])
-        epoch_start = int(state["epoch_start"])
-        epochs = [EpochStats(*fields) for fields in state["epochs"]]
-        profiled_references = int(state["profiled_references"])
-        reallocations = int(state["reallocations"])
-        phase_changes = int(state["phase_changes"])
-        profile_failures = int(state["profile_failures"])
-        lanes.load_state_dict(state["lanes"])
-        profile_at = functools.cache(lambda end: _windowed_profile(windows, end, budget, unit))  # once per anchor
-        for t, (detector, detector_state) in enumerate(zip(detectors, state["detectors"])):
-            anchors[t] = anchor = detector_state["reference"]
-            if anchor is not None:
-                reference = profile_at(anchor)[t][0]
-                detector_state = {**detector_state, "reference": reference}
-            detector.load_state_dict(detector_state)
-        controller.evaluations = int(state["controller"]["evaluations"])
-        controller.applications = int(state["controller"]["applications"])
+        progress = _resume(state, job, windows, lanes, detectors, anchors)
 
     with span("online.replay"):
         for stop in stops:
-            if stop <= position:  # already replayed before the resume point
+            if stop <= progress.position:  # already replayed before the resume point
                 continue
-            lanes.advance(items[position:stop], ids[position:stop], counters)
-            position = stop
-            if phase + 1 < workload.num_phases and position >= workload.boundaries[phase + 1]:
-                phase += 1
-                lanes.resize("oracle", oracle_allocations[phase])
-            if position not in ends:
+            lanes.advance(items[progress.position : stop], ids[progress.position : stop], counters)
+            progress.position = stop
+            if progress.phase + 1 < workload.num_phases and stop >= workload.boundaries[progress.phase + 1]:
+                progress.phase += 1
+                lanes.resize("oracle", oracle_allocations[progress.phase])
+            if stop not in ends:
                 continue
-
-            # Epoch end: refresh windowed profiles, consult detector + controller.
-            retained = windows.retained[position]
-            profiled_references += retained
-            with span("online.window_profile"):
-                profiles = _windowed_profile(windows, position, budget, unit)
-            failed: set[int] = set()
-            for t in range(num_tenants):
-                try:
-                    _fire_fault("online.profile", t)
-                except Exception:
-                    # Degrade, never crash: the detector skips the tenant and the
-                    # controller is skipped below, so the allocation stays put.
-                    failed.add(t)
-                    profiles[t] = (None, idle_curve(unit))
-            profile_failures += len(failed)
-            window_curves = [discretized for _curve, discretized in profiles]
-            distance = 0.0
-            changed = False
-            for t, (curve, _discretized) in enumerate(profiles):
-                if curve is None:  # no traffic, or a failed extraction
-                    continue
-                observation = detectors[t].observe(curve)
-                if detectors[t].reference is curve:
-                    anchors[t] = position
-                distance = max(distance, observation.distance)
-                changed = changed or observation.changed
-            if changed:
-                phase_changes += 1
-            # The controller is consulted on a phase-change flag, on the fixed
-            # re-allocation cadence, or while *settling* — refining after a flag
-            # or an applied move, when the window is still absorbing the new
-            # regime.  Quiet unflagged epochs between cadence points never
-            # re-partition, so threshold/hysteresis genuinely gate churn.
-            applied = False
-            moved_blocks = 0
-            predicted_gain = 0.0
-            move_penalty = 0.0
-            if not failed and (changed or settling or epoch_index % job.realloc_epochs == 0):
-                decision = controller.decide(
-                    window_curves,
-                    lanes.capacities("adaptive"),
-                    horizon=job.epoch * job.horizon_epochs,
-                )
-                predicted_gain = decision.predicted_gain
-                move_penalty = decision.penalty
-                if decision.applied:
-                    lanes.resize("adaptive", decision.allocation)
-                    reallocations += 1
-                    applied = True
-                    moved_blocks = decision.moved_blocks
-                settling = applied or changed
-
-            total = position - epoch_start
-            # Label the epoch with the phase of its *last event*: when an epoch
-            # ends exactly on a boundary, `phase` has already advanced to the
-            # next regime even though every recorded event belongs to the old one.
-            last_event_phase = phase_of_last_event(workload.boundaries, position)
-            epochs.append(
-                EpochStats(
-                    index=epoch_index,
-                    start=epoch_start,
-                    end=position,
-                    phase=last_event_phase,
-                    static_miss_ratio=counters["static"][1] / total,
-                    adaptive_miss_ratio=counters["adaptive"][1] / total,
-                    oracle_miss_ratio=counters["oracle"][1] / total,
-                    distance=distance,
-                    phase_change=changed,
-                    reallocated=applied,
-                    moved_blocks=moved_blocks,
-                    adaptive_allocation=lanes.capacities("adaptive"),
-                )
-            )
-            registry = get_registry()
-            if registry.enabled:
-                # The per-epoch time series is EpochStats.row() plus the
-                # controller's pricing of the epoch's decision and the sketch
-                # sample volume — purely observational, never read back.
-                registry.series("online.epochs").record(
-                    **epochs[-1].row(),
-                    sketch_sampled=retained,
-                    gain=predicted_gain,
-                    penalty=move_penalty,
-                    profile_failures=len(failed),
-                )
-                if changed:
-                    registry.counter("online.phase_changes").inc()
-                if applied:
-                    registry.counter("online.reallocations").inc()
-                    registry.counter("online.moved_blocks").add(moved_blocks)
-
-            epoch_index += 1
-            epoch_start = position
-            for key in counters:
-                counters[key] = [0, 0]
-
-            if checkpoint_dir is not None and epoch_index % checkpoint_every == 0:
+            _end_epoch(progress, job, workload.boundaries, windows, lanes, controller, detectors, anchors, counters)
+            step = progress.epoch_index
+            if checkpoint_dir is not None and step % checkpoint_every == 0:
                 with span("online.checkpoint"):
-                    state = {
-                        "position": position,
-                        "phase": phase,
-                        "settling": settling,
-                        "epoch_index": epoch_index,
-                        "epoch_start": epoch_start,
-                        # Field tuples pickle ~3x faster than the dataclasses.
-                        "epochs": [tuple(vars(epoch).values()) for epoch in epochs],
-                        "profiled_references": profiled_references,
-                        "reallocations": reallocations,
-                        "phase_changes": phase_changes,
-                        "profile_failures": profile_failures,
-                        "lanes": lanes.state_dict(),
-                        "detectors": [
-                            {**detector.state_dict(), "reference": anchor}
-                            for detector, anchor in zip(detectors, anchors)
-                        ],
-                        "controller": {
-                            "evaluations": controller.evaluations,
-                            "applications": controller.applications,
-                        },
-                    }
-                    write_checkpoint(checkpoint_dir, epoch_index, state, fingerprint=fingerprint, command="online")
-                _fire_fault("online.checkpoint", epoch_index)
+                    state = _snapshot(progress, lanes, detectors, anchors)
+                    write_checkpoint(checkpoint_dir, step, state, fingerprint=fingerprint, command="online")
+                _fire_fault("online.checkpoint", step)
 
     registry = get_registry()
     registry.counter("online.events").add(n)
-    registry.counter("online.profiled_references").add(profiled_references)
+    registry.counter("online.profiled_references").add(progress.profiled_references)
     registry.gauge("online.tenants").set(num_tenants)
     return ReplayResult(
         name=job.name,
         accesses=n,
         tenants=composed.names,
         budget=budget,
-        epochs=tuple(epochs),
+        epochs=tuple(progress.epochs),
         static_miss_ratio=lanes.miss_ratio("static"),
         adaptive_miss_ratio=lanes.miss_ratio("adaptive"),
         oracle_miss_ratio=lanes.miss_ratio("oracle"),
         static_allocation=tuple(static_allocation),
         final_allocation=lanes.capacities("adaptive"),
-        reallocations=reallocations,
-        phase_changes=phase_changes,
-        profiled_references=profiled_references,
+        reallocations=progress.reallocations,
+        phase_changes=progress.phase_changes,
+        profiled_references=progress.profiled_references,
         oracle_allocations=tuple(tuple(a) for a in oracle_allocations),
-        profile_failures=profile_failures,
+        profile_failures=progress.profile_failures,
     )

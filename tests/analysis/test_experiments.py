@@ -19,7 +19,7 @@ from repro.analysis import (
     run_sawtooth_cyclic,
     run_theorem2_random,
 )
-from repro.core import mahonian_row, max_inversions
+from repro.core import mahonian_row, max_inversions, partition_counts_at_level
 
 
 class TestFig1:
@@ -97,6 +97,17 @@ class TestAppendix:
         for level in result["levels"]:
             assert level["permutations_enumerated"] == level["mahonian"]
             assert level["all_hit_vectors_are_partitions"]
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_mahonian_partitions_match_per_level_enumeration(self, m):
+        # The driver sweeps S_m once; each level's partition counts agree with
+        # enumerating that level's permutations on their own.
+        levels = run_mahonian_partitions(m)["levels"]
+        assert [level["inversions"] for level in levels] == list(range(max_inversions(m) + 1))
+        for level in levels:
+            counts = partition_counts_at_level(m, level["inversions"])
+            assert level["permutations_enumerated"] == sum(counts.values()) == level["mahonian"]
+            assert level["distinct_hit_vectors"] == len(counts)
 
     def test_miss_integral_slope(self):
         result = run_miss_integral(5)

@@ -2,40 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.engine.segments import chunk_spans, phase_of_event, phase_of_last_event, replay_stops, strided_spans
-
-
-class TestStridedSpans:
-    def test_exact_division(self):
-        assert list(strided_spans(6, 3)) == [(0, 3), (3, 6)]
-
-    def test_short_tail(self):
-        assert list(strided_spans(7, 3)) == [(0, 3), (3, 6), (6, 7)]
-
-    def test_empty(self):
-        assert list(strided_spans(0, 4)) == []
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            list(strided_spans(5, 0))
-
-
-class TestChunkSpans:
-    @pytest.mark.parametrize("n,pieces", [(10, 3), (7, 7), (5, 2), (100, 16), (3, 8)])
-    def test_matches_array_split(self, n, pieces):
-        spans = chunk_spans(n, pieces)
-        parts = np.array_split(np.arange(n), min(pieces, n))
-        assert [(int(p[0]), int(p[-1]) + 1) for p in parts] == spans
-
-    def test_zero_events_single_empty_span(self):
-        assert chunk_spans(0, 4) == [(0, 0)]
-
-    def test_rejects_bad_pieces(self):
-        with pytest.raises(ValueError):
-            chunk_spans(5, 0)
+from repro.engine.segments import phase_of_event, phase_of_last_event, replay_stops
 
 
 class TestReplayStops:

@@ -155,6 +155,27 @@ class TestDetectorGatesReallocation:
         assert result.reallocations <= 1  # at most the epoch-0 cadence point
         assert all(not e.reallocated for e in result.epochs[1:])
 
+    def test_unconsulted_epochs_price_no_move(self, workload):
+        """Without a flag or a cadence point, only epoch 0 and the settling epochs
+        after an applied move consult the controller; every later epoch records
+        no gain, no penalty and no moved blocks in the metrics series."""
+        from repro.obs import MetricsRegistry, recording
+
+        deaf = OnlineJob(
+            budget=JOB.budget, window=JOB.window, epoch=JOB.epoch, rate=JOB.rate, threshold=10.0, realloc_epochs=10_000
+        )
+        registry = MetricsRegistry()
+        with recording(registry):
+            result = run_replay(workload, deaf)
+        records = registry.records()
+        rows = [r["row"] for r in records if r.get("type") == "series" and r.get("name") == "online.epochs"]
+        (consulted,) = [r["value"] for r in records if r.get("name") == "controller.evaluations"]
+        assert len(rows) == len(result.epochs) > consulted >= 1
+        assert consulted == result.reallocations + 1  # each applied move settles one more epoch
+        for row in rows[consulted:]:
+            assert row["gain"] == row["penalty"] == 0.0
+            assert row["moved_blocks"] == 0 and not row["reallocated"]
+
     def test_sensitive_detector_reallocates_more_than_deaf_one(self, workload):
         deaf = OnlineJob(
             budget=JOB.budget, window=JOB.window, epoch=JOB.epoch, rate=JOB.rate,

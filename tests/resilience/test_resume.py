@@ -8,6 +8,7 @@ equal to the uninterrupted ``workers=1`` run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -23,7 +24,7 @@ from oracles import replay_lanes
 
 from repro.online import replay as replay_module
 from repro.online.replay import OnlineJob, replay_fingerprint, run_replay
-from repro.resilience import CHECKPOINT_SCHEMA, CheckpointError, load_checkpoint
+from repro.resilience import CHECKPOINT_SCHEMA, CheckpointError, load_checkpoint, write_checkpoint
 from repro.resilience.faults import FaultInjected, FaultPlan, FaultSpec, install_faults, transient
 from repro.sim.sweep import SweepJob, run_sweep
 from repro.trace.drift import three_phase_pair
@@ -92,6 +93,43 @@ class TestReplayCheckpointing:
         fingerprint = replay_fingerprint(workload, JOB)
         assert fingerprint == replay_fingerprint(workload, JOB)
         assert fingerprint != replay_fingerprint(workload, OnlineJob(budget=241, window=1_000, epoch=400))
+
+
+class TestSnapshotLayout:
+    """A snapshot holds the replay's progress, its lanes and its detectors, and nothing else."""
+
+    def test_snapshot_keys_are_the_progress_lanes_and_detectors(self, workload, tmp_path):
+        run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
+        keys = set(load_checkpoint(tmp_path).state)
+        progress = {field.name for field in dataclasses.fields(replay_module._Progress)}
+        assert keys == progress | {"lanes", "detectors"}
+        assert keys == {
+            "position",
+            "phase",
+            "settling",
+            "epoch_index",
+            "epoch_start",
+            "epochs",
+            "profiled_references",
+            "reallocations",
+            "phase_changes",
+            "profile_failures",
+            "lanes",
+            "detectors",
+        }
+
+    def test_store_with_controller_counters_resumes(self, workload, baseline, tmp_path):
+        # Earlier builds also stored the controller's evaluation counters,
+        # which no output reads; such a store still resumes identically.
+        plan = FaultPlan((FaultSpec(site="online.checkpoint", index=3, kind="error"),))
+        with install_faults(plan), pytest.raises(FaultInjected):
+            run_replay(workload, JOB, checkpoint_dir=tmp_path / "current", checkpoint_every=1)
+        state = load_checkpoint(tmp_path / "current").state
+        assert "controller" not in state
+        state["controller"] = {"evaluations": 3, "applications": 2}
+        earlier = tmp_path / "earlier"
+        write_checkpoint(earlier, 3, state, fingerprint=replay_fingerprint(workload, JOB), command="online")
+        assert run_replay(workload, JOB, checkpoint_dir=earlier, resume=True) == baseline
 
 
 _RESUME_JOBS = {
