@@ -39,11 +39,11 @@ import numpy as np
 
 from repro.analysis import format_table, write_csv
 from repro.cache.stack_distance import stack_distances_with_previous
-from repro.engine import PrecomputedTenantDistances
+from repro.engine import LaneSet
 from repro.obs import record_perf
 from repro.online import OnlineJob, run_replay
 from repro.online.replay import _initial_split
-from repro.sim.partitioned import BatchPartitionedLRU, replay_partitioned
+from repro.sim.partitioned import replay_partitioned
 from repro.trace import create_memmap_trace, open_memmap_trace
 from repro.trace.drift import three_phase_pair
 
@@ -101,7 +101,8 @@ def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajector
 
     def run_per_event():
         sims = {lane: oracles.PartitionedLRU(allocations[lane]) for lane in LANES}
-        return oracles.drive(sims, oracles.per_event_advance(sims, items, ids), schedule)
+        advance = oracles.per_event_advance(sims, items, ids)
+        return oracles.drive(lambda lane, split: sims[lane].resize(split), advance, schedule)
 
     # The distance pass is charged to profiling: run_replay computes it once
     # and derives the static and oracle profiles from the same arrays, so the
@@ -111,14 +112,14 @@ def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajector
     distance_pass_seconds = time.perf_counter() - start
 
     def run_batch():
-        provider = PrecomputedTenantDistances(shared_distances)
-        sims = {lane: BatchPartitionedLRU(allocations[lane]) for lane in LANES}
+        lanes = LaneSet(shared_distances, allocations)
 
         def advance(start, stop):
-            distances = provider.feed(items[start:stop], ids[start:stop])
-            return {lane: sims[lane].run_segment(distances)[1] for lane in LANES}
+            counters = {lane: [0, 0] for lane in LANES}
+            lanes.advance(items[start:stop], ids[start:stop], counters)
+            return {lane: misses for lane, (_hits, misses) in counters.items()}
 
-        return oracles.drive(sims, advance, schedule)
+        return oracles.drive(lanes.resize, advance, schedule)
 
     per_event_series = run_per_event()
     batch_series = run_batch()
@@ -215,13 +216,14 @@ def test_memmap_trace_replays_in_bounded_memory(results_dir, perf_trajectory, tm
     trace_bytes = trace.items.nbytes + trace.tenant_ids.nbytes
     tracemalloc.start()
     start = time.perf_counter()
-    simulator = replay_partitioned(trace.segments(), [MEMMAP_FOOTPRINT // 4, MEMMAP_FOOTPRINT // 4])
+    lanes = replay_partitioned(trace.segments(), [MEMMAP_FOOTPRINT // 4, MEMMAP_FOOTPRINT // 4])
     seconds = time.perf_counter() - start
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    assert simulator.hits + simulator.misses == MEMMAP_REFS
-    assert simulator.hits > 0 and simulator.misses > 0
+    hits, misses = lanes.totals("replay")
+    assert hits + misses == MEMMAP_REFS
+    assert hits > 0 and misses > 0
     # Bounded memory: far below materialising the trace, despite exact
     # (bit-identical) partitioned-LRU semantics over 10^7+ references.
     assert peak < trace_bytes / 2, (
@@ -234,7 +236,7 @@ def test_memmap_trace_replays_in_bounded_memory(results_dir, perf_trajectory, tm
         "peak_rss_mb": peak / 1e6,
         "seconds": seconds,
         "refs_per_sec": MEMMAP_REFS / seconds,
-        "miss_ratio": simulator.miss_ratio,
+        "miss_ratio": lanes.miss_ratio("replay"),
     }
     print()
     print(format_table([row], title="memmap streaming replay (bounded memory)"))

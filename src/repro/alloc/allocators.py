@@ -228,6 +228,10 @@ def _dp_top_up(curves: Sequence[DiscretizedMRC], allocation: np.ndarray, remaini
     return allocation + extra
 
 
+# The allocator behind each ``ALLOC_METHODS`` name (partition and online replay).
+_ALLOCATORS = {"greedy": greedy_allocate, "dp": dp_allocate, "hull": hull_allocate}
+
+
 def proportional_split(footprints: Sequence[int], budget_units: int) -> np.ndarray:
     """Split the budget proportionally to tenant footprints (the naive baseline).
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from ..cache.stack_distance import stack_distance_histogram
 from ..engine.job import ALLOC_METHODS, PROFILE_MODES, check_choice, check_positive, check_unit, knob
-from ..engine.columnar import split_by_tenant
 from ..engine.runner import check_workers
 from ..obs import get_registry, span
 from ..profiling.engine import ProfileJob, run_jobs
@@ -44,7 +43,7 @@ from ..profiling.reuse import ReuseTimeHistogram
 from ..profiling.shards import HASH_SPACE, rate_threshold
 from ..sim.kernels import lru_sweep_hits
 from ..trace.tenancy import MultiTenantTrace, TenantSpec, compose_tenants
-from .allocators import dp_allocate, greedy_allocate, hull_allocate, proportional_split
+from .allocators import _ALLOCATORS, proportional_split
 from .curves import discretize_curve
 
 __all__ = [
@@ -212,9 +211,6 @@ class PartitionResult:
         }
 
 
-_ALLOCATORS = {"greedy": greedy_allocate, "dp": dp_allocate, "hull": hull_allocate}
-
-
 def _simulated_miss_ratio(trace: np.ndarray, capacity: int) -> float:
     """Exact LRU miss ratio of one stream at one capacity (single-capacity sweep)."""
     if capacity < 1:
@@ -258,13 +254,12 @@ def simulate_baselines(composed: MultiTenantTrace, budget: int) -> PartitionBase
     ``min(budget, footprint)`` so memory follows the trace, not the budget.
     """
     budget = int(budget)
-    tenant_traces = split_by_tenant(composed.trace.accesses, composed.tenant_ids, composed.num_tenants)
     footprints, hits = [], []
-    for stream in tenant_traces:
+    for stream in composed.streams:
         hist, cold = stack_distance_histogram(stream)
         footprints.append(cold)
         hits.append(np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(hist[: min(budget, cold)])]))
-    accesses = [int(stream.size) for stream in tenant_traces]
+    accesses = [int(stream.size) for stream in composed.streams]
     proportional = proportional_split(footprints, budget)
     total = len(composed.trace)
     proportional_misses = sum(
@@ -305,7 +300,6 @@ def profile_tenants(job: PartitionJob, composed: MultiTenantTrace, *, workers: i
     :func:`_profile_length`), so the allocators see the same curve without a
     budget-sized tail.
     """
-    streams = split_by_tenant(composed.trace.accesses, composed.tenant_ids, composed.num_tenants)
     profile_jobs = [
         ProfileJob(
             trace=stream,
@@ -315,7 +309,7 @@ def profile_tenants(job: PartitionJob, composed: MultiTenantTrace, *, workers: i
             smax=job.smax,
             seed=job.profile_seed,
         )
-        for stream, name in zip(streams, composed.names)
+        for stream, name in zip(composed.streams, composed.names)
     ]
     profile_jobs = [replace(profile, max_cache_size=_profile_length(profile, job.budget)) for profile in profile_jobs]
     return run_jobs(profile_jobs, workers=check_workers(workers))

@@ -12,7 +12,8 @@ same four-stage pipeline over it:
 2. **columnar state** (:mod:`repro.engine.columnar`) — one stack-distance
    pass per tenant (:class:`~repro.engine.columnar.TenantDistancePasses`),
    shared by MRC extraction, sweep kernels and replay lanes alike.
-3. **lanes** (:mod:`repro.engine.lanes`) — any number of cache
+3. **lanes** (:mod:`repro.engine.lanes`) — the one partitioned-LRU state
+   (:class:`~repro.engine.lanes.LaneSet`): any number of cache
    configurations measured over one shared distance pass per tenant.
 4. **runner** (:mod:`repro.engine.runner`) — one worker-pool fan-out with
    one bit-identical single-process reference mode (``workers=1``).
@@ -32,12 +33,16 @@ Examples
 >>> passes = TenantDistancePasses(items, ids, 2)
 >>> passes.whole_stream_curve(0, budget=2, unit=1).miss_ratio_at(2)  # [1,1,2,1]: 2 cold misses in 4
 0.5
+>>> from repro.engine import LaneSet
+>>> lanes = LaneSet(passes.distances, {"even": [1, 1], "skewed": [2, 1]})
+>>> counters = {"even": [0, 0], "skewed": [0, 0]}  # [hits, misses] per lane
+>>> lanes.advance(items, ids, counters)
+>>> counters
+{'even': [2, 4], 'skewed': [3, 3]}
 """
 
 from .columnar import (
-    PrecomputedTenantDistances,
     TenantDistancePasses,
-    TenantDistanceStreams,
     check_tenant_ids,
     discretized_from_distances,
     idle_curve,
@@ -65,9 +70,7 @@ __all__ = [
     "ExperimentJob",
     "ExperimentResult",
     "LaneSet",
-    "PrecomputedTenantDistances",
     "TenantDistancePasses",
-    "TenantDistanceStreams",
     "check_choice",
     "check_fraction",
     "check_non_negative",

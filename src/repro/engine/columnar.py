@@ -18,10 +18,6 @@ future consumer simultaneously.
   :meth:`~TenantDistancePasses.whole_stream_curve` and
   :meth:`~TenantDistancePasses.window_curve` deriving exact discretized MRCs
   of the whole stream or of any event window for free.
-* :class:`TenantDistanceStreams` — the streaming variant: chunked distances
-  with ``O(footprint)`` carried state, for traces too large to hold.
-* :class:`PrecomputedTenantDistances` — whole-stream distances sliced out
-  chunk by chunk (the in-memory replay fast path).
 * :func:`discretized_from_distances` — exact discretized MRC extraction from
   precomputed distances, bit-identical to a from-scratch pass over the same
   stream (asserted in the test suite).
@@ -29,16 +25,12 @@ future consumer simultaneously.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from ..cache.stack_distance import COLD, StackDistanceStream
+from ..cache.stack_distance import COLD
 
 __all__ = [
-    "PrecomputedTenantDistances",
     "TenantDistancePasses",
-    "TenantDistanceStreams",
     "check_tenant_ids",
     "discretized_from_distances",
     "idle_curve",
@@ -170,93 +162,3 @@ class TenantDistancePasses:
         previous = self.previous[tenant]
         adjusted = np.where(previous[lo:hi] >= lo, distances[lo:hi], np.int64(COLD))
         return discretized_from_distances(adjusted, budget, unit)
-
-
-# --------------------------------------------------------------------------- #
-# Distance providers for the batch replay data plane
-# --------------------------------------------------------------------------- #
-class TenantDistanceStreams:
-    """Per-tenant streaming stack distances over a composed multi-tenant trace.
-
-    Each tenant's partition is isolated, so its distances are measured on its
-    own sub-stream; this wrapper splits a composed ``(items, tenant_ids)``
-    segment and feeds each tenant's share to a carried
-    :class:`~repro.cache.stack_distance.StackDistanceStream`.  The resulting
-    per-tenant distance arrays are what every lane of a replay shares — the
-    expensive pass happens once per segment regardless of how many capacity
-    schedules are measured on top of it.
-    """
-
-    def __init__(self, num_tenants: int):
-        if int(num_tenants) < 1:
-            raise ValueError(f"num_tenants must be >= 1, got {num_tenants}")
-        self._streams = [StackDistanceStream() for _ in range(int(num_tenants))]
-
-    @property
-    def num_tenants(self) -> int:
-        """Number of tenant streams."""
-        return len(self._streams)
-
-    def feed(self, items: np.ndarray, tenant_ids: np.ndarray) -> list[np.ndarray]:
-        """Split one composed segment and return per-tenant distance arrays."""
-        streams = split_by_tenant(items, tenant_ids, len(self._streams))
-        return [stream.feed(tenant_items) for stream, tenant_items in zip(self._streams, streams)]
-
-
-class PrecomputedTenantDistances:
-    """Whole-stream per-tenant stack distances, sliced out chunk by chunk.
-
-    The in-memory fast path of the replay data plane: when the composed
-    trace is fully resident anyway, one vectorised distance pass per tenant
-    up front beats re-running the (overhead-bound) chunked pass on every
-    small epoch segment.  The provider wraps those already-computed
-    per-tenant arrays (no extra pass): the replay engine amortises its one
-    :class:`TenantDistancePasses` across the static and per-phase oracle
-    profiles and then all three lanes.  ``feed`` has the same surface as
-    :class:`TenantDistanceStreams` and yields bit-identical arrays — the
-    streaming variant exists for traces too large to hold in memory.
-    """
-
-    def __init__(self, distances: Sequence[np.ndarray]):
-        if not distances:
-            raise ValueError("need at least one tenant distance array")
-        self._distances = [np.asarray(d) for d in distances]
-        self._cursors = [0] * len(self._distances)
-
-    @property
-    def num_tenants(self) -> int:
-        """Number of tenant streams."""
-        return len(self._distances)
-
-    def feed(self, chunk_items: np.ndarray, chunk_ids: np.ndarray) -> list[np.ndarray]:
-        """Per-tenant distance slices for the next chunk of the composed trace."""
-        chunk_ids = np.asarray(chunk_ids)
-        check_tenant_ids(chunk_ids, len(self._distances))
-        counts = np.bincount(chunk_ids, minlength=len(self._distances)).tolist()
-        out = []
-        for tenant, (distances, count) in enumerate(zip(self._distances, counts)):
-            cursor = self._cursors[tenant]
-            if cursor + count > distances.size:
-                raise ValueError(f"tenant {tenant} fed past the precomputed stream ({distances.size} references)")
-            out.append(distances[cursor : cursor + count])
-            self._cursors[tenant] = cursor + count
-        return out
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot: just the per-tenant cursors.
-
-        The distance arrays themselves are a deterministic function of the
-        trace, so checkpoints carry only the cursors and a resume recomputes
-        the arrays before seeking back to them.
-        """
-        return {"cursors": [int(c) for c in self._cursors]}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore cursors captured by :meth:`state_dict` (bounds-checked)."""
-        cursors = [int(c) for c in state["cursors"]]
-        if len(cursors) != len(self._distances):
-            raise ValueError(f"state holds {len(cursors)} cursors, this provider has {len(self._distances)}")
-        for tenant, (cursor, distances) in enumerate(zip(cursors, self._distances)):
-            if not 0 <= cursor <= distances.size:
-                raise ValueError(f"tenant {tenant} cursor {cursor} outside [0, {distances.size}]")
-        self._cursors = cursors

@@ -27,13 +27,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from .._util import check_positive_int
-from ..alloc.allocators import dp_allocate, greedy_allocate, hull_allocate
+from ..alloc.allocators import _ALLOCATORS
 from ..alloc.curves import DiscretizedMRC
+from ..engine.job import ALLOC_METHODS, check_choice
 from ..obs import get_registry
 
 __all__ = ["ReallocationDecision", "ReallocationController"]
-
-_ALLOCATORS = {"greedy": greedy_allocate, "dp": dp_allocate, "hull": hull_allocate}
 
 #: Move-size buckets of the ``controller.moved_blocks`` histogram.
 _MOVED_BLOCKS_EDGES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -85,8 +84,7 @@ class ReallocationController:
     """
 
     def __init__(self, *, budget: int, method: str = "hull", unit: int = 1, move_cost: float = 1.0):
-        if method not in _ALLOCATORS:
-            raise ValueError(f"method must be one of {tuple(_ALLOCATORS)}, got {method!r}")
+        check_choice("method", method, ALLOC_METHODS)
         self.budget = check_positive_int(budget, "budget")
         self.unit = check_positive_int(unit, "unit")
         if self.unit > self.budget:
@@ -95,8 +93,6 @@ class ReallocationController:
             raise ValueError(f"move_cost must be >= 0, got {move_cost}")
         self.method = method
         self.move_cost = float(move_cost)
-        self.evaluations = 0
-        self.applications = 0
 
     def propose(self, curves: Sequence[DiscretizedMRC]) -> tuple[int, ...]:
         """The allocator's preferred split (blocks per tenant) for these curves.
@@ -143,7 +139,6 @@ class ReallocationController:
         if len(current) != len(curves):
             raise ValueError(f"current allocation has {len(current)} entries for {len(curves)} tenants")
         horizon = check_positive_int(horizon, "horizon")
-        self.evaluations += 1
         registry = get_registry()
         registry.counter("controller.evaluations", method=self.method).inc()
         proposal = self.propose(curves)
@@ -165,7 +160,6 @@ class ReallocationController:
         penalty = self.move_cost * moved
         applied = gain > penalty
         if applied:
-            self.applications += 1
             registry.counter("controller.applications", method=self.method).inc()
             registry.histogram("controller.moved_blocks", _MOVED_BLOCKS_EDGES, method=self.method).observe(moved)
         return ReallocationDecision(

@@ -18,12 +18,12 @@ subsystem collapses that matrix:
     bit-identical for every ``workers`` value, including the seeded random
     policy.
 :mod:`repro.sim.partitioned`
-    The batch partitioned-LRU data plane of the online replay engine: whole
-    segments per kernel call (hit iff stack distance ≤ current occupancy),
-    per-tenant streaming distances shared by every capacity schedule, and a
-    bounded-memory :func:`~repro.sim.partitioned.replay_partitioned` for
-    ``numpy.memmap``-backed traces.  Bit-identical to the per-event
-    ``OrderedDict`` reference simulator.
+    The partitioned-LRU segment kernel of the online replay engine (hit iff
+    stack distance ≤ current occupancy), which
+    :class:`~repro.engine.lanes.LaneSet` folds over lanes × tenants, and a
+    bounded-memory :func:`~repro.sim.partitioned.replay_partitioned` that
+    streams ``numpy.memmap``-backed traces through one lane.  Bit-identical
+    to the per-event ``OrderedDict`` reference simulator.
 
 The CLI exposes the engine as ``python -m repro sweep``; the
 ``policy-sweep`` experiment and ``benchmarks/test_bench_sweep.py`` build on it.
@@ -47,8 +47,7 @@ from .kernels import (
     random_sweep_hits,
     set_associative_sweep_hits,
 )
-from ..engine.columnar import PrecomputedTenantDistances, TenantDistanceStreams
-from .partitioned import BatchPartitionedLRU, partitioned_lru_segment, replay_partitioned
+from .partitioned import partitioned_lru_segment, replay_partitioned
 from .sweep import POLICIES, PolicySweep, SweepJob, SweepResult, run_sweep
 
 __all__ = [
@@ -58,9 +57,6 @@ __all__ = [
     "lru_sweep_hits",
     "random_sweep_hits",
     "set_associative_sweep_hits",
-    "BatchPartitionedLRU",
-    "PrecomputedTenantDistances",
-    "TenantDistanceStreams",
     "partitioned_lru_segment",
     "replay_partitioned",
     "POLICIES",

@@ -25,9 +25,7 @@ not depend on the capacity schedule at all, so one distance pass per tenant
 * :func:`partitioned_lru_segment` — misses and final occupancy of one
   tenant's partition over one segment of pre-computed distances, bit-identical
   to the per-event simulator (asserted in ``tests/test_differential.py``).
-* :class:`BatchPartitionedLRU` — the multi-tenant wrapper with the
-  ``resize`` / ``capacities`` / ``miss_ratio`` surface of a per-event
-  partitioned LRU, but advancing a whole segment per call.
+  :class:`~repro.engine.lanes.LaneSet` folds it over lanes × tenants.
 * :func:`replay_partitioned` — a bounded-memory streaming replay: segments
   in, hit/miss totals out; pairs with :mod:`repro.trace.streaming` to replay
   ``numpy.memmap``-backed traces of ``10^7+`` references.
@@ -39,10 +37,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..engine.columnar import TenantDistanceStreams as _TenantDistanceStreams
+from ..cache.stack_distance import StackDistanceStream
 from ..obs import get_registry, span
 
-__all__ = ["partitioned_lru_segment", "BatchPartitionedLRU", "replay_partitioned"]
+__all__ = ["partitioned_lru_segment", "replay_partitioned"]
 
 
 def partitioned_lru_segment(distances: np.ndarray, capacity: int, occupancy: int = 0) -> tuple[int, int]:
@@ -95,123 +93,34 @@ def partitioned_lru_segment(distances: np.ndarray, capacity: int, occupancy: int
     return misses, level  # the partition never filled up
 
 
-class BatchPartitionedLRU:
-    """Per-tenant LRU partitions advanced a whole segment per call.
-
-    The batch twin of a per-event partitioned LRU: per-tenant capacities,
-    ``resize`` semantics where a shrink evicts least-recent blocks — here, an
-    occupancy clamp — and ``hits`` / ``misses`` / ``miss_ratio`` accounting,
-    but driven by per-tenant stack-distance segments
-    (:class:`~repro.engine.columnar.TenantDistanceStreams`) instead of single
-    references.  Bit-identical to the per-event simulator on every schedule
-    of segments and resizes (asserted in ``tests/test_differential.py``).
-    """
-
-    def __init__(self, capacities: Sequence[int]):
-        self._capacities = [int(c) for c in capacities]
-        if any(c < 0 for c in self._capacities):
-            raise ValueError("partition capacities must be >= 0")
-        self._occupancies = [0] * len(self._capacities)
-        self.hits = 0
-        self.misses = 0
-        # Bound once: run_segment is the replay hot path (three lanes per
-        # chunk), so the per-segment cost of disabled metrics is one no-op
-        # method call instead of a registry lookup.
-        self._lane_refs = get_registry().counter("replay.lane_refs")
-
-    @property
-    def capacities(self) -> tuple[int, ...]:
-        """Current per-tenant partition sizes in blocks."""
-        return tuple(self._capacities)
-
-    @property
-    def occupancies(self) -> tuple[int, ...]:
-        """Resident blocks per tenant (a per-event simulator's entry counts)."""
-        return tuple(self._occupancies)
-
-    def run_segment(self, distances: Sequence[np.ndarray]) -> tuple[int, int]:
-        """Advance every tenant by one segment of stack distances.
-
-        ``distances[t]`` holds tenant ``t``'s distances for the segment (an
-        empty array for a tenant with no traffic).  Returns the segment's
-        ``(hits, misses)`` summed over tenants and folds them into the
-        running totals.
-        """
-        if len(distances) != len(self._capacities):
-            raise ValueError(f"got {len(distances)} distance arrays for {len(self._capacities)} partitions")
-        segment_hits = 0
-        segment_misses = 0
-        for tenant, tenant_distances in enumerate(distances):
-            misses, occupancy = partitioned_lru_segment(
-                tenant_distances, self._capacities[tenant], self._occupancies[tenant]
-            )
-            self._occupancies[tenant] = occupancy
-            segment_misses += misses
-            segment_hits += int(np.asarray(tenant_distances).size) - misses
-        self.hits += segment_hits
-        self.misses += segment_misses
-        self._lane_refs.add(segment_hits + segment_misses)
-        return segment_hits, segment_misses
-
-    def resize(self, capacities: Sequence[int]) -> None:
-        """Apply a new split; shrunk partitions clamp their occupancy now."""
-        capacities = [int(c) for c in capacities]
-        if len(capacities) != len(self._capacities):
-            raise ValueError(f"got {len(capacities)} capacities for {len(self._capacities)} partitions")
-        if any(c < 0 for c in capacities):
-            raise ValueError("partition capacities must be >= 0")
-        self._occupancies = [min(occ, cap) for occ, cap in zip(self._occupancies, capacities)]
-        self._capacities = capacities
-
-    @property
-    def miss_ratio(self) -> float:
-        """Miss ratio over everything accessed so far (0 when nothing was)."""
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot: capacities, occupancies and hit/miss totals."""
-        return {
-            "capacities": list(self._capacities),
-            "occupancies": list(self._occupancies),
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        capacities = [int(c) for c in state["capacities"]]
-        occupancies = [int(o) for o in state["occupancies"]]
-        if len(occupancies) != len(capacities):
-            raise ValueError(f"state holds {len(occupancies)} occupancies for {len(capacities)} capacities")
-        if any(not 0 <= occ <= cap for occ, cap in zip(occupancies, capacities)):
-            raise ValueError("state occupancies must lie within their capacities")
-        self._capacities = capacities
-        self._occupancies = occupancies
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
-
-
-def replay_partitioned(
-    segments: Iterable[tuple[np.ndarray, np.ndarray]],
-    capacities: Sequence[int],
-) -> BatchPartitionedLRU:
+def replay_partitioned(segments: Iterable[tuple[np.ndarray, np.ndarray]], capacities: Sequence[int]):
     """Replay a segmented multi-tenant trace through one fixed partition split.
 
     ``segments`` yields ``(items, tenant_ids)`` pairs — for example
     :meth:`repro.trace.streaming.StreamingTrace.segments` — and only one
     segment (plus ``O(footprint)`` carried state) is ever resident, so a
     ``numpy.memmap``-backed trace of ``10^7+`` references replays in bounded
-    memory (asserted in ``benchmarks/test_bench_replay.py``).  Returns the
-    finished :class:`BatchPartitionedLRU` with its hit/miss totals.
+    memory (asserted in ``benchmarks/test_bench_replay.py``).  Each tenant's
+    share of a segment goes through its own
+    :class:`~repro.cache.stack_distance.StackDistanceStream` and the
+    distances through :meth:`~repro.engine.lanes.LaneSet.fold`.  Returns the
+    finished one-lane :class:`~repro.engine.lanes.LaneSet`; its lane is
+    ``"replay"`` (``totals("replay")``, ``occupancies("replay")``, ...).
     """
-    simulator = BatchPartitionedLRU(capacities)
-    streams = _TenantDistanceStreams(len(simulator.capacities))
+    # Deferred: importing repro.engine imports repro.engine.lanes, which imports this module.
+    from ..engine.columnar import split_by_tenant
+    from ..engine.lanes import LaneSet
+
+    num_tenants = len(capacities)
+    # Nothing is precomputed: the distances are streamed into the fold.
+    lanes = LaneSet([np.zeros(0, dtype=np.int64)] * num_tenants, {"replay": capacities})
+    streams = [StackDistanceStream() for _ in range(num_tenants)]
+    counters = {"replay": [0, 0]}
     registry = get_registry()
     with span("replay.partitioned"):
         for items, tenant_ids in segments:
-            simulator.run_segment(streams.feed(items, tenant_ids))
+            shares = split_by_tenant(items, tenant_ids, num_tenants)
+            lanes.fold([stream.feed(share) for stream, share in zip(streams, shares)], counters)
             registry.counter("replay.segments").inc()
-    registry.counter("replay.events").add(simulator.hits + simulator.misses)
-    return simulator
-
+    registry.counter("replay.events").add(sum(counters["replay"]))
+    return lanes

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,17 +100,27 @@ class MultiTenantTrace:
         """Number of composed tenants."""
         return len(self.names)
 
+    @cached_property
+    def streams(self) -> tuple[np.ndarray, ...]:
+        """Every tenant's accesses in composed (offset) labels, in order, split once (read-only)."""
+        from ..engine.columnar import split_by_tenant
+
+        streams = split_by_tenant(self.trace.accesses, self.tenant_ids, self.num_tenants)
+        for stream in streams:
+            stream.setflags(write=False)  # shared by every caller
+        return tuple(streams)
+
     def tenant_trace(self, index: int) -> np.ndarray:
         """Tenant ``index``'s accesses in composed (offset) labels, in order.
 
         This is exactly the subsequence of the composed trace issued by the
         tenant, which is what an isolated cache partition serves.
         """
-        return self.trace.accesses[self.tenant_ids == index]
+        return self.streams[index]
 
     def tenant_share(self, index: int) -> float:
         """Fraction of the composed trace's accesses issued by tenant ``index``."""
-        return float(np.count_nonzero(self.tenant_ids == index)) / max(len(self.trace), 1)
+        return float(self.streams[index].size) / max(len(self.trace), 1)
 
 
 def compose_tenants(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.alloc import DiscretizedMRC
+from repro.obs import MetricsRegistry, recording
 from repro.online import ReallocationController
 
 
@@ -93,10 +94,11 @@ class TestDecide:
     def test_counters_track_evaluations_and_applications(self):
         controller = ReallocationController(budget=100, method="dp", move_cost=1.0)
         curves = [linear_curve(90), flat_curve()]
-        controller.decide(curves, (50, 50), horizon=10_000)
-        controller.decide(curves, controller.propose(curves), horizon=10_000)
-        assert controller.evaluations == 2
-        assert controller.applications == 1
+        with recording(MetricsRegistry()) as registry:
+            controller.decide(curves, (50, 50), horizon=10_000)
+            controller.decide(curves, controller.propose(curves), horizon=10_000)
+        assert registry.counter("controller.evaluations", method="dp").value == 2
+        assert registry.counter("controller.applications", method="dp").value == 1
 
     def test_moved_blocks_count_only_growth(self):
         """Moved blocks are the blocks that must warm up (positive deltas)."""

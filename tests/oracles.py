@@ -174,11 +174,14 @@ def lane_schedule(workload, result) -> LaneSchedule:
     )
 
 
-def drive(simulators: dict, advance: Callable[[int, int], dict[str, int]], schedule: LaneSchedule):
+def drive(
+    resize: Callable[[str, Sequence[int]], None], advance: Callable[[int, int], dict[str, int]], schedule: LaneSchedule
+):
     """Run one data plane over a recorded schedule; per-epoch misses per lane.
 
     ``advance(start, stop)`` feeds events ``start .. stop`` to every lane and
-    returns each lane's misses; resizes land at the recorded positions.
+    returns each lane's misses; ``resize(lane, split)`` lands at the recorded
+    positions.
     """
     series = {lane: [] for lane in LANES}
     epoch_misses = dict.fromkeys(LANES, 0)
@@ -188,9 +191,9 @@ def drive(simulators: dict, advance: Callable[[int, int], dict[str, int]], sched
             epoch_misses[lane] += misses
         position = stop
         if position in schedule.oracle_at:
-            simulators["oracle"].resize(schedule.oracle_at[position])
+            resize("oracle", schedule.oracle_at[position])
         if position in schedule.epoch_ends:
-            simulators["adaptive"].resize(schedule.adaptive_at[position])
+            resize("adaptive", schedule.adaptive_at[position])
             for lane in LANES:
                 series[lane].append(epoch_misses[lane])
                 epoch_misses[lane] = 0
@@ -241,7 +244,8 @@ def replay_lanes(workload, result, job) -> dict[str, list[int]]:
 
     initial = _initial_split(composed.num_tenants, job.budget, job.unit)
     sims = {"static": PartitionedLRU(static), "adaptive": PartitionedLRU(initial), "oracle": PartitionedLRU(oracle[0])}
-    series = drive(sims, per_event_advance(sims, items, ids), lane_schedule(workload, result))
+    advance = per_event_advance(sims, items, ids)
+    series = drive(lambda lane, split: sims[lane].resize(split), advance, lane_schedule(workload, result))
 
     for lane in LANES:
         recorded = [getattr(epoch, f"{lane}_miss_ratio") for epoch in result.epochs]

@@ -1,4 +1,4 @@
-"""Unit tests for the batch partitioned-LRU replay data plane."""
+"""Unit tests for the batch partitioned-LRU replay data plane: the segment kernel, lanes and streamed replay."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import pytest
 from oracles import PartitionedLRU
 
 from repro.cache.stack_distance import COLD, StackDistanceStream, stack_distances_vectorized
-from repro.engine import PrecomputedTenantDistances, TenantDistanceStreams, split_by_tenant
-from repro.sim.partitioned import BatchPartitionedLRU, partitioned_lru_segment, replay_partitioned
+from repro.engine import LaneSet, split_by_tenant
+from repro.sim.partitioned import partitioned_lru_segment, replay_partitioned
 from repro.trace import as_streaming
 
 
@@ -50,92 +50,122 @@ class TestPartitionedLRUSegment:
             partitioned_lru_segment(distances, capacity=2, occupancy=-1)
 
 
-class TestBatchPartitionedLRU:
+def _lane_set(items, tenant_ids, num_tenants, *splits):
+    """Lanes ``"a"``, ``"b"``, ... over one whole-stream distance pass per tenant (what the replay does)."""
+    streams = split_by_tenant(items, tenant_ids, num_tenants)
+    distances = [stack_distances_vectorized(stream) for stream in streams]
+    return LaneSet(distances, {chr(ord("a") + lane): split for lane, split in enumerate(splits)})
+
+
+def _reference(items, tenant_ids, capacities):
+    reference = PartitionedLRU(capacities)
+    for tenant, item in zip(np.asarray(tenant_ids).tolist(), np.asarray(items).tolist()):
+        reference.access(tenant, item)
+    return reference
+
+
+class TestLaneSet:
     def test_matches_reference_on_fixed_split(self):
         rng = np.random.default_rng(0)
         items = rng.integers(0, 20, size=400)
         ids = rng.integers(0, 2, size=400)
-        reference = PartitionedLRU([5, 3])
-        for tenant, item in zip(ids.tolist(), items.tolist()):
-            reference.access(tenant, item)
-        batch = BatchPartitionedLRU([5, 3])
-        batch.run_segment(TenantDistanceStreams(2).feed(items, ids))
-        assert (batch.hits, batch.misses) == (reference.hits, reference.misses)
-        assert batch.occupancies == reference.occupancies
-        assert batch.miss_ratio == reference.miss_ratio
+        reference = _reference(items, ids, [5, 3])
+        lanes = _lane_set(items, ids, 2, [5, 3])
+        counters = {"a": [0, 0]}
+        lanes.advance(items, ids, counters)
+        assert tuple(counters["a"]) == lanes.totals("a") == (reference.hits, reference.misses)
+        assert lanes.occupancies("a") == reference.occupancies
+        assert lanes.miss_ratio("a") == reference.miss_ratio
+        assert lanes.capacities("a") == (5, 3)
 
     def test_shrink_resize_clamps_occupancy_like_reference_evictions(self):
-        reference = PartitionedLRU([4])
-        batch = BatchPartitionedLRU([4])
-        streams = TenantDistanceStreams(1)
-        items = np.asarray([1, 2, 3, 4], dtype=np.int64)
+        head = np.asarray([1, 2, 3, 4], dtype=np.int64)
+        tail = np.asarray([4, 3, 2, 1], dtype=np.int64)  # the survivors are the most-recent blocks
         ids = np.zeros(4, dtype=np.int64)
-        for item in items.tolist():
-            reference.access(0, item)
-        batch.run_segment(streams.feed(items, ids))
+        reference = _reference(head, ids, [4])
+        lanes = _lane_set(np.concatenate([head, tail]), np.zeros(8, dtype=np.int64), 1, [4])
+        counters = {"a": [0, 0]}
+        lanes.advance(head, ids, counters)
         reference.resize([2])
-        batch.resize([2])
-        assert batch.occupancies == reference.occupancies == (2,)
-        # the survivors are the most-recent blocks: 4 hits, 3 misses again
-        tail = np.asarray([4, 3, 2, 1], dtype=np.int64)
+        lanes.resize("a", [2])
+        assert lanes.occupancies("a") == reference.occupancies == (2,)
         for item in tail.tolist():
             reference.access(0, item)
-        batch.run_segment(streams.feed(tail, np.zeros(4, dtype=np.int64)))
-        assert (batch.hits, batch.misses) == (reference.hits, reference.misses)
+        lanes.advance(tail, ids, counters)
+        assert lanes.totals("a") == (reference.hits, reference.misses) == (2, 6)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchPartitionedLRU([-1])
-        batch = BatchPartitionedLRU([2, 2])
-        with pytest.raises(ValueError):
-            batch.resize([2])
-        with pytest.raises(ValueError):
-            batch.resize([2, -1])
-        with pytest.raises(ValueError):
-            batch.run_segment([np.zeros(0, dtype=np.int64)])
+    def test_lanes_share_the_distances_and_keep_their_own_state(self):
+        rng = np.random.default_rng(4)
+        items = rng.integers(0, 30, size=300)
+        ids = rng.integers(0, 2, size=300)
+        lanes = _lane_set(items, ids, 2, [2, 9], [9, 2])
+        counters = {"a": [0, 0], "b": [0, 0]}
+        for start in range(0, 300, 70):
+            lanes.advance(items[start : start + 70], ids[start : start + 70], counters)
+        for lane, split in (("a", [2, 9]), ("b", [9, 2])):
+            reference = _reference(items, ids, split)
+            assert lanes.totals(lane) == tuple(counters[lane]) == (reference.hits, reference.misses)
+            assert lanes.occupancies(lane) == reference.occupancies
 
-
-def _precomputed(items, tenant_ids, num_tenants):
-    """Wrap one whole-stream distance pass per tenant (what the replay does)."""
-    streams = split_by_tenant(items, tenant_ids, num_tenants)
-    return PrecomputedTenantDistances([stack_distances_vectorized(stream) for stream in streams])
-
-
-class TestDistanceProviders:
-    def test_streams_and_precomputed_agree(self):
-        rng = np.random.default_rng(1)
-        items = rng.integers(0, 30, size=500)
-        ids = rng.integers(0, 3, size=500)
-        streams = TenantDistanceStreams(3)
-        precomputed = _precomputed(items, ids, 3)
-        for start in range(0, 500, 120):
-            chunk_items = items[start : start + 120]
-            chunk_ids = ids[start : start + 120]
-            streamed = streams.feed(chunk_items, chunk_ids)
-            sliced = precomputed.feed(chunk_items, chunk_ids)
-            for a, b in zip(streamed, sliced):
-                assert np.array_equal(a, b)
-
-    def test_precomputed_rejects_overrun(self):
+    def test_rejects_overrun(self):
         items = np.asarray([1, 2, 3], dtype=np.int64)
         ids = np.zeros(3, dtype=np.int64)
-        provider = _precomputed(items, ids, 1)
-        provider.feed(items, ids)
-        with pytest.raises(ValueError):
-            provider.feed(items, ids)
+        lanes = _lane_set(items, ids, 1, [2])
+        lanes.advance(items, ids, {"a": [0, 0]})
+        with pytest.raises(ValueError, match="fed past"):
+            lanes.advance(items, ids, {"a": [0, 0]})
 
     def test_validation(self):
+        distances = [np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)]
         with pytest.raises(ValueError):
-            TenantDistanceStreams(0)
+            LaneSet([], {"a": []})
         with pytest.raises(ValueError):
-            PrecomputedTenantDistances([])
-        provider = PrecomputedTenantDistances([np.zeros(3, dtype=np.int64)])
+            LaneSet(distances, {"a": [2, -1]})
         with pytest.raises(ValueError):
-            provider.load_state_dict({"cursors": [4]})  # past the stream
+            LaneSet(distances, {"a": [2]})  # one capacity per tenant
+        lanes = LaneSet(distances, {"a": [2, 2]})
         with pytest.raises(ValueError):
-            provider.load_state_dict({"cursors": [0, 0]})  # one cursor per tenant
+            lanes.resize("a", [2])
         with pytest.raises(ValueError):
-            TenantDistanceStreams(1).feed(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))
+            lanes.resize("a", [2, -1])
+        with pytest.raises(ValueError):
+            lanes.fold([np.zeros(0, dtype=np.int64)], {"a": [0, 0]})  # one run per tenant
+        with pytest.raises(KeyError):
+            lanes.resize("b", [2, 2])
+
+    def test_state_round_trip_and_validation(self):
+        rng = np.random.default_rng(5)
+        items = rng.integers(0, 12, size=60)
+        ids = rng.integers(0, 2, size=60)
+        lanes = _lane_set(items, ids, 2, [3, 1])
+        lanes.advance(items[:25], ids[:25], {"a": [0, 0]})
+        lanes.resize("a", [1, 3])
+        state = lanes.state_dict()
+        assert set(state) == {"lanes", "distances"}
+        assert set(state["lanes"]["a"]) == {"capacities", "occupancies", "hits", "misses"}
+        resumed = _lane_set(items, ids, 2, [3, 1])
+        resumed.load_state_dict(state)
+        assert resumed.state_dict() == state
+        ahead, behind = {"a": [0, 0]}, {"a": [0, 0]}
+        lanes.advance(items[25:], ids[25:], ahead)
+        resumed.advance(items[25:], ids[25:], behind)
+        assert ahead == behind
+        assert lanes.state_dict() == resumed.state_dict()
+
+        def broken(**changes):
+            lane = {**state["lanes"]["a"], **changes.pop("lane", {})}
+            return {"lanes": {"a": lane}, "distances": {"cursors": changes.get("cursors", [0, 0])}}
+
+        for bad in (
+            broken(cursors=[61, 0]),  # past the stream
+            broken(cursors=[0]),  # one cursor per tenant
+            broken(lane={"occupancies": [2, 0]}),  # above its capacity
+            broken(lane={"occupancies": [0]}),  # one occupancy per tenant
+            broken(lane={"capacities": [-1, 3]}),
+            {"lanes": {"b": state["lanes"]["a"]}, "distances": state["distances"]},  # unknown lane
+        ):
+            with pytest.raises(ValueError):
+                resumed.load_state_dict(bad)
 
     def test_out_of_range_tenant_ids_raise_instead_of_dropping_events(self):
         """A tenant id beyond the configured count must fail loudly — a
@@ -144,12 +174,14 @@ class TestDistanceProviders:
         items = np.arange(6, dtype=np.int64)
         bad_ids = np.asarray([0, 1, 2, 0, 1, 2], dtype=np.int64)
         with pytest.raises(ValueError):
-            TenantDistanceStreams(2).feed(items, bad_ids)
+            replay_partitioned([(items, bad_ids)], [2, 2])
         with pytest.raises(ValueError):
-            _precomputed(items, bad_ids, 2)
-        provider = _precomputed(items, np.zeros(6, dtype=np.int64), 1)
+            _lane_set(items, bad_ids, 2, [2, 2])
+        lanes = _lane_set(items, np.zeros(6, dtype=np.int64), 1, [2])
         with pytest.raises(ValueError):
-            provider.feed(items, np.asarray([0, 0, 0, 0, 0, -1], dtype=np.int64))
+            lanes.advance(items, np.asarray([0, 0, 0, 0, 0, -1], dtype=np.int64), {"a": [0, 0]})
+        with pytest.raises(ValueError):
+            lanes.advance(items, np.asarray([0, 0, 0, 0, 0, 1], dtype=np.int64), {"a": [0, 0]})
 
 
 class TestReplayPartitioned:
@@ -157,20 +189,35 @@ class TestReplayPartitioned:
         rng = np.random.default_rng(2)
         items = rng.integers(0, 40, size=1000)
         ids = rng.integers(0, 2, size=1000)
-        reference = PartitionedLRU([8, 6])
-        for tenant, item in zip(ids.tolist(), items.tolist()):
-            reference.access(tenant, item)
+        reference = _reference(items, ids, [8, 6])
         streamed = replay_partitioned(as_streaming(items, tenant_ids=ids, segment=77).segments(), [8, 6])
-        assert (streamed.hits, streamed.misses) == (reference.hits, reference.misses)
-        assert streamed.occupancies == reference.occupancies
+        assert streamed.totals("replay") == (reference.hits, reference.misses)
+        assert streamed.occupancies("replay") == reference.occupancies
+
+    def test_streamed_and_precomputed_distances_agree(self):
+        rng = np.random.default_rng(1)
+        items = rng.integers(0, 30, size=500)
+        ids = rng.integers(0, 3, size=500)
+        streamed = replay_partitioned(as_streaming(items, tenant_ids=ids, segment=120).segments(), [4, 7, 2])
+        lanes = _lane_set(items, ids, 3, [4, 7, 2])
+        for start in range(0, 500, 120):
+            lanes.advance(items[start : start + 120], ids[start : start + 120], {"a": [0, 0]})
+        assert streamed.state_dict()["lanes"]["replay"] == lanes.state_dict()["lanes"]["a"]
 
     def test_single_tenant_wrap(self):
         trace = np.asarray([1, 2, 1, 3, 1], dtype=np.int64)
         result = replay_partitioned(as_streaming(trace, segment=2).segments(), [2])
-        reference = PartitionedLRU([2])
-        for item in trace.tolist():
-            reference.access(0, item)
-        assert (result.hits, result.misses) == (reference.hits, reference.misses)
+        reference = _reference(trace, np.zeros(5, dtype=np.int64), [2])
+        assert result.totals("replay") == (reference.hits, reference.misses)
+        assert result.miss_ratio("replay") == reference.miss_ratio
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            replay_partitioned([], [])  # no tenant
+        with pytest.raises(ValueError):
+            replay_partitioned([], [-1])
+        with pytest.raises(ValueError):  # items and tenant ids must align
+            replay_partitioned([(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))], [1])
 
 
 class TestStackDistanceStreamProvider:

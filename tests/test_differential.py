@@ -89,7 +89,8 @@ from repro.cache.stack_distance import (
     stack_distances_with_previous,
 )
 from repro.obs import MetricsRegistry, recording
-from repro.engine.columnar import tenant_positions
+from repro.engine.columnar import split_by_tenant, tenant_positions
+from repro.engine.lanes import LaneSet
 from repro.engine.segments import replay_stops
 from repro.online import OnlineJob, WindowedShardsSketch, pooled_curve, run_replay
 from repro.online.replay import _windowed_profile
@@ -104,8 +105,6 @@ from repro.sim.kernels import (
     random_sweep_hits,
     set_associative_sweep_hits,
 )
-from repro.engine import TenantDistanceStreams
-from repro.sim.partitioned import BatchPartitionedLRU
 from repro.sim.sweep import SweepJob, run_sweep
 from repro.trace import zipfian_trace
 from repro.trace.drift import three_phase_pair
@@ -259,6 +258,8 @@ class TestWindowedVsExact:
 # --------------------------------------------------------------------------- #
 # Batch partitioned-LRU data plane vs. the OrderedDict reference
 # --------------------------------------------------------------------------- #
+# The distance kernels under test: C where it builds, and the numpy fallback.
+PATHS = ("native", "numpy")
 # One replay schedule: interleaved per-segment event batches and (possibly
 # shrinking) reallocations, the exact shape the online engine produces.
 replay_schedules = st.lists(
@@ -278,33 +279,120 @@ replay_schedules = st.lists(
 )
 
 
-class TestPartitionedKernelDifferential:
-    """The batch kernel is bit-identical to the per-event reference on every
-    schedule of drifting traffic and random reallocations — hits, misses,
-    per-segment counts, and the occupancies left behind by shrink evictions."""
+def drive_lanes(allocations, schedule, num_tenants=3):
+    """Run ``schedule`` through a :class:`LaneSet` and one per-event reference per lane.
 
-    @given(st.lists(st.integers(min_value=0, max_value=8), min_size=3, max_size=3), replay_schedules)
-    def test_batch_kernel_matches_ordereddict_reference(self, initial, schedule):
-        reference = PartitionedLRU(initial)
-        batch = BatchPartitionedLRU(initial)
-        streams = TenantDistanceStreams(3)
-        for events, resize in schedule:
-            before = (reference.hits, reference.misses)
-            for tenant, item in events:
+    ``schedule`` is a list of ``(events, resizes)``: a segment of ``(tenant,
+    item)`` events, then ``{lane: split}`` applied after it (or ``None``).
+    The lanes read one whole-trace distance pass per tenant, as the replay
+    does.  Asserts every segment's hits and misses and every occupancy, after
+    each segment and after each resize, and the lanes' totals at the end.
+    """
+    events = [event for segment, _resizes in schedule for event in segment]
+    items = np.asarray([item for _tenant, item in events], dtype=np.int64)
+    tenants = np.asarray([tenant for tenant, _item in events], dtype=np.int64)
+    streams = split_by_tenant(items, tenants, num_tenants)
+    lanes = LaneSet([stack_distances_vectorized(stream) for stream in streams], allocations)
+    references = {lane: PartitionedLRU(split) for lane, split in allocations.items()}
+    position = 0
+    for segment, resizes in schedule:
+        before = {lane: (reference.hits, reference.misses) for lane, reference in references.items()}
+        for reference in references.values():
+            for tenant, item in segment:
                 reference.access(tenant, item)
-            items = np.asarray([item for _tenant, item in events], dtype=np.int64)
-            tenants = np.asarray([tenant for tenant, _item in events], dtype=np.int64)
-            segment_hits, segment_misses = batch.run_segment(streams.feed(items, tenants))
-            assert segment_hits == reference.hits - before[0]
-            assert segment_misses == reference.misses - before[1]
-            assert batch.occupancies == reference.occupancies
-            if resize is not None:
-                reference.resize(resize)
-                batch.resize(resize)
-                # shrink evictions: the kernel's occupancy clamp must match
-                # the reference's LRU-end evictions block for block
-                assert batch.occupancies == reference.occupancies
-        assert (batch.hits, batch.misses) == (reference.hits, reference.misses)
+        counters = {lane: [0, 0] for lane in allocations}
+        stop = position + len(segment)
+        lanes.advance(items[position:stop], tenants[position:stop], counters)
+        position = stop
+        for lane, reference in references.items():
+            assert counters[lane] == [reference.hits - before[lane][0], reference.misses - before[lane][1]]
+            assert lanes.occupancies(lane) == reference.occupancies
+        for lane, split in (resizes or {}).items():
+            references[lane].resize(split)
+            lanes.resize(lane, split)
+            # shrink evictions: the occupancy clamp must match the
+            # reference's LRU-end evictions block for block
+            assert lanes.occupancies(lane) == references[lane].occupancies
+    for lane, reference in references.items():
+        assert lanes.totals(lane) == (reference.hits, reference.misses)
+        assert lanes.miss_ratio(lane) == reference.miss_ratio
+        assert lanes.capacities(lane) == reference.capacities
+    return lanes
+
+
+def cycle(items, tenants=(0, 1, 2)):
+    """Each item once per tenant, tenants interleaved."""
+    return [(tenant, item) for item in items for tenant in tenants]
+
+
+class TestPartitionedKernelDifferential:
+    """The lanes are bit-identical to the per-event reference on every
+    schedule of drifting traffic and random reallocations — hits, misses,
+    per-segment counts, and the occupancies left behind by shrink evictions —
+    with distances from the C kernel and from the numpy fallback."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(st.lists(st.integers(min_value=0, max_value=8), min_size=3, max_size=3), replay_schedules)
+    def test_lanes_match_ordereddict_reference(self, path, initial, schedule):
+        with distance_path(path):
+            drive_lanes(
+                {"lane": initial},
+                [(events, None if resize is None else {"lane": resize}) for events, resize in schedule],
+            )
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_capacity_zero_misses_every_access(self, path):
+        with distance_path(path):
+            lanes = drive_lanes({"lane": [0, 3, 0]}, [(cycle([1, 2, 1, 2]), None), (cycle([1, 2]), None)])
+        assert lanes.occupancies("lane") == (0, 2, 0)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_shrink_to_zero_then_grow(self, path):
+        schedule = [
+            (cycle([1, 2, 3, 1]), {"lane": [0, 4, 0]}),
+            (cycle([1, 2, 3]), {"lane": [4, 4, 4]}),
+            (cycle([3, 2, 1, 3, 2, 1]), {"lane": [1, 0, 2]}),
+            (cycle([1, 2]), None),
+        ]
+        with distance_path(path):
+            drive_lanes({"lane": [4, 4, 4]}, schedule)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_tenant_absent_from_a_chunk(self, path):
+        schedule = [
+            (cycle([1, 2, 3]), {"lane": [1, 2, 2]}),
+            (cycle([3, 2, 1, 4], tenants=(0, 2)), {"lane": [2, 1, 2]}),  # tenant 1 idle through a resize
+            ([], None),  # no tenant at all
+            (cycle([1, 3, 2], tenants=(1,)), None),  # only tenant 1
+            (cycle([2, 4, 1]), None),
+        ]
+        with distance_path(path):
+            drive_lanes({"lane": [2, 2, 2]}, schedule)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_partition_larger_than_the_footprint_never_fills(self, path):
+        schedule = [(cycle([1, 2, 3, 2, 1]), None), (cycle([4, 1, 4]), {"lane": [50, 6, 40]}), (cycle([5, 2]), None)]
+        with distance_path(path):
+            lanes = drive_lanes({"lane": [100, 100, 100]}, schedule)
+        assert lanes.occupancies("lane") == (5, 5, 5)  # the footprints
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_one_event_chunks(self, path):
+        events = [(0, 1), (1, 7), (0, 2), (0, 1), (2, 3), (0, 3), (1, 7), (0, 2), (2, 3), (0, 1)]
+        splits = [[2, 1, 1], [1, 1, 0], [1, 0, 1], None] * 3
+        schedule = [([event], split and {"lane": split}) for event, split in zip(events, splits)]
+        with distance_path(path):
+            drive_lanes({"lane": [2, 1, 1]}, schedule)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_three_lanes_with_different_splits(self, path):
+        rng = np.random.default_rng(9)
+        segments = [list(zip(rng.integers(0, 3, 60).tolist(), rng.integers(0, 15, 60).tolist())) for _ in range(5)]
+        resizes = [{"adaptive": [2, 6, 4]}, {"oracle": [6, 6, 0]}, None, {"adaptive": [8, 2, 2], "oracle": [4, 4, 4]}]
+        allocations = {"static": [4, 4, 4], "adaptive": [6, 2, 4], "oracle": [1, 1, 10]}
+        with distance_path(path):
+            lanes = drive_lanes(allocations, list(zip(segments, [*resizes, None])))
+        assert lanes.capacities("static") == (4, 4, 4)
 
     @given(traces)
     def test_previous_positions_are_consistent_with_distances(self, trace):
@@ -337,7 +425,6 @@ chunk_plans = st.lists(
     min_size=1,
     max_size=30,
 )
-PATHS = ("native", "numpy")
 
 
 @contextmanager

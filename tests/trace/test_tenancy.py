@@ -53,6 +53,16 @@ class TestComposeTenants:
         positions_slow = np.nonzero(composed.tenant_ids == 1)[0]
         assert positions_fast.mean() < positions_slow.mean() / 2
 
+    def test_streams_are_the_masked_subsequences_split_once(self, three_tenants):
+        composed = compose_tenants(three_tenants, seed=3)
+        assert composed.streams is composed.streams
+        for t in range(composed.num_tenants):
+            mask = composed.tenant_ids == t
+            np.testing.assert_array_equal(composed.tenant_trace(t), composed.trace.accesses[mask])
+            assert composed.tenant_trace(t) is composed.streams[t]
+            assert not composed.tenant_trace(t).flags.writeable
+            assert composed.tenant_share(t) == float(np.count_nonzero(mask)) / len(composed.trace)
+
     def test_tenant_share_sums_to_one(self, three_tenants):
         composed = compose_tenants(three_tenants, seed=0)
         total = sum(composed.tenant_share(t) for t in range(composed.num_tenants))
