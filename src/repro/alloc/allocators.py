@@ -12,8 +12,8 @@ tenants, plus the naive baseline they are measured against:
 :func:`dp_allocate`
     Exact dynamic program over the discretized curves: minimises total
     misses over *all* integral splits of the budget.  Handles arbitrary
-    non-convex curves at ``O(tenants × budget × units-per-tenant)`` cost
-    (vectorised over the budget axis).
+    non-convex curves at ``O(tenants × budget × units-per-tenant)`` cost,
+    one loop-free window step per tenant.
 :func:`hull_allocate`
     Talus-style: allocate steepest-hull-segment-first over the lower convex
     hulls of the curves (:func:`~repro.alloc.curves.lower_convex_hull`).
@@ -107,39 +107,39 @@ def greedy_allocate(curves: Sequence[DiscretizedMRC], budget_units: int) -> np.n
 def dp_allocate(curves: Sequence[DiscretizedMRC], budget_units: int) -> np.ndarray:
     """Exact minimum-total-miss allocation by dynamic programming.
 
-    ``dp[b]`` is the minimum total miss count of the tenants considered so
-    far using exactly ``b`` units or fewer; each tenant is folded in with a
-    (min, +) convolution against its miss curve, vectorised over the budget
-    axis.  The traceback reconstructs one optimal allocation, preferring
-    smaller per-tenant allocations on ties (deterministic).
+    ``dp[b]`` is the least total misses of the tenants so far in ``b`` units or fewer.  A tenant
+    folds in by one (min, +) window step: a reversed sliding window over ``dp`` (left-padded with
+    ``inf``) puts ``dp[b - x]`` in column ``x`` of row ``b``; plus ``misses[x]``, each row's *first*
+    ``argmin`` is the choice, so ties go to the smallest allocation.  Rows fold in blocks of
+    ~``_BLOCK_CANDIDATES`` candidates, the window ends at the row's first minimum (no larger ``x``
+    beats a non-increasing ``dp``), and the last tenant folds only the row ``b = budget`` the
+    traceback reads.
     """
-    budget_units = _check_budget(budget_units)
-    num_tenants = len(curves)
-    if num_tenants == 0:
-        return np.zeros(0, dtype=np.int64)
-    width = budget_units + 1
-    dp = np.zeros(width, dtype=np.float64)
-    choices = np.zeros((num_tenants, width), dtype=np.int64)
-    for t, curve in enumerate(curves):
-        limit = min(curve.max_units, budget_units)
-        best = np.full(width, np.inf)
-        choice = np.zeros(width, dtype=np.int64)
-        for x in range(limit + 1):
-            # Give tenant t exactly x units on top of any predecessor split
-            # of b - x units; strict improvement keeps the smallest x on ties.
-            candidate = dp[: width - x] + curve.misses[x]
-            better = candidate < best[x:]
-            best[x:][better] = candidate[better]
-            choice[x:][better] = x
-        dp = best
-        choices[t] = choice
-    # dp is non-increasing in b (misses never grow with budget), so the full
-    # budget is an optimal end point; trace the per-tenant choices back.
-    allocation = np.zeros(num_tenants, dtype=np.int64)
-    b = budget_units
-    for t in range(num_tenants - 1, -1, -1):
-        allocation[t] = choices[t, b]
-        b -= int(choices[t, b])
+    return _dp_fold([curve.misses for curve in curves], _check_budget(budget_units))
+
+
+# Candidates (rows × columns) per block of the DP fold: its scratch matrix stays at 512 KB at any budget.
+_BLOCK_CANDIDATES = 1 << 16
+
+
+def _dp_fold(misses: Sequence[np.ndarray], budget_units: int) -> np.ndarray:
+    """The allocation of :func:`dp_allocate` over raw miss rows (each row's tail past the budget is ignored)."""
+    dp, choices = np.zeros(budget_units + 1), []
+    for t, row in enumerate(misses):
+        limit = int(row[: dp.size].argmin())
+        window = np.lib.stride_tricks.sliding_window_view(np.concatenate((np.full(limit, np.inf), dp)), limit + 1)
+        dp, choice = np.empty(dp.size), np.empty(dp.size, dtype=np.int64)
+        step = max(1, _BLOCK_CANDIDATES // (limit + 1))
+        # The traceback reads only the last tenant's full-budget row.
+        for lo in range(budget_units if t == len(misses) - 1 else 0, dp.size, step):
+            candidates = window[lo : lo + step, ::-1] + row[: limit + 1]
+            choice[lo : lo + step] = picks = candidates.argmin(axis=1)
+            dp[lo : lo + step] = candidates[np.arange(picks.size), picks]
+        choices.append(choice)
+    allocation, b = np.zeros(len(misses), dtype=np.int64), budget_units
+    for t in range(len(misses) - 1, -1, -1):
+        allocation[t] = choices[t][b]
+        b -= int(allocation[t])
     return allocation
 
 
@@ -212,20 +212,8 @@ def hull_allocate(curves: Sequence[DiscretizedMRC], budget_units: int) -> np.nda
 
 
 def _dp_top_up(curves: Sequence[DiscretizedMRC], allocation: np.ndarray, remaining: int) -> np.ndarray:
-    """Distribute ``remaining`` units optimally on top of ``allocation``.
-
-    Each tenant's curve is shifted to start at its current allocation and
-    truncated to the leftover, then :func:`dp_allocate` splits the leftover
-    exactly.  Cost is ``O(tenants × remaining²)`` — negligible when the hull
-    pass consumed most of the budget.
-    """
-    shifted = []
-    for curve, units in zip(curves, allocation):
-        start = int(units)
-        stop = min(curve.max_units, start + remaining) + 1
-        shifted.append(DiscretizedMRC(misses=curve.misses[start:stop], unit=curve.unit, accesses=curve.accesses))
-    extra = dp_allocate(shifted, remaining)
-    return allocation + extra
+    """Spend ``remaining`` more units optimally: :func:`dp_allocate`'s fold over each row from its allocation on."""
+    return allocation + _dp_fold([curve.misses[int(units) :] for curve, units in zip(curves, allocation)], remaining)
 
 
 # The allocator behind each ``ALLOC_METHODS`` name (partition and online replay).

@@ -41,7 +41,7 @@ class DiscretizedMRC:
     misses:
         ``misses[j]`` is the expected miss count at capacity ``j * unit``;
         ``misses[0]`` is the tenant's access count (an empty partition misses
-        every access).  Non-increasing by construction.
+        every access).  Finite, and non-increasing by construction.
     unit:
         Capacity granularity (cache blocks per allocation unit).
     accesses:
@@ -56,6 +56,8 @@ class DiscretizedMRC:
         misses = np.asarray(self.misses, dtype=np.float64)
         if misses.ndim != 1 or misses.size == 0:
             raise ValueError("misses must be a non-empty 1-D array")
+        if not np.isfinite(misses).all():
+            raise ValueError("misses must be finite (no NaN or infinity)")
         if int(self.unit) < 1:
             raise ValueError(f"unit must be >= 1, got {self.unit}")
         if int(self.accesses) < 1:

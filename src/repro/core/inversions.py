@@ -108,7 +108,7 @@ def _symmetric_group_blocks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def _ranked_permutations(m: int) -> Iterator[tuple[Permutation, int]]:
     """Every permutation of ``S_m`` with its inversion number, in lexicographic order."""
     for block, distances in _symmetric_group_blocks(m):
-        yield from zip(map(Permutation, block.tolist()), (block.shape[1] ** 2 - distances.sum(axis=1)).tolist())
+        yield from zip(map(Permutation._trusted, block.tolist()), (m * m - distances.sum(axis=1)).tolist())
 
 
 def count_inversions(sequence: Permutation | Sequence[int]) -> int:

@@ -67,6 +67,13 @@ class Permutation:
         self._map: tuple[int, ...] = tuple(int(x) for x in arr)
         self._hash: int | None = None
 
+    @classmethod
+    def _trusted(cls, images: Sequence[int]) -> "Permutation":
+        """A permutation from Python ints that are one by construction (no validation)."""
+        sigma = cls.__new__(cls)
+        sigma._map, sigma._hash = tuple(images), None
+        return sigma
+
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
@@ -232,14 +239,14 @@ class Permutation:
             return NotImplemented
         if self.size != other.size:
             raise ValueError(f"cannot compose permutations of different sizes ({self.size} vs {other.size})")
-        return Permutation(tuple(self._map[other._map[i]] for i in range(self.size)))
+        return Permutation._trusted(tuple(self._map[i] for i in other._map))
 
     def inverse(self) -> "Permutation":
         """The group inverse ``sigma^{-1}``."""
         inv = [0] * self.size
         for i, v in enumerate(self._map):
             inv[v] = i
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def conjugate(self, tau: "Permutation") -> "Permutation":
         """Return ``tau * self * tau^{-1}``."""
@@ -415,8 +422,7 @@ def all_permutations(m: int) -> Iterator[Permutation]:
     sampling (:func:`random_permutation`) instead.
     """
     m = check_nonnegative_int(m, "m")
-    for p in itertools.permutations(range(m)):
-        yield Permutation(p)
+    yield from map(Permutation._trusted, itertools.permutations(range(m)))
 
 
 def permutations_by_inversions(m: int) -> dict[int, list[Permutation]]:

@@ -34,6 +34,7 @@ Examples
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -92,20 +93,20 @@ def fingerprint(kind: str, basis: dict, arrays: dict[str, np.ndarray]) -> str:
     return f"{kind}/1/{digest[:32]}"
 
 
-def _atomic_write(path: str, *chunks: bytes, durable: bool = False) -> None:
-    """Write ``chunks`` to ``path + ".tmp"`` and rename it over ``path``.
+def _atomic_write(path: str, data: bytes, *, durable: bool = False) -> None:
+    """Write ``data`` to ``path + ".tmp"`` and rename it over ``path``.
 
     Plain ``os`` calls: a snapshot is a handful of syscalls, and it runs
     between epochs whose work has evicted every cache, where each extra
-    layer of Python file objects costs tens of microseconds.
+    layer of Python file objects costs tens of microseconds.  A tmp file already there is overwritten.
     """
     tmp = path + ".tmp"
-    descriptor = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    descriptor = os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        for chunk in chunks:
-            view = memoryview(chunk)
-            while view:
-                view = view[os.write(descriptor, view) :]
+        view = memoryview(data)
+        while view:
+            view = view[os.write(descriptor, view) :]
+        os.ftruncate(descriptor, len(data))
         if durable:
             os.fsync(descriptor)
     finally:
@@ -234,23 +235,26 @@ def write_checkpoint(
     # or a hex digest.
     header = f'{{"step": {step}, "sha256": "{hashlib.sha256(payload).hexdigest()}", "bytes": {len(payload)}}}\n'
     name = f"step-{step:08d}.ckpt"
-    _atomic_write(os.path.join(root, name), header.encode("ascii"), payload, durable=durable)
-
+    path = os.path.join(root, name)
     if (step, name) not in snapshots:
         bisect.insort(snapshots, (step, name))
-    for _, stale in snapshots[: -int(keep)]:
-        try:
-            os.unlink(os.path.join(root, stale))
-        except FileNotFoundError:
-            pass
+    stale = [os.path.join(root, old) for _, old in snapshots[: -int(keep)]]
+    if stale and int(keep) > 1:
+        # Creating a file is a snapshot's dearest call: with another kept to resume from, reuse a pruned one.
+        with contextlib.suppress(FileNotFoundError):
+            os.replace(stale[0], path + ".tmp")
+    _atomic_write(path, header.encode("ascii") + payload, durable=durable)
     del snapshots[: -int(keep)]
+    for old in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(old)
 
     registry = get_registry()
     if registry.enabled:
         registry.counter("checkpoint.writes").inc()
         registry.counter("checkpoint.bytes").add(len(payload))
         registry.gauge("checkpoint.step").set(step)
-    return Path(root, name)
+    return Path(path)
 
 
 def latest_step(directory: str | Path) -> int | None:

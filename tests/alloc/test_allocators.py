@@ -8,16 +8,24 @@ The load-bearing properties:
   random convex curves);
 * the convex hull rescues greedy on cliff curves;
 * hull allocation never loses to the naive proportional split on the
-  composed multi-tenant workloads the acceptance criteria name.
+  composed multi-tenant workloads the acceptance criteria name;
+* the DP's window fold returns the same allocation, tenant by tenant, as
+  the per-unit DP of ``tests/oracles.py`` (ties included), in any row
+  block size, and inside the hull allocator's boundary top-up.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dp_allocate_per_unit
 
+from repro.alloc import allocators
 from repro.alloc import (
     DiscretizedMRC,
     discretize_curve,
@@ -246,7 +254,104 @@ class TestDiscretizedMRCBoundaries:
         with pytest.raises(ValueError):
             DiscretizedMRC(misses=np.ones(2), unit=1, accesses=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_misses_are_rejected(self, bad):
+        """Regression: a NaN point used to allocate silently (the DP, hull and
+        greedy each read a different optimum, the hull one over budget)."""
+        with pytest.raises(ValueError, match="finite"):
+            DiscretizedMRC(misses=np.asarray([10.0, bad, 2.0, 1.0]), unit=1, accesses=10)
+
     def test_single_point_curve_is_flat_everywhere(self):
         d = DiscretizedMRC(misses=np.asarray([7.0]), unit=1, accesses=7)
         assert d.max_units == 0
         assert d.misses_at(0) == d.misses_at(5) == 7.0
+
+
+@st.composite
+def tie_heavy_curves(draw):
+    """0–16 tenants with small integer miss rows: plateaus, cliffs, equal
+    tenants, non-monotone rows and single-point (``max_units == 0``) curves."""
+    num_tenants = draw(st.integers(min_value=0, max_value=16))
+    curves = []
+    for _ in range(num_tenants):
+        if curves and draw(st.booleans()):
+            curves.append(curves[-1])  # an equal-gain twin: ties across tenants
+            continue
+        length = draw(st.integers(min_value=1, max_value=14))
+        if draw(st.booleans()):
+            steps = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=length - 1, max_size=length - 1))
+            misses = np.concatenate(([20.0], 20.0 - np.cumsum(steps, dtype=np.float64)))
+        else:  # a non-monotone user curve
+            misses = np.asarray(draw(st.lists(st.integers(0, 6), min_size=length, max_size=length)), dtype=np.float64)
+        curves.append(curve_from_misses(misses))
+    return curves
+
+
+def _oracle_top_up(curves, allocation, remaining):
+    """The boundary top-up over shifted curve objects and the per-unit DP."""
+    shifted = [
+        DiscretizedMRC(misses=curve.misses[int(units) : int(units) + remaining + 1], unit=1, accesses=curve.accesses)
+        for curve, units in zip(curves, allocation)
+    ]
+    return allocation + dp_allocate_per_unit(shifted, remaining)
+
+
+class TestDPMatchesPerUnitOracle:
+    """Allocation-for-allocation equality with the per-unit DP, not just equal totals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(curves=tie_heavy_curves(), budget=st.integers(min_value=0, max_value=60))
+    def test_window_fold_equals_per_unit_dp(self, curves, budget):
+        expected = dp_allocate_per_unit(curves, budget).tolist()
+        # One-row blocks, multi-row blocks and the production block size.
+        for block in (1, 5, allocators._BLOCK_CANDIDATES):
+            with mock.patch.object(allocators, "_BLOCK_CANDIDATES", block):
+                assert dp_allocate(curves, budget).tolist() == expected
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5, 40])
+    def test_degenerate_shapes(self, budget):
+        flat = curve_from_misses([9.0])
+        cliff = curve_from_misses([9.0, 9.0, 9.0, 0.0])
+        for curves in ([], [flat], [flat] * 3, [cliff] * 4, [flat, cliff, flat, cliff]):
+            assert dp_allocate(curves, budget).tolist() == dp_allocate_per_unit(curves, budget).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 30), st.integers(0, 30), st.integers(1, 4), st.booleans()), min_size=1, max_size=6
+        ),
+        budget=st.integers(min_value=0, max_value=120),
+    )
+    def test_hull_top_up_equals_oracle_top_up(self, shapes, budget):
+        """Cliff (one drop) and staircase (equal steps) curves through the hull
+        allocator, whose leftover the DP resolves."""
+        curves = []
+        for height, edge, step, staircase in shapes:
+            misses = np.full(edge + 1, float(10 * height))
+            if staircase:
+                misses -= np.minimum(np.arange(edge + 1) // step * step, 10 * height)
+            else:
+                misses[edge] = 0.0
+            curves.append(curve_from_misses(misses))
+        with mock.patch.object(allocators, "_dp_top_up", _oracle_top_up):
+            expected = hull_allocate(curves, budget).tolist()
+        assert hull_allocate(curves, budget).tolist() == expected
+
+    def test_wide_budget_stays_in_row_blocks(self):
+        """3 tenants × 4,096 units at budget 4,096: the unblocked candidate
+        matrix of the middle tenant alone would be 134 MB."""
+        rng = np.random.default_rng(5)
+        units = 4096
+        curves = []
+        for _ in range(3):
+            gains = rng.integers(1, 4, size=units) * (rng.random(units) < 0.3)  # plateaus and steps
+            gains[-1] = 1  # the first minimum is the last point: full-width windows
+            curves.append(curve_from_misses(np.concatenate(([1e6], 1e6 - np.cumsum(gains, dtype=np.float64)))))
+        tracemalloc.start()
+        try:
+            allocation = dp_allocate(curves, units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert allocation.tolist() == dp_allocate_per_unit(curves, units).tolist()

@@ -228,6 +228,20 @@ class TestEnumeration:
         assert sum(len(v) for v in groups.values()) == 24
         assert len(groups[0]) == 1 and len(groups[6]) == 1
 
+    def test_unvalidated_constructions_equal_validated_ones(self):
+        """Enumeration, composition and inversion build their results without
+        re-validating; each must equal (and hash like) the checked constructor's."""
+        groups = permutations_by_inversions(4)
+        built = list(all_permutations(4)) + [s for group in groups.values() for s in group]
+        tau = Permutation([2, 0, 3, 1])
+        built += [sigma * tau for sigma in built[:24]] + [sigma.inverse() for sigma in built[:24]]
+        for sigma in built:
+            checked = Permutation(list(sigma.one_line))
+            assert sigma == checked and hash(sigma) == hash(checked)
+            assert all(type(image) is int for image in sigma.one_line)
+        with pytest.raises(ValueError):
+            Permutation([0, 0])
+
     def test_random_permutation_is_valid(self, rng):
         for _ in range(20):
             sigma = random_permutation(8, rng)

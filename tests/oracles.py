@@ -32,7 +32,10 @@ partition and the exact MRC pipeline:
 * :func:`reuse_intervals_naive` — reuse intervals from a last-seen dict;
 * :func:`footprint_curve_naive` — the average footprint by enumerating every
   window;
-* :func:`mrc_by_simulation` — one independent LRU simulation per cache size.
+* :func:`mrc_by_simulation` — one independent LRU simulation per cache size;
+* :func:`dp_allocate_per_unit` — the allocators' exact DP with one numpy
+  statement per tenant per unit, the reference of the window fold in
+  :func:`repro.alloc.dp_allocate`.
 """
 
 from __future__ import annotations
@@ -486,3 +489,31 @@ def mrc_by_simulation(trace: Sequence[int] | np.ndarray, cache_sizes: Iterable[i
     """
     arr = np.asarray(trace)
     return {int(c): LRUCache(int(c)).run(int(x) for x in arr).miss_ratio for c in cache_sizes}
+
+
+def dp_allocate_per_unit(curves, budget_units: int) -> np.ndarray:
+    """Exact minimum-total-miss allocation, folding each tenant in one unit ``x`` at a time.
+
+    ``best[b]`` takes ``dp[b - x] + misses[x]`` only on a strict improvement,
+    so ties keep the smallest ``x``; the traceback starts at the full budget.
+    """
+    budget_units = int(budget_units)
+    if budget_units < 0:
+        raise ValueError(f"budget_units must be >= 0, got {budget_units}")
+    width = budget_units + 1
+    dp = np.zeros(width, dtype=np.float64)
+    choices = np.zeros((len(curves), width), dtype=np.int64)
+    for t, curve in enumerate(curves):
+        best = np.full(width, np.inf)
+        for x in range(min(curve.max_units, budget_units) + 1):
+            candidate = dp[: width - x] + curve.misses[x]
+            better = candidate < best[x:]
+            best[x:][better] = candidate[better]
+            choices[t, x:][better] = x
+        dp = best
+    allocation = np.zeros(len(curves), dtype=np.int64)
+    b = budget_units
+    for t in range(len(curves) - 1, -1, -1):
+        allocation[t] = choices[t, b]
+        b -= int(choices[t, b])
+    return allocation

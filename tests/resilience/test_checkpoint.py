@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import shutil
+from unittest import mock
 
 import pytest
 
@@ -80,6 +82,44 @@ class TestPruning:
         write_checkpoint(store, 2, {"s": 2}, fingerprint="fp")
         assert latest_step(store) == 2
         assert load_checkpoint(store, fingerprint="fp").state == {"s": 2}
+
+    def test_a_pruned_snapshot_file_is_recycled_and_cut_to_size(self, tmp_path):
+        write_checkpoint(tmp_path, 1, {"s": "x" * 10_000}, fingerprint="fp", keep=3)
+        inode = (tmp_path / "step-00000001.ckpt").stat().st_ino
+        for step in (2, 3, 4):
+            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp", keep=3)
+        assert (tmp_path / "step-00000004.ckpt").stat().st_ino == inode
+        assert load_checkpoint(tmp_path, fingerprint="fp").state == {"s": 4}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "MANIFEST.json",
+            "step-00000002.ckpt",
+            "step-00000003.ckpt",
+            "step-00000004.ckpt",
+        ]
+
+    def test_a_lone_snapshot_is_not_recycled(self, tmp_path):
+        # With keep=1 the old snapshot is the only one to resume from until the new one is in place.
+        write_checkpoint(tmp_path, 1, {"s": 1}, fingerprint="fp", keep=1)
+        inode = (tmp_path / "step-00000001.ckpt").stat().st_ino
+        replace = checkpoint.os.replace
+        seen = []
+
+        def watching_replace(source, target):
+            seen.append((os.path.basename(source), os.path.exists(tmp_path / "step-00000001.ckpt")))
+            replace(source, target)
+
+        with mock.patch.object(checkpoint.os, "replace", watching_replace):
+            write_checkpoint(tmp_path, 2, {"s": 2}, fingerprint="fp", keep=1)
+        assert seen == [("step-00000002.ckpt.tmp", True)]
+        assert (tmp_path / "step-00000002.ckpt").stat().st_ino != inode
+        assert [p.name for p in tmp_path.glob("step-*.ckpt")] == ["step-00000002.ckpt"]
+
+    def test_a_longer_leftover_tmp_file_is_cut_to_size(self, tmp_path):
+        write_checkpoint(tmp_path, 1, {"s": 1}, fingerprint="fp")
+        (tmp_path / "step-00000002.ckpt.tmp").write_bytes(b"\xff" * 10_000)  # as a crashed write leaves it
+        write_checkpoint(tmp_path, 2, {"s": 2}, fingerprint="fp")
+        assert load_checkpoint(tmp_path, step=2).state == {"s": 2}
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
