@@ -24,7 +24,6 @@ __all__ = [
     "check_positive_int",
     "check_nonnegative_int",
     "ensure_rng",
-    "pairwise_leq",
 ]
 
 
@@ -127,12 +126,3 @@ def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError("rng must be None, an int seed, or a numpy.random.Generator, " f"got {type(rng).__name__}")
-
-
-def pairwise_leq(left: Sequence[int], right: Sequence[int]) -> bool:
-    """Return ``True`` when ``left[i] <= right[i]`` for every index ``i``."""
-    a = np.asarray(left)
-    b = np.asarray(right)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b))

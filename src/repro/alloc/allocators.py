@@ -166,26 +166,32 @@ def hull_allocate(curves: Sequence[DiscretizedMRC], budget_units: int) -> np.nda
     if num_tenants == 0 or budget_units == 0:
         return allocation
 
-    # Collect every hull segment: (slope, tenant, start unit, end unit).
-    # Slopes are negative; steeper (more negative) segments remove more
-    # misses per unit and go first.  Within a tenant, hull slopes strictly
-    # increase, so sorting by slope preserves each tenant's segment order;
-    # the (tenant, start) tie-break keeps equal-slope ordering deterministic.
-    segments: list[tuple[float, int, int, int]] = []
-    for t, curve in enumerate(curves):
-        vertices, values = lower_convex_hull(curve.misses)
-        for (u0, u1), (m0, m1) in zip(zip(vertices, vertices[1:]), zip(values, values[1:])):
-            slope = (float(m1) - float(m0)) / float(u1 - u0)
-            if slope < 0.0:
-                segments.append((slope, t, int(u0), int(u1)))
-    segments.sort()
+    # Every tenant's hull in one call, then every hull segment at once:
+    # (slope, tenant, start unit, end unit).  Slopes are negative; steeper
+    # (more negative) segments remove more misses per unit and go first.
+    # The segments come in (tenant, start) order, so a stable sort by slope
+    # is the (slope, tenant, start, end) tuple order; within a tenant, hull
+    # slopes strictly increase, so each tenant's segments keep their order.
+    rows = [curve.misses for curve in curves]
+    offsets = np.cumsum([0, *(row.size for row in rows[:-1])])
+    vertices, values = lower_convex_hull(np.concatenate(rows), offsets)
+    tenants = np.searchsorted(offsets, vertices, side="right") - 1
+    units = vertices - offsets[tenants]
+    slopes = (values[1:] - values[:-1]) / (vertices[1:] - vertices[:-1])  # vertices[i] -> vertices[i + 1]
+    inner = np.flatnonzero((tenants[1:] == tenants[:-1]) & (slopes < 0.0))
+    segments = inner[np.argsort(slopes[inner], kind="stable")]
+    slopes, tenants, starts, ends = slopes[segments], tenants[segments], units[segments], units[segments + 1]
 
-    remaining = budget_units
-    blocked = np.zeros(num_tenants, dtype=bool)
-    for slope, t, start, end in segments:
+    # The segments that fit in order are taken whole; a tenant ends where its last one does.
+    spans = ends - starts
+    whole = int(np.searchsorted(np.cumsum(spans), budget_units, side="right"))
+    np.maximum.at(allocation, tenants[:whole], ends[:whole])
+    remaining = budget_units - int(spans[:whole].sum())
+    blocked = set()
+    for slope, t, start, end in zip(*(column[whole:].tolist() for column in (slopes, tenants, starts, ends))):
         if remaining == 0:
             break
-        if blocked[t]:
+        if t in blocked:
             continue
         span = end - start
         if span <= remaining:
@@ -203,7 +209,7 @@ def hull_allocate(curves: Sequence[DiscretizedMRC], budget_units: int) -> np.nda
             allocation[t] = start + remaining
             remaining = 0
             break
-        blocked[t] = True
+        blocked.add(t)
     if remaining > 0:
         # Resolve the budget boundary exactly: a DP over the raw curves past
         # the hull allocations, bounded by the (small) leftover.

@@ -75,11 +75,13 @@ class NativeKernels(NamedTuple):
     #: :func:`repro.trace.io.read_text` (non-ASCII or control bytes, anything but one
     #: non-negative int64 label, a blank or a comment per line).
     parse_labels: Callable[[bytes], tuple[np.ndarray, str | None] | None]
-    #: ``lower_convex_hull(misses)`` -> the ``int64`` vertex indices of the lower convex hull of
-    #: the points ``(j, misses[j])``, bit-identical to the Python monotone chain of
+    #: ``lower_convex_hull(misses, starts)`` -> the ``int64`` vertex indices (into ``misses``) of
+    #: the lower convex hull of each row's points ``(j, misses[j])``, row ``r`` running from
+    #: ``starts[r]`` to the next start, bit-identical to the Python monotone chain of
     #: :func:`repro.alloc.curves.lower_convex_hull` (same cross-product expression, same order,
-    #: no fused multiply-add).  The caller passes a non-empty 1-D ``float64`` array.
-    lower_convex_hull: Callable[[np.ndarray], np.ndarray]
+    #: no fused multiply-add).  The caller passes a non-empty 1-D ``float64`` array and
+    #: increasing ``int64`` starts from 0, each below ``misses.size``.
+    lower_convex_hull: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def compiler() -> list[str] | None:
@@ -191,7 +193,7 @@ def native_kernels() -> NativeKernels | None:
     parse.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
     parse.restype = ctypes.c_int64
     hull = library.lower_hull
-    hull.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    hull.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
     hull.restype = ctypes.c_int64
 
     # The kernels read and write C-contiguous buffers of the input's length;
@@ -286,10 +288,12 @@ def native_kernels() -> NativeKernels | None:
         start, end = name.tolist()
         return labels, None if start < 0 else data[start:end].decode("ascii").strip()
 
-    def lower_convex_hull(misses: np.ndarray) -> np.ndarray:
+    def lower_convex_hull(misses: np.ndarray, starts: np.ndarray) -> np.ndarray:
         misses = np.ascontiguousarray(misses, dtype=np.float64)
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
         vertices = np.empty(misses.size, dtype=np.int64)
-        return vertices[: hull(misses.ctypes.data, misses.size, vertices.ctypes.data)]
+        args = (misses.ctypes.data, misses.size, starts.ctypes.data, starts.size)
+        return vertices[: hull(*args, vertices.ctypes.data)]
 
     return NativeKernels(
         stack_distances,

@@ -34,13 +34,12 @@
  * crc32_bulk: zlib's CRC-32 with carry-less multiplication, for the
  * checksums that pin checkpoint stores and memmap traces to their data.
  *
- * lower_hull: the lower convex hull of a discretized miss curve, the
+ * lower_hull: the lower convex hulls of discretized miss curves, the
  * monotone chain of repro.alloc.curves.lower_convex_hull with the same
  * double expression evaluated in the same order.  _native.py builds with
  * -ffp-contract=off, so no fused multiply-add rounds the cross products
  * differently from Python's floats, and the hulls are bit-identical.  The
- * Talus-style allocator builds one per tenant at every online controller
- * consult.
+ * Talus-style allocator hulls every tenant's row in one call per consult.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -221,22 +220,26 @@ fail:
     return -1;
 }
 
-/* Writes the lower-hull vertex indices of the points (j, p[j]), j = 0 ..
- * n - 1, to hull (room for n) in increasing order and returns how many.  A
- * vertex k between i and j is dropped when slope(i -> k) >= slope(k -> j):
- * on or above the chord, collinear points included. */
-int64_t lower_hull(const double *p, int64_t n, int64_t *hull)
+/* Writes the lower-hull vertex indices of each row's points (j, p[j]) to
+ * hull (room for n) in increasing order and returns how many.  Row r holds
+ * j = starts[r] .. starts[r + 1] - 1 (the last row ends at n).  A vertex k
+ * between i and j is dropped when slope(i -> k) >= slope(k -> j): on or
+ * above the chord, collinear points included. */
+int64_t lower_hull(const double *p, int64_t n, const int64_t *starts, int64_t rows, int64_t *hull)
 {
     int64_t size = 0;
-    for (int64_t j = 0; j < n; j++) {
-        double v = p[j];
-        while (size >= 2) {
-            int64_t i = hull[size - 2], k = hull[size - 1];
-            if (!((p[k] - p[i]) * (double)(j - k) >= (v - p[k]) * (double)(k - i)))
-                break;
-            size--;
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t first = size, end = r + 1 < rows ? starts[r + 1] : n;
+        for (int64_t j = starts[r]; j < end; j++) {
+            double v = p[j];
+            while (size - first >= 2) {
+                int64_t i = hull[size - 2], k = hull[size - 1];
+                if (!((p[k] - p[i]) * (double)(j - k) >= (v - p[k]) * (double)(k - i)))
+                    break;
+                size--;
+            }
+            hull[size++] = j;
         }
-        hull[size++] = j;
     }
     return size;
 }

@@ -3,44 +3,51 @@
 Real workloads are piecewise-stationary: long regimes with a stable MRC
 separated by abrupt shifts (working-set migration, popularity drift, tenant
 churn).  :class:`PhaseChangeDetector` turns a stream of windowed curves (from
-:mod:`repro.online.windowed`) into a stream of *regime shift* flags: it keeps
-the curve observed at the start of the current regime as the reference,
-measures the mean absolute miss-ratio distance of every new curve against it
-(:func:`repro.profiling.accuracy.compare_curves`), and declares a phase
-change only after the distance has exceeded the threshold for ``hysteresis``
-consecutive observations — one noisy window cannot trigger a re-partition,
-but a persistent shift is flagged within ``hysteresis`` epochs.
+:mod:`repro.online.windowed`) into a stream of *regime shift* flags, one
+stream per tenant: it keeps each tenant's curve observed at the start of its
+current regime as the reference, measures the mean absolute miss-ratio
+distance of every new curve against it (what
+:func:`repro.profiling.accuracy.compare_curves` measures between two curves
+of one length), and declares a phase change only after the distance has
+exceeded the threshold for ``hysteresis`` consecutive observations — one
+noisy window cannot trigger a re-partition, but a persistent shift is
+flagged within ``hysteresis`` epochs.
 
 On a flagged change the detector re-anchors: the current curve becomes the
 new reference and the counter resets, so consecutive distinct regimes each
-produce exactly one flag.  The detector is deterministic and carries no
-clock; callers decide how often to feed it (typically once per epoch).
+produce exactly one flag.  An epoch's curves arrive as one ``(tenants,
+sizes)`` ratio matrix and every distance is one row of one reduction; the
+streaks, flags and references are per tenant.  The detector is
+deterministic and carries no clock; callers decide how often to feed it
+(typically once per epoch).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..cache.mrc import MissRatioCurve
-from ..profiling.accuracy import compare_curves
+import numpy as np
 
 __all__ = ["PhaseObservation", "PhaseChangeDetector"]
 
 
 @dataclass(frozen=True)
 class PhaseObservation:
-    """Outcome of feeding one windowed curve to the detector."""
+    """Outcome of feeding one matrix of windowed curves to the detector, one entry per row."""
 
-    distance: float
-    exceeded: bool
-    changed: bool
+    distance: np.ndarray
+    exceeded: np.ndarray
+    changed: np.ndarray
 
 
 class PhaseChangeDetector:
-    """Hysteresis-filtered regime-shift detector over windowed MRCs.
+    """Hysteresis-filtered regime-shift detector over the windowed MRCs of ``tenants`` tenants.
 
     Parameters
     ----------
+    tenants:
+        Number of tenants, each with its own reference, streak and changes.
     threshold:
         Mean-absolute-error distance (in miss-ratio units) above which a
         window is considered *off-reference*.
@@ -50,57 +57,70 @@ class PhaseChangeDetector:
 
     Examples
     --------
-    >>> from repro.cache.mrc import MissRatioCurve
-    >>> flat = MissRatioCurve(ratios=(0.5, 0.5), accesses=10)
-    >>> steep = MissRatioCurve(ratios=(0.9, 0.8), accesses=10)
-    >>> detector = PhaseChangeDetector(threshold=0.1, hysteresis=2)
-    >>> detector.observe(flat).changed      # first curve anchors the reference
-    False
-    >>> detector.observe(steep).changed     # 1st excursion: armed, not flagged
-    False
-    >>> detector.observe(steep).changed     # 2nd consecutive excursion: flagged
-    True
-    >>> detector.observe(steep).changed     # re-anchored on the new regime
-    False
+    >>> import numpy as np
+    >>> flat, steep = np.array([[0.5, 0.5]]), np.array([[0.9, 0.8]])
+    >>> detector = PhaseChangeDetector(1, threshold=0.1, hysteresis=2)
+    >>> detector.observe(flat, [0]).changed.tolist()      # first curve anchors the reference
+    [False]
+    >>> detector.observe(steep, [0]).changed.tolist()     # 1st excursion: armed, not flagged
+    [False]
+    >>> detector.observe(steep, [0]).changed.tolist()     # 2nd consecutive excursion: flagged
+    [True]
+    >>> detector.observe(steep, [0]).changed.tolist()     # re-anchored on the new regime
+    [False]
     """
 
-    def __init__(self, *, threshold: float = 0.05, hysteresis: int = 2):
+    def __init__(self, tenants: int, *, threshold: float = 0.05, hysteresis: int = 2):
         if float(threshold) <= 0.0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         if int(hysteresis) < 1:
             raise ValueError(f"hysteresis must be >= 1, got {hysteresis}")
         self.threshold = float(threshold)
         self.hysteresis = int(hysteresis)
-        self._reference: MissRatioCurve | None = None
-        self._streak = 0
-        self.changes = 0
+        #: Row ``t``: tenant ``t``'s reference curve, valid where ``_anchored[t]`` (sized on first use).
+        self._references = np.zeros((int(tenants), 0))
+        self._anchored = np.zeros(int(tenants), dtype=bool)
+        self._streaks = np.zeros(int(tenants), dtype=np.int64)
+        self.changes = np.zeros(int(tenants), dtype=np.int64)
 
-    @property
-    def reference(self) -> MissRatioCurve | None:
-        """The curve anchoring the current regime (``None`` before the first observation)."""
-        return self._reference
+    def state_dict(self) -> list[dict]:
+        """Picklable per-tenant regime state (for checkpoint/resume); an unanchored tenant's reference is ``None``."""
+        return [
+            {"reference": reference.copy() if anchored else None, "streak": streak, "changes": changes}
+            for reference, anchored, streak, changes in zip(
+                self._references, self._anchored.tolist(), self._streaks.tolist(), self.changes.tolist()
+            )
+        ]
 
-    def state_dict(self) -> dict:
-        """Picklable snapshot of the detector's regime state (for checkpoint/resume)."""
-        return {"reference": self._reference, "streak": int(self._streak), "changes": int(self.changes)}
-
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(self, state: Sequence[dict]) -> None:
         """Restore state captured by :meth:`state_dict`."""
-        self._reference = state["reference"]
-        self._streak = int(state["streak"])
-        self.changes = int(state["changes"])
+        references = [tenant["reference"] for tenant in state]
+        width = max((len(reference) for reference in references if reference is not None), default=0)
+        self._references = np.zeros((len(state), width))
+        for t, reference in enumerate(references):
+            if reference is not None:
+                self._references[t] = reference
+        self._anchored = np.array([reference is not None for reference in references], dtype=bool)
+        self._streaks = np.array([int(tenant["streak"]) for tenant in state], dtype=np.int64)
+        self.changes = np.array([int(tenant["changes"]) for tenant in state], dtype=np.int64)
 
-    def observe(self, curve: MissRatioCurve) -> PhaseObservation:
-        """Feed one windowed curve; report its distance and whether a change fired."""
-        if self._reference is None:
-            self._reference = curve
-            return PhaseObservation(distance=0.0, exceeded=False, changed=False)
-        distance = compare_curves(curve, self._reference).mean_absolute_error
-        exceeded = distance > self.threshold
-        self._streak = self._streak + 1 if exceeded else 0
-        if self._streak >= self.hysteresis:
-            self._reference = curve
-            self._streak = 0
-            self.changes += 1
-            return PhaseObservation(distance=distance, exceeded=True, changed=True)
-        return PhaseObservation(distance=distance, exceeded=exceeded, changed=False)
+    def observe(self, ratios: np.ndarray, tenants: Sequence[int]) -> PhaseObservation:
+        """Feed tenant ``tenants[i]``'s windowed miss ratios ``ratios[i]`` (one length for all); report each row."""
+        ratios = np.asarray(ratios, dtype=np.float64)
+        tenants = np.asarray(tenants, dtype=np.int64)
+        if self._references.shape[1] != ratios.shape[1]:
+            if self._anchored.any():
+                raise ValueError(f"curves of {ratios.shape[1]} sizes against references of {self._references.shape[1]}")
+            self._references = np.zeros((self._anchored.size, ratios.shape[1]))
+        first = ~self._anchored[tenants]
+        distance = np.abs(ratios - self._references[tenants]).mean(axis=1)
+        distance[first] = 0.0
+        exceeded = (distance > self.threshold) & ~first
+        streaks = np.where(exceeded, self._streaks[tenants] + 1, 0)
+        changed = streaks >= self.hysteresis
+        self._streaks[tenants] = np.where(changed, 0, streaks)
+        self.changes[tenants] += changed
+        anchored = first | changed
+        self._references[tenants[anchored]] = ratios[anchored]
+        self._anchored[tenants[anchored]] = True
+        return PhaseObservation(distance=distance, exceeded=exceeded, changed=changed)

@@ -10,9 +10,9 @@ three partitioned LRU lanes at once:
     would deploy) and never changed.
 ``adaptive``
     The online engine: per-tenant windowed SHARDS profiles
-    (:mod:`repro.online.windowed`) refreshed every ``epoch`` events, per-tenant
-    :class:`~repro.online.phases.PhaseChangeDetector` flags, and a
-    :class:`~repro.online.controller.ReallocationController` that re-runs the
+    (:mod:`repro.online.windowed`) refreshed every ``epoch`` events, the
+    per-tenant flags of one :class:`~repro.online.phases.PhaseChangeDetector`,
+    and a :class:`~repro.online.controller.ReallocationController` that re-runs the
     allocator and applies the proposal when the predicted gain beats the
     move-cost penalty.  Resizes take effect immediately: a shrunk partition
     evicts its least-recent blocks and a grown one warms up through ordinary
@@ -41,8 +41,9 @@ import functools
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from ..alloc.curves import discretize_ratios
-from ..cache.mrc import MissRatioCurve
+import numpy as np
+
+from ..alloc.curves import DiscretizedMRC, discretize_ratios
 from ..engine.columnar import TenantDistancePasses, idle_curve
 from ..engine.job import (
     ALLOC_METHODS, check_choice, check_fraction, check_non_negative, check_positive, check_unit, knob
@@ -235,17 +236,17 @@ class ReplayResult:
         }
 
 
-def _windowed_profile(windows: TenantWindows, end: int, budget: int, unit: int) -> list[tuple]:
-    """Every tenant's windowed curve (for the detector) plus its discretization at epoch end ``end``, batched.
+def _windowed_profile(windows: TenantWindows, end: int, budget: int, unit: int):
+    """Every tenant's windowed miss ratios at epoch end ``end``, and their discretization, batched.
 
-    A tenant with an empty sampled window (no traffic) gets curve ``None`` and the idle zero-demand curve.
+    Returns the tenants with a non-empty sampled window (traffic), their ``(tenants, budget)`` ratio matrix (for the
+    detector) and every tenant's discretized curve (for the controller): the idle zero-demand curve for the others.
     """
     tenants, offered, ratios = windows.ratios(end, budget)
-    profiles = [None] * windows.num_tenants
-    discretized = discretize_ratios(ratios, offered, budget, unit)
-    for t, accesses, row, profile in zip(tenants, offered.tolist(), ratios, discretized):
-        profiles[t] = (MissRatioCurve(ratios=row, accesses=accesses), profile)
-    return [profile or (None, idle_curve(unit)) for profile in profiles]
+    curves: list[DiscretizedMRC] = [idle_curve(unit)] * windows.num_tenants
+    for t, curve in zip(tenants, discretize_ratios(ratios, offered, budget, unit)):
+        curves[t] = curve
+    return tenants, ratios, curves
 
 
 def _initial_split(num_tenants: int, budget: int, unit: int) -> tuple[int, ...]:
@@ -277,7 +278,7 @@ def replay_fingerprint(workload: DriftingWorkload, job: OnlineJob) -> str:
 class _Progress:
     """Where a replay stands and what it has counted so far.
 
-    Together with the lanes and the detectors this is everything a snapshot
+    Together with the lanes and the detector this is everything a snapshot
     holds: :func:`_snapshot` writes one key per field and :func:`_resume`
     reads them back.
     """
@@ -299,37 +300,36 @@ class _Progress:
 _HOLD = ReallocationDecision(applied=False, allocation=(), predicted_gain=0.0, penalty=0.0, moved_blocks=0)
 
 
-def _end_epoch(progress, job, boundaries, windows, lanes, controller, detectors, anchors, counters) -> None:
+def _end_epoch(progress, job, boundaries, windows, lanes, controller, detector, anchors, counters) -> None:
     """Close the epoch ending at ``progress.position`` and start the next one.
 
-    Refreshes every tenant's windowed profile, feeds the detectors (``anchors[t]``
-    records the epoch end of detector ``t``'s reference), consults the controller
+    Refreshes every tenant's windowed profile, feeds the detector (``anchors[t]``
+    records the epoch end of tenant ``t``'s reference), consults the controller
     when due, and records the epoch's :class:`EpochStats` from ``counters``.
     """
-    position, unit = progress.position, int(job.unit)
+    position = progress.position
     retained = windows.retained[position]
     progress.profiled_references += retained
     with span("online.window_profile"):
-        profiles = _windowed_profile(windows, position, int(job.budget), unit)
-    failed = 0
-    for t in range(len(profiles)):
+        tenants, ratios, curves = _windowed_profile(windows, position, int(job.budget), int(job.unit))
+    failed = []
+    for t in range(len(curves)):
         try:
             _fire_fault("online.profile", t)
         except Exception:
             # Degrade, never crash: the detector skips the tenant and the
             # controller is skipped below, so the allocation stays put.
-            failed += 1
-            profiles[t] = (None, idle_curve(unit))
-    progress.profile_failures += failed
-    distance, changed = 0.0, False
-    for t, (curve, _discretized) in enumerate(profiles):
-        if curve is None:  # no traffic, or a failed extraction
-            continue
-        observation = detectors[t].observe(curve)
-        if detectors[t].reference is curve:
+            failed.append(t)
+    progress.profile_failures += len(failed)
+    if failed:
+        live = ~np.isin(tenants, failed)
+        tenants, ratios = np.compress(live, tenants).tolist(), ratios[live]
+    with span("online.detector"):  # tenants with no traffic or a failed extraction are not observed
+        observation = detector.observe(ratios, tenants)
+    for t, flagged in zip(tenants, observation.changed.tolist()):
+        if flagged or anchors[t] is None:  # the curve became the tenant's reference
             anchors[t] = position
-        distance = max(distance, observation.distance)
-        changed = changed or observation.changed
+    distance, changed = float(observation.distance.max(initial=0.0)), bool(observation.changed.any())
     if changed:
         progress.phase_changes += 1
     # The controller is consulted on a phase-change flag, on the fixed
@@ -339,11 +339,8 @@ def _end_epoch(progress, job, boundaries, windows, lanes, controller, detectors,
     # re-partition, so threshold/hysteresis genuinely gate churn.
     decision = _HOLD
     if not failed and (changed or progress.settling or progress.epoch_index % job.realloc_epochs == 0):
-        decision = controller.decide(
-            [discretized for _curve, discretized in profiles],
-            lanes.capacities("adaptive"),
-            horizon=job.epoch * job.horizon_epochs,
-        )
+        with span("online.controller"):
+            decision = controller.decide(curves, lanes.capacities("adaptive"), horizon=job.epoch * job.horizon_epochs)
         if decision.applied:
             lanes.resize("adaptive", decision.allocation)
             progress.reallocations += 1
@@ -378,7 +375,7 @@ def _end_epoch(progress, job, boundaries, windows, lanes, controller, detectors,
             sketch_sampled=retained,
             gain=decision.predicted_gain,
             penalty=decision.penalty,
-            profile_failures=failed,
+            profile_failures=len(failed),
         )
         if changed:
             registry.counter("online.phase_changes").inc()
@@ -392,19 +389,19 @@ def _end_epoch(progress, job, boundaries, windows, lanes, controller, detectors,
         counters[key] = [0, 0]
 
 
-def _snapshot(progress, lanes, detectors, anchors) -> dict:
-    """Checkpoint state at an epoch end; each detector's reference is stored as its epoch end."""
+def _snapshot(progress, lanes, detector, anchors) -> dict:
+    """Checkpoint state at an epoch end; each tenant's detector reference is stored as its epoch end."""
     return {
         **vars(progress),
         # Field tuples pickle ~3x faster than the dataclasses.
         "epochs": [tuple(vars(epoch).values()) for epoch in progress.epochs],
         "lanes": lanes.state_dict(),
-        "detectors": [{**detector.state_dict(), "reference": anchor} for detector, anchor in zip(detectors, anchors)],
+        "detectors": [{**tenant, "reference": anchor} for tenant, anchor in zip(detector.state_dict(), anchors)],
     }
 
 
-def _resume(state, job, windows, lanes, detectors, anchors) -> _Progress:
-    """Restore a :func:`_snapshot`'s lanes and detectors in place and return its progress.
+def _resume(state, job, windows, lanes, detector, anchors) -> _Progress:
+    """Restore a :func:`_snapshot`'s lanes and detector in place and return its progress.
 
     Snapshots are taken at epoch ends only, right after the counters reset, so
     the epoch counters are implicitly zero.  Everything deterministic (distance
@@ -416,11 +413,14 @@ def _resume(state, job, windows, lanes, detectors, anchors) -> _Progress:
     lanes.load_state_dict(state["lanes"])
     budget, unit = int(job.budget), int(job.unit)
     profile_at = functools.cache(lambda end: _windowed_profile(windows, end, budget, unit))  # once per anchor
-    for t, (detector, detector_state) in enumerate(zip(detectors, state["detectors"])):
-        anchors[t] = anchor = detector_state["reference"]
+    tenants = []
+    for t, tenant in enumerate(state["detectors"]):
+        anchors[t] = anchor = tenant["reference"]
         if anchor is not None:
-            detector_state = {**detector_state, "reference": profile_at(anchor)[t][0]}
-        detector.load_state_dict(detector_state)
+            observed, ratios, _curves = profile_at(anchor)
+            tenant = {**tenant, "reference": ratios[observed.index(t)]}
+        tenants.append(tenant)
+    detector.load_state_dict(tenants)
     progress = _Progress(**{f.name: state[f.name] for f in fields(_Progress)})
     progress.epochs = [EpochStats(*epoch) for epoch in progress.epochs]
     return progress
@@ -488,8 +488,8 @@ def run_replay(
             "oracle": oracle_allocations[0],
         },
     )
-    detectors = [PhaseChangeDetector(threshold=job.threshold, hysteresis=job.hysteresis) for _ in range(num_tenants)]
-    # The epoch end each detector took its reference curve at (None before).
+    detector = PhaseChangeDetector(num_tenants, threshold=job.threshold, hysteresis=job.hysteresis)
+    # The epoch end each tenant's detector reference was taken at (None before).
     anchors: list[int | None] = [None] * num_tenants
     counters = {"static": [0, 0], "adaptive": [0, 0], "oracle": [0, 0]}  # [hits, misses] this epoch
     fingerprint = replay_fingerprint(workload, job) if checkpoint_dir is not None else None
@@ -497,7 +497,7 @@ def run_replay(
     progress = _Progress()
     if resume and latest_step(checkpoint_dir) is not None:
         state = load_checkpoint(checkpoint_dir, fingerprint=fingerprint).state
-        progress = _resume(state, job, windows, lanes, detectors, anchors)
+        progress = _resume(state, job, windows, lanes, detector, anchors)
 
     with span("online.replay"):
         for stop in stops:
@@ -510,11 +510,11 @@ def run_replay(
                 lanes.resize("oracle", oracle_allocations[progress.phase])
             if stop not in ends:
                 continue
-            _end_epoch(progress, job, workload.boundaries, windows, lanes, controller, detectors, anchors, counters)
+            _end_epoch(progress, job, workload.boundaries, windows, lanes, controller, detector, anchors, counters)
             step = progress.epoch_index
             if checkpoint_dir is not None and step % checkpoint_every == 0:
                 with span("online.checkpoint"):
-                    state = _snapshot(progress, lanes, detectors, anchors)
+                    state = _snapshot(progress, lanes, detector, anchors)
                     write_checkpoint(checkpoint_dir, step, state, fingerprint=fingerprint, command="online")
                 _fire_fault("online.checkpoint", step)
 

@@ -335,8 +335,11 @@ class TenantWindows:
         lo, counts = self._lo[row, tenants], (self._hi - self._lo)[row, tenants]
         owner, starts, stops = self._runs
         starts, stops = np.maximum(starts, end - self.window), np.minimum(stops, end)  # clipped to the window
-        live = (stops > starts) & np.isin(owner, tenants)
-        owner, starts, lengths = np.searchsorted(tenants, owner[live]), starts[live], (stops - starts)[live]
+        row_of = np.full(self.num_tenants, -1)
+        row_of[tenants] = np.arange(len(tenants))
+        owner = row_of[owner]
+        live = (stops > starts) & (owner >= 0)
+        owner, starts, lengths = owner[live], starts[live], (stops - starts)[live]
         offered = np.bincount(owner, lengths, len(tenants)).astype(np.int64)
         spans = [(self._columns[t], a, a + c) for t, a, c in zip(tenants, lo.tolist(), counts.tolist())]
         if not spans:

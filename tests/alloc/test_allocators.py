@@ -152,7 +152,7 @@ class TestCliffCurves:
 
     def test_lower_convex_hull_of_convex_curve_is_identity(self):
         misses = np.array([10.0, 6.0, 3.0, 1.0, 0.0])
-        vertices, values = lower_convex_hull(misses)
+        vertices, values = lower_convex_hull(misses, [0])
         np.testing.assert_array_equal(vertices, np.arange(5))
         np.testing.assert_array_equal(values, misses)
 

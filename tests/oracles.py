@@ -35,7 +35,13 @@ partition and the exact MRC pipeline:
 * :func:`mrc_by_simulation` — one independent LRU simulation per cache size;
 * :func:`dp_allocate_per_unit` — the allocators' exact DP with one numpy
   statement per tenant per unit, the reference of the window fold in
-  :func:`repro.alloc.dp_allocate`.
+  :func:`repro.alloc.dp_allocate`;
+* :func:`hull_allocate_per_tenant` — the Talus-style hull allocation with
+  one hull per tenant and a Python step per hull segment, the reference of
+  :func:`repro.alloc.hull_allocate`'s one-call hull and segment arrays;
+* :class:`TenantPhaseDetector` — one tenant's phase-change detector, a
+  :func:`~repro.profiling.accuracy.compare_curves` per observed curve, the
+  reference of :class:`repro.online.PhaseChangeDetector`'s matrix rows.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.alloc.curves import discretize_curve
+from repro.alloc import allocators
+from repro.alloc.curves import discretize_curve, lower_convex_hull
 from repro.cache.fifo import FIFOCache
 from repro.cache.lru import LRUCache
 from repro.cache.mrc import mrc_from_trace
@@ -56,6 +63,7 @@ from repro.engine.columnar import idle_curve, split_by_tenant
 from repro.online import WindowedShardsSketch, curve_of_snapshot
 from repro.online.controller import ReallocationController
 from repro.online.replay import _initial_split
+from repro.profiling.accuracy import compare_curves
 from repro.sim.kernels import check_capacities
 
 LANES = ("static", "adaptive", "oracle")
@@ -517,3 +525,74 @@ def dp_allocate_per_unit(curves, budget_units: int) -> np.ndarray:
         allocation[t] = choices[t, b]
         b -= int(choices[t, b])
     return allocation
+
+
+def hull_allocate_per_tenant(curves, budget_units: int) -> np.ndarray:
+    """:func:`repro.alloc.hull_allocate` with one hull call per tenant and one loop step per hull segment.
+
+    Every segment is collected as a ``(slope, tenant, start, end)`` tuple and
+    the tuples are sorted; the loop takes segments whole while they fit, then
+    takes a partial segment where the raw curve keeps the hull's gain or
+    blocks the tenant, and the leftover goes to the allocators' boundary DP.
+    """
+    budget_units = int(budget_units)
+    if budget_units < 0:
+        raise ValueError(f"budget_units must be >= 0, got {budget_units}")
+    allocation = np.zeros(len(curves), dtype=np.int64)
+    if not curves or budget_units == 0:
+        return allocation
+    segments = []
+    for t, curve in enumerate(curves):
+        vertices, values = lower_convex_hull(curve.misses, [0])
+        for (u0, u1), (m0, m1) in zip(zip(vertices, vertices[1:]), zip(values, values[1:])):
+            slope = (float(m1) - float(m0)) / float(u1 - u0)
+            if slope < 0.0:
+                segments.append((slope, t, int(u0), int(u1)))
+    segments.sort()
+    remaining = budget_units
+    blocked = np.zeros(len(curves), dtype=bool)
+    for slope, t, start, end in segments:
+        if remaining == 0:
+            break
+        if blocked[t]:
+            continue
+        span = end - start
+        if span <= remaining:
+            allocation[t] = end
+            remaining -= span
+            continue
+        raw_gain = float(curves[t].misses[start] - curves[t].misses[start + remaining])
+        hull_gain = -slope * remaining
+        if raw_gain + 1e-9 * max(1.0, hull_gain) >= hull_gain:
+            allocation[t] = start + remaining
+            remaining = 0
+            break
+        blocked[t] = True
+    return allocators._dp_top_up(curves, allocation, remaining) if remaining > 0 else allocation
+
+
+class TenantPhaseDetector:
+    """One tenant's hysteresis-filtered phase-change detector over :class:`~repro.cache.mrc.MissRatioCurve` objects.
+
+    The first curve anchors the reference; each later one is measured with
+    :func:`~repro.profiling.accuracy.compare_curves`, and ``hysteresis``
+    consecutive distances above ``threshold`` flag a change and re-anchor.
+    """
+
+    def __init__(self, *, threshold: float, hysteresis: int):
+        self.threshold, self.hysteresis = float(threshold), int(hysteresis)
+        self.reference, self.streak, self.changes = None, 0, 0
+
+    def observe(self, curve) -> tuple[float, bool, bool]:
+        """``(distance, exceeded, changed)`` of one curve."""
+        if self.reference is None:
+            self.reference = curve
+            return 0.0, False, False
+        distance = compare_curves(curve, self.reference).mean_absolute_error
+        exceeded = distance > self.threshold
+        self.streak = self.streak + 1 if exceeded else 0
+        if self.streak >= self.hysteresis:
+            self.reference, self.streak = curve, 0
+            self.changes += 1
+            return distance, True, True
+        return distance, exceeded, False

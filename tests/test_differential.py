@@ -65,7 +65,7 @@ from oracles import (
 from repro.alloc import DiscretizedMRC, dp_allocate, total_misses
 from repro.alloc.partition import PartitionJob, run_partition
 from repro.cache import FIFOCache, LRUCache, SetAssociativeCache, footprint_curve, reuse_intervals, stack_distance
-from repro.cache.mrc import mrc_from_trace
+from repro.cache.mrc import MissRatioCurve, mrc_from_trace
 from repro.core import (
     Permutation,
     algorithm1_paper,
@@ -623,6 +623,16 @@ def kernel_path(path: str):
         yield
 
 
+def _tenant_profiles(windows, end, budget, unit):
+    """The replay's windowed profile per tenant: ``(curve, discretization)``, curve ``None`` for no traffic."""
+    tenants, ratios, discretized = _windowed_profile(windows, end, budget, unit)
+    rows = dict(zip(tenants, ratios))
+    return [
+        (None if t not in rows else MissRatioCurve(ratios=rows[t].copy(), accesses=curve.accesses), curve)
+        for t, curve in enumerate(discretized)
+    ]
+
+
 class TestWindowedProfileDifferential:
     """The replay's batched windowed profiles against one sketch per tenant fed chunk by chunk:
     every epoch and tenant, curve and discretization bit for bit, on the C kernels and on numpy."""
@@ -639,7 +649,7 @@ class TestWindowedProfileDifferential:
                 expected, held = oracle[end]
                 assert windows.retained[end] == held
                 for (curve, discretized), (want_curve, want) in zip(
-                    _windowed_profile(windows, end, budget, unit), expected, strict=True
+                    _tenant_profiles(windows, end, budget, unit), expected, strict=True
                 ):
                     assert (curve is None) == (want_curve is None)
                     assert curve is None or curve == want_curve
@@ -663,7 +673,7 @@ class TestWindowedProfileDifferential:
             windows = TenantWindows(items, tenant_positions(ids, num_tenants), stops, ends, *knobs.values())
             oracle = sketch_profiles(items, ids, num_tenants, stops, ends, *knobs.values(), 300, 4)
             for end in sorted(ends):
-                got = _windowed_profile(windows, end, 300, 4)
+                got = _tenant_profiles(windows, end, 300, 4)
                 assert [c for c, _ in got] == [c for c, _ in oracle[end][0]]
                 assert [d.misses.tobytes() for _, d in got] == [d.misses.tobytes() for _, d in oracle[end][0]]
 
@@ -701,6 +711,9 @@ class TestMetricsDifferential:
         snapshot = registry.snapshot()
         assert any(name == "online.events" for _kind, name, _labels in snapshot)
         assert any(name == "replay.lane_refs" for _kind, name, _labels in snapshot)
+        # The epoch decision's steps each have a span.
+        spans = {name for kind, name, _labels in snapshot if kind == "span"}
+        assert {"online.window_profile", "online.detector", "online.controller"} <= spans
 
     def test_sweep_identical_with_metrics_on(self):
         trace = zipfian_trace(5000, 400, exponent=0.8, rng=2).accesses

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -50,8 +51,21 @@ def test_targets_install_and_uninstall_on_repro(tracer):
 
 def test_traced_online_run_records_its_layers(tracer, tmp_path):
     from repro import api
+    from repro.alloc import allocators
 
-    with tracer.span("other.call"):
+    handed = []  # misses handed to the hull, per allocation
+
+    def hull(curves, budget_units):
+        handed.append(sum(curve.misses.size for curve in curves))
+        return allocators.hull_allocate(curves, budget_units)  # the traced function
+
+    with tracer.span("other.call"), mock.patch.dict(allocators._ALLOCATORS, hull=hull):
         api.online("three-phase", 320, 1500, 500, length=1500, rate=0.5, checkpoint_dir=tmp_path)
     names = {span.name for span in tracer.spans}
     assert {"online.replay", "engine.lanes", "online.window_profile", "resilience.checkpoint"} <= names
+    assert {"online.detector", "alloc.hull"} <= names
+    # One hull call per allocation, over every tenant's misses: the counts behind
+    # alloc.hull_points_in and alloc.hull_vertex_ratio.
+    hulls = [span.counts for span in tracer.spans if span.name == "alloc.hull" and "points" in span.counts]
+    assert handed and [counts["points"] for counts in hulls] == handed
+    assert all(0 < counts["vertices"] <= counts["points"] for counts in hulls)

@@ -11,7 +11,6 @@ from repro._util import (
     check_permutation_array,
     check_positive_int,
     ensure_rng,
-    pairwise_leq,
 )
 
 
@@ -92,13 +91,3 @@ class TestEnsureRng:
     def test_invalid_type(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-
-class TestPairwiseLeq:
-    def test_basic(self):
-        assert pairwise_leq([1, 2], [1, 3])
-        assert not pairwise_leq([1, 4], [1, 3])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pairwise_leq([1], [1, 2])
