@@ -158,15 +158,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # unchanged.
     jobs = []
     try:
+        common = _knobs(args)
         for path in args.trace_files:
-            common = dict(
-                mode=args.mode,
-                rate=args.rate,
-                smax=args.smax,
-                seed=args.seed,
-                n_seeds=args.seeds,
-                max_cache_size=args.max_size,
-            )
             if args.compare_exact:
                 trace = read_text(path)
                 jobs.append(ProfileJob(trace=trace.accesses, name=trace.name, **common))
@@ -188,7 +181,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         }
         if args.compare_exact:
             with span("profiling.compare_exact") as timer:
-                exact = mrc_from_trace(job.trace, max_cache_size=args.max_size)
+                exact = mrc_from_trace(job.trace, max_cache_size=args.max_cache_size)
             comparison = compare_curves(result.curve, exact)
             row["exact_seconds"] = round(timer.seconds, 4)
             row["speedup"] = round(timer.seconds / max(result.seconds, 1e-9), 1)
@@ -669,12 +662,12 @@ def _checkpoint_flags() -> argparse.ArgumentParser:
 def _job_flags(job_type: type) -> argparse.ArgumentParser:
     """Parent parser with one ``--flag`` per :func:`~repro.engine.job.knob` field of ``job_type``.
 
-    Each flag is ``--`` plus the field name with ``-`` for ``_``; its
-    default, type, help text and choices come from the field, so the flags
-    cannot drift from the job.  Fields that need parsing or are not plain
-    flags (inputs, ``name``, required sizes) are not knobs and are written
-    by hand in :func:`build_parser`.  The parser records the knob names in
-    ``job_knobs`` for :func:`_knobs`.
+    Each flag is the knob's own ``flag`` or else ``--`` plus the field name
+    with ``-`` for ``_``; its default, type, help text and choices come from
+    the field, so the flags cannot drift from the job.  Fields that need
+    parsing or are not plain flags (inputs, ``name``, required sizes) are not
+    knobs and are written by hand in :func:`build_parser`.  The parser
+    records the knob names in ``job_knobs`` for :func:`_knobs`.
     """
     hints = typing.get_type_hints(job_type)
     parent = argparse.ArgumentParser(add_help=False)
@@ -684,7 +677,8 @@ def _job_flags(job_type: type) -> argparse.ArgumentParser:
         hint = hints[field.name]
         flag_type = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))  # int | None -> int
         parent.add_argument(
-            "--" + field.name.replace("_", "-"),
+            field.metadata["flag"] or "--" + field.name.replace("_", "-"),
+            dest=field.name,
             type=flag_type,
             default=field.default,
             choices=field.metadata["choices"],
@@ -702,8 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     from .alloc.partition import PartitionJob
     from .api import WORKLOAD_PRESETS
-    from .engine.job import PROFILE_MODES
     from .online.replay import OnlineJob
+    from .profiling.engine import ProfileJob
     from .sim.sweep import SweepJob
 
     parser = argparse.ArgumentParser(
@@ -728,20 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             _engine_flags("write the curve to this CSV file (single trace only)"),
             _workers_flag("process pool size for a batch of traces"),
+            _job_flags(ProfileJob),
         ],
     )
     profile.add_argument("trace_files", nargs="+", help="text trace file(s)")
-    profile.add_argument("--seed", type=int, default=0, help="base hash seed for sampling")
-    profile.add_argument(
-        "--mode",
-        choices=list(PROFILE_MODES),
-        default="shards",
-        help="exact pipeline, SHARDS sampling, or one-pass reuse-time (AET) model",
-    )
-    profile.add_argument("--rate", type=float, default=0.01, help="SHARDS sampling rate R")
-    profile.add_argument("--smax", type=int, default=None, help="fixed-size SHARDS: max distinct sampled items")
-    profile.add_argument("--seeds", type=int, default=2, help="number of pooled SHARDS hash functions")
-    profile.add_argument("--max-size", type=int, default=None, help="largest cache size to report")
     profile.add_argument(
         "--compare-exact",
         action="store_true",

@@ -82,14 +82,15 @@ class ExperimentResult(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def knob(default: Any, help: str, *, choices: tuple | None = None) -> Any:
+def knob(default: Any, help: str, *, choices: tuple | None = None, flag: str | None = None) -> Any:
     """A job field that is also a CLI flag: its default, help text and choices.
 
-    ``repro online``, ``partition`` and ``sweep`` turn every such field into
-    ``--<name-with-dashes>`` with the field's default and type (see
-    :func:`repro.cli.build_parser`), so a knob is declared once, on its job.
+    ``repro profile``, ``online``, ``partition`` and ``sweep`` turn every such
+    field into ``--<name-with-dashes>`` (or ``flag``, where given) with the
+    field's default and type (see :func:`repro.cli.build_parser`), so a knob
+    is declared once, on its job.
     """
-    return field(default=default, metadata={"help": help, "choices": choices})
+    return field(default=default, metadata={"help": help, "choices": choices, "flag": flag})
 
 
 def check_positive(name: str, value: Any) -> int:

@@ -41,8 +41,10 @@ class LaneSet:
 
     ``distance_arrays[t]`` holds tenant ``t``'s stack distances over its whole
     sub-stream; ``allocations`` maps each lane's name to its initial split.
-    A lane's state is its snapshot layout: ``capacities``, ``occupancies``
-    (per tenant), ``hits`` and ``misses``.
+    A lane's state is its ``capacities`` and ``occupancies`` (per tenant) and
+    its ``hits`` and ``misses``.  It is never snapshotted: lanes are a pure
+    function of the distances and the capacity schedule, so a resumed online
+    replay re-runs them from event 0 over its recorded decisions.
     """
 
     def __init__(self, distance_arrays: Sequence[np.ndarray], allocations: Mapping[str, Sequence[int]]):
@@ -123,44 +125,3 @@ class LaneSet:
         """Overall miss ratio of one lane so far (0 when nothing was accessed)."""
         hits, misses = self.totals(lane)
         return misses / (hits + misses) if hits + misses else 0.0
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot of every lane plus the per-tenant cursors.
-
-        The distance *arrays* are not carried — they are a deterministic
-        function of the trace, recomputed on resume — only the cursors that
-        seek them back to the checkpoint.
-        """
-        return {
-            "lanes": {
-                name: {**lane, "capacities": list(lane["capacities"]), "occupancies": list(lane["occupancies"])}
-                for name, lane in self._lanes.items()
-            },
-            "distances": {"cursors": list(self._cursors)},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore lane and cursor state captured by :meth:`state_dict` (bounds-checked)."""
-        lanes = state["lanes"]
-        if set(lanes) != set(self._lanes):
-            raise ValueError(f"state holds lanes {sorted(lanes)}, this set has {sorted(self._lanes)}")
-        num_tenants = len(self._distances)
-        restored = {}
-        for name, lane in lanes.items():
-            capacities = _check_split(lane["capacities"], num_tenants)
-            occupancies = [int(o) for o in lane["occupancies"]]
-            if len(occupancies) != num_tenants:
-                raise ValueError(f"state holds {len(occupancies)} occupancies for {num_tenants} partitions")
-            if any(not 0 <= occ <= cap for occ, cap in zip(occupancies, capacities)):
-                raise ValueError("state occupancies must lie within their capacities")
-            restored[name] = dict(
-                capacities=capacities, occupancies=occupancies, hits=int(lane["hits"]), misses=int(lane["misses"])
-            )
-        cursors = [int(c) for c in state["distances"]["cursors"]]
-        if len(cursors) != num_tenants:
-            raise ValueError(f"state holds {len(cursors)} cursors for {num_tenants} tenants")
-        for tenant, (cursor, distances) in enumerate(zip(cursors, self._distances)):
-            if not 0 <= cursor <= distances.size:
-                raise ValueError(f"tenant {tenant} cursor {cursor} outside [0, {distances.size}]")
-        self._lanes.update(restored)
-        self._cursors = cursors

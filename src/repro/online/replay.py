@@ -21,9 +21,12 @@ three partitioned LRU lanes at once:
     The upper bound: exact per-phase MRCs allocated at the *true* phase
     boundaries (which only the generator knows).
 
-All three run in the same event loop, so their per-epoch miss-ratio series
-are directly comparable.  Every quantity is a pure function of the workload
-and the job.
+The replay decides first and measures after.  The decision pass visits the
+epoch ends only: windows, detector and controller, with the adaptive split
+carried as a tuple.  No decision reads a lane, so the lane pass then runs
+all three lanes over the recorded capacity schedule in one event loop, and
+their per-epoch miss-ratio series are directly comparable.  Every quantity
+is a pure function of the workload and the job.
 
 The replay is built on the :mod:`repro.engine` substrate: one
 :class:`repro.engine.columnar.TenantDistancePasses` distance pass per tenant
@@ -40,6 +43,7 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,25 +278,34 @@ def replay_fingerprint(workload: DriftingWorkload, job: OnlineJob) -> str:
     return run_fingerprint("online", basis, {"items": composed.trace.accesses, "ids": composed.tenant_ids})
 
 
+class _Decision(NamedTuple):
+    """One epoch's decision: every :class:`EpochStats` field but the three lanes' miss ratios."""
+
+    index: int
+    start: int
+    end: int
+    phase: int
+    distance: float
+    phase_change: bool
+    reallocated: bool
+    moved_blocks: int
+    adaptive_allocation: tuple[int, ...]
+
+
 @dataclass
 class _Progress:
-    """Where a replay stands and what it has counted so far.
+    """The decisions of a replay so far and what they counted.
 
-    Together with the lanes and the detector this is everything a snapshot
-    holds: :func:`_snapshot` writes one key per field and :func:`_resume`
-    reads them back.
+    Together with the detector this is everything a snapshot holds:
+    :func:`_snapshot` writes one key per field and :func:`_resume` reads them
+    back.  The next epoch's index is ``len(decisions)``; it starts at ``epoch_start``.
     """
 
-    position: int = 0
-    phase: int = 0
     #: Refining after a flag or an applied move: the controller is consulted again next epoch.
     settling: bool = False
-    epoch_index: int = 0
     epoch_start: int = 0
-    epochs: list[EpochStats] = field(default_factory=list)
+    decisions: list[_Decision] = field(default_factory=list)
     profiled_references: int = 0
-    reallocations: int = 0
-    phase_changes: int = 0
     profile_failures: int = 0
 
 
@@ -300,18 +313,20 @@ class _Progress:
 _HOLD = ReallocationDecision(applied=False, allocation=(), predicted_gain=0.0, penalty=0.0, moved_blocks=0)
 
 
-def _end_epoch(progress, job, boundaries, windows, lanes, controller, detector, anchors, counters) -> None:
-    """Close the epoch ending at ``progress.position`` and start the next one.
+def _end_epoch(progress, job, boundaries, windows, controller, detector, anchors, end, initial) -> dict:
+    """Decide the epoch ending at ``end`` and start the next one.
 
     Refreshes every tenant's windowed profile, feeds the detector (``anchors[t]``
     records the epoch end of tenant ``t``'s reference), consults the controller
-    when due, and records the epoch's :class:`EpochStats` from ``counters``.
+    when due and appends the epoch's :class:`_Decision` to ``progress``.  The
+    adaptive split is the last decision's, or ``initial`` before the first.
+    Returns what the epoch's ``online.epochs`` series row adds to its
+    :meth:`EpochStats.row`.
     """
-    position = progress.position
-    retained = windows.retained[position]
+    retained = windows.retained[end]
     progress.profiled_references += retained
     with span("online.window_profile"):
-        tenants, ratios, curves = _windowed_profile(windows, position, int(job.budget), int(job.unit))
+        tenants, ratios, curves = _windowed_profile(windows, end, int(job.budget), int(job.unit))
     failed = []
     for t in range(len(curves)):
         try:
@@ -328,89 +343,105 @@ def _end_epoch(progress, job, boundaries, windows, lanes, controller, detector, 
         observation = detector.observe(ratios, tenants)
     for t, flagged in zip(tenants, observation.changed.tolist()):
         if flagged or anchors[t] is None:  # the curve became the tenant's reference
-            anchors[t] = position
+            anchors[t] = end
     distance, changed = float(observation.distance.max(initial=0.0)), bool(observation.changed.any())
-    if changed:
-        progress.phase_changes += 1
     # The controller is consulted on a phase-change flag, on the fixed
     # re-allocation cadence, or while *settling* — refining after a flag
     # or an applied move, when the window is still absorbing the new
     # regime.  Quiet unflagged epochs between cadence points never
     # re-partition, so threshold/hysteresis genuinely gate churn.
+    index = len(progress.decisions)
+    split = progress.decisions[-1].adaptive_allocation if progress.decisions else initial
     decision = _HOLD
-    if not failed and (changed or progress.settling or progress.epoch_index % job.realloc_epochs == 0):
+    if not failed and (changed or progress.settling or index % job.realloc_epochs == 0):
         with span("online.controller"):
-            decision = controller.decide(curves, lanes.capacities("adaptive"), horizon=job.epoch * job.horizon_epochs)
+            decision = controller.decide(curves, split, horizon=job.epoch * job.horizon_epochs)
         if decision.applied:
-            lanes.resize("adaptive", decision.allocation)
-            progress.reallocations += 1
+            split = decision.allocation
         progress.settling = decision.applied or changed
 
-    total = position - progress.epoch_start
-    stats = EpochStats(
-        index=progress.epoch_index,
-        start=progress.epoch_start,
-        end=position,
-        # Label the epoch with the phase of its *last event*: when an epoch
-        # ends exactly on a boundary, `progress.phase` has already advanced to
-        # the next regime even though every recorded event belongs to the old one.
-        phase=phase_of_last_event(boundaries, position),
-        static_miss_ratio=counters["static"][1] / total,
-        adaptive_miss_ratio=counters["adaptive"][1] / total,
-        oracle_miss_ratio=counters["oracle"][1] / total,
-        distance=distance,
-        phase_change=changed,
-        reallocated=decision.applied,
-        moved_blocks=decision.moved_blocks if decision.applied else 0,
-        adaptive_allocation=lanes.capacities("adaptive"),
+    progress.decisions.append(
+        _Decision(
+            index=index,
+            start=progress.epoch_start,
+            end=end,
+            # Label the epoch with the phase of its *last event*: when an epoch
+            # ends exactly on a boundary, every recorded event belongs to the old regime.
+            phase=phase_of_last_event(boundaries, end),
+            distance=distance,
+            phase_change=changed,
+            reallocated=decision.applied,
+            moved_blocks=decision.moved_blocks if decision.applied else 0,
+            adaptive_allocation=split,
+        )
     )
-    progress.epochs.append(stats)
+    progress.epoch_start = end
     registry = get_registry()
     if registry.enabled:
-        # The per-epoch time series is EpochStats.row() plus the
-        # controller's pricing of the epoch's decision and the sketch
-        # sample volume — purely observational, never read back.
-        registry.series("online.epochs").record(
-            **stats.row(),
-            sketch_sampled=retained,
-            gain=decision.predicted_gain,
-            penalty=decision.penalty,
-            profile_failures=len(failed),
-        )
         if changed:
             registry.counter("online.phase_changes").inc()
         if decision.applied:
             registry.counter("online.reallocations").inc()
             registry.counter("online.moved_blocks").add(decision.moved_blocks)
+    # The controller's pricing of the decision and the sketch sample volume:
+    # purely observational, never read back.
+    return dict(
+        sketch_sampled=retained, gain=decision.predicted_gain, penalty=decision.penalty, profile_failures=len(failed)
+    )
 
-    progress.epoch_index += 1
-    progress.epoch_start = position
-    for key in counters:
-        counters[key] = [0, 0]
+
+def _run_lanes(workload, stops, ends, lanes, oracle_allocations, decisions, observed) -> list[EpochStats]:
+    """Measure every lane over the recorded schedule; one :class:`EpochStats` per decision.
+
+    The oracle lane resizes at each phase boundary and the adaptive lane at
+    each epoch end whose decision applied.  ``observed`` holds the series
+    extras of the last ``len(observed)`` epochs, the ones decided in this
+    process: only those record an ``online.epochs`` row.
+    """
+    items, ids, boundaries = workload.composed.trace.accesses, workload.composed.tenant_ids, workload.boundaries
+    counters = {name: [0, 0] for name in ("static", "adaptive", "oracle")}  # [hits, misses] this epoch
+    epochs, position, phase = [], 0, 0
+    for stop in stops:
+        lanes.advance(items[position:stop], ids[position:stop], counters)
+        position = stop
+        if phase + 1 < len(boundaries) and stop >= boundaries[phase + 1]:
+            phase += 1
+            lanes.resize("oracle", oracle_allocations[phase])
+        if stop not in ends:
+            continue
+        decision = decisions[len(epochs)]
+        if decision.reallocated:
+            lanes.resize("adaptive", decision.adaptive_allocation)
+        total = decision.end - decision.start
+        ratios = {f"{name}_miss_ratio": misses / total for name, (_hits, misses) in counters.items()}
+        epochs.append(EpochStats(**decision._asdict(), **ratios))
+        counters = {name: [0, 0] for name in counters}
+    registry = get_registry()
+    if registry.enabled:
+        for stats, extras in zip(epochs[len(epochs) - len(observed) :], observed):
+            registry.series("online.epochs").record(**stats.row(), **extras)
+    return epochs
 
 
-def _snapshot(progress, lanes, detector, anchors) -> dict:
+def _snapshot(progress, detector, anchors) -> dict:
     """Checkpoint state at an epoch end; each tenant's detector reference is stored as its epoch end."""
     return {
         **vars(progress),
-        # Field tuples pickle ~3x faster than the dataclasses.
-        "epochs": [tuple(vars(epoch).values()) for epoch in progress.epochs],
-        "lanes": lanes.state_dict(),
+        # Plain tuples pickle faster than the named ones.
+        "decisions": [tuple(decision) for decision in progress.decisions],
         "detectors": [{**tenant, "reference": anchor} for tenant, anchor in zip(detector.state_dict(), anchors)],
     }
 
 
-def _resume(state, job, windows, lanes, detector, anchors) -> _Progress:
-    """Restore a :func:`_snapshot`'s lanes and detector in place and return its progress.
+def _resume(state, job, windows, detector, anchors) -> _Progress:
+    """Restore a :func:`_snapshot`'s detector in place and return its progress.
 
-    Snapshots are taken at epoch ends only, right after the counters reset, so
-    the epoch counters are implicitly zero.  Everything deterministic (distance
-    arrays, static/oracle profiles, the stop schedule, the windows) is
-    recomputed from the trace, and so is every detector reference: the
-    snapshot holds only the epoch end each was taken at.  Other keys (stores
-    of earlier builds also hold the controller's counters) are not read.
+    Everything deterministic (distance arrays, static/oracle profiles, the
+    stop schedule, the windows, every lane) is recomputed from the trace and
+    the decisions, and so is every detector reference: the snapshot holds
+    only the epoch end each was taken at.  Other keys (stores of earlier
+    builds also hold the controller's counters) are not read.
     """
-    lanes.load_state_dict(state["lanes"])
     budget, unit = int(job.budget), int(job.unit)
     profile_at = functools.cache(lambda end: _windowed_profile(windows, end, budget, unit))  # once per anchor
     tenants = []
@@ -422,7 +453,7 @@ def _resume(state, job, windows, lanes, detector, anchors) -> _Progress:
         tenants.append(tenant)
     detector.load_state_dict(tenants)
     progress = _Progress(**{f.name: state[f.name] for f in fields(_Progress)})
-    progress.epochs = [EpochStats(*epoch) for epoch in progress.epochs]
+    progress.decisions = [_Decision(*decision) for decision in progress.decisions]
     return progress
 
 
@@ -436,12 +467,13 @@ def run_replay(
 ) -> ReplayResult:
     """Replay a drifting workload under static, adaptive and oracle partitioning.
 
-    With ``checkpoint_dir`` the replay snapshots its dynamic state every
-    ``checkpoint_every`` completed epochs (atomic, checksummed, fingerprinted
-    — see :mod:`repro.resilience.checkpoint`), less what a resume re-derives
-    from the trace: the windowed profiles and the curves extracted from them.  A
-    killed run restarted with ``resume=True`` continues from the latest
-    snapshot and produces rows and summaries **bit-identical** to the
+    With ``checkpoint_dir`` the replay snapshots its decisions and detector
+    every ``checkpoint_every`` decided epochs (atomic, checksummed,
+    fingerprinted — see :mod:`repro.resilience.checkpoint`), less what a
+    resume re-derives from the trace: the windowed profiles and the curves
+    extracted from them, and every lane.  A killed run restarted with
+    ``resume=True`` decides the remaining epochs, re-runs the lanes from event
+    0 and produces rows and summaries **bit-identical** to the
     uninterrupted run (asserted in ``tests/resilience/``).  ``resume=True`` with an empty or absent store
     simply runs from the start, so the flag is safe to pass unconditionally.
     """
@@ -459,7 +491,7 @@ def run_replay(
     controller = ReallocationController(budget=budget, method=job.method, unit=unit, move_cost=job.move_cost)
 
     # Stops are every epoch end plus every phase boundary (oracle resizes
-    # there); the lanes advance chunk by chunk between stops.
+    # there); the lane pass advances chunk by chunk between stops.
     stops, ends = replay_stops(n, job.epoch, workload.boundaries)
 
     # Whole-trace (static) and per-phase (oracle) exact profiles — both are
@@ -480,43 +512,40 @@ def run_replay(
         windows = TenantWindows(items, passes.positions, stops, ends, job.window, job.decay, job.rate, job.profile_seed)
     static_allocation = controller.propose(static_curves)
     oracle_allocations = [controller.propose(curves) for curves in phase_curves]
-    lanes = LaneSet(
-        passes.distances,
-        {
-            "static": static_allocation,
-            "adaptive": _initial_split(num_tenants, budget, unit),
-            "oracle": oracle_allocations[0],
-        },
-    )
     detector = PhaseChangeDetector(num_tenants, threshold=job.threshold, hysteresis=job.hysteresis)
     # The epoch end each tenant's detector reference was taken at (None before).
     anchors: list[int | None] = [None] * num_tenants
-    counters = {"static": [0, 0], "adaptive": [0, 0], "oracle": [0, 0]}  # [hits, misses] this epoch
     fingerprint = replay_fingerprint(workload, job) if checkpoint_dir is not None else None
 
+    initial = _initial_split(num_tenants, budget, unit)
     progress = _Progress()
     if resume and latest_step(checkpoint_dir) is not None:
         state = load_checkpoint(checkpoint_dir, fingerprint=fingerprint).state
-        progress = _resume(state, job, windows, lanes, detector, anchors)
+        progress = _resume(state, job, windows, detector, anchors)
 
     with span("online.replay"):
-        for stop in stops:
-            if stop <= progress.position:  # already replayed before the resume point
+        # Decide first: no decision reads a lane, so the epoch ends alone
+        # drive the windows, the detector and the controller.
+        observed = []  # the series extras of the epochs decided in this process
+        for end in sorted(ends):
+            if end <= progress.epoch_start:  # decided before the resume point
                 continue
-            lanes.advance(items[progress.position : stop], ids[progress.position : stop], counters)
-            progress.position = stop
-            if progress.phase + 1 < workload.num_phases and stop >= workload.boundaries[progress.phase + 1]:
-                progress.phase += 1
-                lanes.resize("oracle", oracle_allocations[progress.phase])
-            if stop not in ends:
-                continue
-            _end_epoch(progress, job, workload.boundaries, windows, lanes, controller, detector, anchors, counters)
-            step = progress.epoch_index
+            observed.append(
+                _end_epoch(progress, job, workload.boundaries, windows, controller, detector, anchors, end, initial)
+            )
+            step = len(progress.decisions)
             if checkpoint_dir is not None and step % checkpoint_every == 0:
                 with span("online.checkpoint"):
-                    state = _snapshot(progress, lanes, detector, anchors)
+                    state = _snapshot(progress, detector, anchors)
                     write_checkpoint(checkpoint_dir, step, state, fingerprint=fingerprint, command="online")
                 _fire_fault("online.checkpoint", step)
+
+        # ...measure after: every lane over the recorded schedule, from event 0.
+        lanes = LaneSet(
+            passes.distances, {"static": static_allocation, "adaptive": initial, "oracle": oracle_allocations[0]}
+        )
+        with span("online.lanes"):
+            epochs = _run_lanes(workload, stops, ends, lanes, oracle_allocations, progress.decisions, observed)
 
     registry = get_registry()
     registry.counter("online.events").add(n)
@@ -527,14 +556,14 @@ def run_replay(
         accesses=n,
         tenants=composed.names,
         budget=budget,
-        epochs=tuple(progress.epochs),
+        epochs=tuple(epochs),
         static_miss_ratio=lanes.miss_ratio("static"),
         adaptive_miss_ratio=lanes.miss_ratio("adaptive"),
         oracle_miss_ratio=lanes.miss_ratio("oracle"),
         static_allocation=tuple(static_allocation),
         final_allocation=lanes.capacities("adaptive"),
-        reallocations=progress.reallocations,
-        phase_changes=progress.phase_changes,
+        reallocations=sum(decision.reallocated for decision in progress.decisions),
+        phase_changes=sum(decision.phase_change for decision in progress.decisions),
         profiled_references=progress.profiled_references,
         oracle_allocations=tuple(tuple(a) for a in oracle_allocations),
         profile_failures=progress.profile_failures,

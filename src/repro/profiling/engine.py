@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cache.mrc import MissRatioCurve, mrc_from_trace
-from ..engine.job import PROFILE_MODES, check_choice
+from ..engine.job import PROFILE_MODES, check_choice, knob
 from ..engine.runner import pool_map
 from ..obs import get_registry, span
 from .reuse import reuse_mrc
@@ -42,14 +42,16 @@ class ProfileJob:
     trace: np.ndarray | None = None
     path: str | None = None
     name: str = "trace"
-    mode: str = "shards"
-    rate: float = 0.01
-    smax: int | None = None
-    seed: int = 0
-    n_seeds: int = 2
+    mode: str = knob(
+        "shards", "exact pipeline, SHARDS sampling, or one-pass reuse-time (AET) model", choices=PROFILE_MODES
+    )
+    rate: float = knob(0.01, "SHARDS sampling rate R")
+    smax: int | None = knob(None, "fixed-size SHARDS: max distinct sampled items")
+    seed: int = knob(0, "base hash seed for sampling")
+    n_seeds: int = knob(2, "number of pooled SHARDS hash functions", flag="--seeds")
     fine_limit: int = 4096
     coarse_per_octave: int = 256
-    max_cache_size: int | None = None
+    max_cache_size: int | None = knob(None, "largest cache size to report", flag="--max-size")
 
     def __post_init__(self):
         if (self.trace is None) == (self.path is None):

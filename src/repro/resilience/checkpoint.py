@@ -60,8 +60,9 @@ __all__ = [
 
 #: Schema version of the store layout; bumped on incompatible changes (2: an
 #: online snapshot leaves out the sketch windows and the curves a resume
-#: re-derives from the trace).
-CHECKPOINT_SCHEMA = 2
+#: re-derives from the trace; 3: it holds the epoch decisions and no lane
+#: state, which a resume re-measures from the decisions).
+CHECKPOINT_SCHEMA = 3
 
 _MANIFEST = "MANIFEST.json"
 

@@ -96,25 +96,19 @@ class TestReplayCheckpointing:
 
 
 class TestSnapshotLayout:
-    """A snapshot holds the replay's progress, its lanes and its detectors, and nothing else."""
+    """A snapshot holds the replay's decisions and its detectors, and nothing else: no lane state."""
 
-    def test_snapshot_keys_are_the_progress_lanes_and_detectors(self, workload, tmp_path):
+    def test_snapshot_keys_are_the_progress_and_detectors(self, workload, tmp_path):
         run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
         keys = set(load_checkpoint(tmp_path).state)
         progress = {field.name for field in dataclasses.fields(replay_module._Progress)}
-        assert keys == progress | {"lanes", "detectors"}
+        assert keys == progress | {"detectors"}
         assert keys == {
-            "position",
-            "phase",
             "settling",
-            "epoch_index",
             "epoch_start",
-            "epochs",
+            "decisions",
             "profiled_references",
-            "reallocations",
-            "phase_changes",
             "profile_failures",
-            "lanes",
             "detectors",
         }
 
@@ -173,7 +167,7 @@ class TestResumeRederivesWindows:
 
         monkeypatch.setattr(replay_module, "_windowed_profile", counted)
         assert run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True) == baseline
-        assert sorted(end for end in calls if end <= state["position"]) == sorted(set(anchors))
+        assert sorted(end for end in calls if end <= state["epoch_start"]) == sorted(set(anchors))
 
 
 class TestReplaySigkill:
@@ -330,17 +324,19 @@ class TestResumeAfterFailedExtraction:
         assert "sketches" not in state
         assert all(isinstance(detector["reference"], int) for detector in state["detectors"])
 
-    def test_store_of_the_previous_layout_is_rejected(self, workload, tmp_path):
-        # Schema 1 snapshots held every tenant's profile; this build no longer reads them.
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_store_of_the_previous_layout_is_rejected(self, workload, tmp_path, schema):
+        # Schema 1 snapshots held every tenant's profile and schema 2 ones every
+        # lane's state; this build reads neither.
         plan = FaultPlan((FaultSpec(site="online.checkpoint", index=2, kind="error"),))
         with install_faults(plan), pytest.raises(FaultInjected):
             run_replay(workload, JOB, checkpoint_dir=tmp_path, checkpoint_every=1)
         manifest_path = tmp_path / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["schema"] == CHECKPOINT_SCHEMA == 2
-        manifest["schema"] = 1
+        assert manifest["schema"] == CHECKPOINT_SCHEMA == 3
+        manifest["schema"] = schema
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="schema mismatch.*schema 1, this build reads 2"):
+        with pytest.raises(CheckpointError, match=f"schema mismatch.*schema {schema}, this build reads 3"):
             run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
 
 

@@ -42,16 +42,18 @@ class TestParser:
 class TestFlagsMatchJobFields:
     """Every defaulted job knob is a flag of its subcommand, with the job's default."""
 
-    #: Job fields the subcommands take as inputs or parse from other flags.
-    NOT_FLAGS = {"name", "trace", "path", "tenants", "policies", "capacities"}
+    #: Job fields the subcommands take as inputs or parse from other flags, or leave at the job's default.
+    NOT_FLAGS = {"name", "trace", "path", "tenants", "policies", "capacities", "fine_limit", "coarse_per_octave"}
 
     @staticmethod
     def _job_cases():
         from repro.alloc.partition import PartitionJob
         from repro.online.replay import OnlineJob
+        from repro.profiling.engine import ProfileJob
         from repro.sim.sweep import SweepJob
 
         return [
+            (ProfileJob, ["profile", "t.trace"]),
             (OnlineJob, ["online", "--budget", "64", "--window", "200", "--epoch", "100"]),
             (PartitionJob, ["partition", "--tenants", "zipf", "--budget", "64"]),
             (SweepJob, ["sweep", "t.trace"]),
@@ -68,20 +70,14 @@ class TestFlagsMatchJobFields:
                 assert hasattr(args, field.name), f"{job_type.__name__}.{field.name} has no flag"
                 assert getattr(args, field.name) == field.default, f"{job_type.__name__}.{field.name}"
 
-    def test_profile_mode_default_matches_the_job(self):
-        import numpy as np
-
-        from repro.profiling.engine import ProfileJob
-
-        args = build_parser().parse_args(["profile", "t.trace"])
-        assert args.mode == ProfileJob(trace=np.arange(4)).mode == "shards"
-
     def test_derived_flag_parses_with_the_field_type(self):
         args = build_parser().parse_args(["online", "--budget", "64", "--window", "200", "--epoch", "100",
                                           "--horizon-epochs", "3", "--move-cost", "0.5"])
         assert args.horizon_epochs == 3 and args.move_cost == 0.5
         args = build_parser().parse_args(["partition", "--tenants", "zipf", "--budget", "64", "--smax", "100"])
         assert args.smax == 100
+        args = build_parser().parse_args(["profile", "t.trace", "--seeds", "3", "--max-size", "64"])
+        assert args.n_seeds == 3 and args.max_cache_size == 64
 
 
 class TestGenerate:

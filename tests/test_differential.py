@@ -44,6 +44,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import itertools
+import tempfile
 
 import numpy as np
 import pytest
@@ -90,11 +91,13 @@ from repro.cache.stack_distance import (
 )
 from repro.obs import MetricsRegistry, recording
 from repro.engine.columnar import split_by_tenant, tenant_positions
+from repro.engine.job import ALLOC_METHODS
 from repro.engine.lanes import LaneSet
 from repro.engine.segments import replay_stops
 from repro.online import OnlineJob, WindowedShardsSketch, pooled_curve, run_replay
 from repro.online.replay import _windowed_profile
 from repro.online.windowed import TenantWindows
+from repro.resilience.faults import FaultInjected, FaultPlan, FaultSpec, install_faults
 from repro.profiling import shards
 from repro.profiling.accuracy import compare_curves
 from repro.sim.kernels import (
@@ -107,7 +110,7 @@ from repro.sim.kernels import (
 )
 from repro.sim.sweep import SweepJob, run_sweep
 from repro.trace import zipfian_trace
-from repro.trace.drift import three_phase_pair
+from repro.trace.drift import compose_phases, three_phase_pair
 from repro.trace.tenancy import TenantSpec
 
 # --------------------------------------------------------------------------- #
@@ -678,6 +681,47 @@ class TestWindowedProfileDifferential:
                 assert [d.misses.tobytes() for _, d in got] == [d.misses.tobytes() for _, d in oracle[end][0]]
 
 
+@st.composite
+def drifting_replays(draw):
+    """A small drifting workload and an online job over it, degenerate cases included.
+
+    Tenants absent from a phase, length-1 phases, budgets below the tenant
+    count, allocation units past a tenant's footprint, decayed and undecayed
+    windows and sampling rates below 1.
+    """
+    num_tenants = draw(st.integers(min_value=1, max_value=4))
+    num_phases = draw(st.integers(min_value=1, max_value=4))
+    stream = st.one_of(st.none(), st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=25))
+    streams = [[draw(stream) for _ in range(num_phases)] for _ in range(num_tenants)]
+    for tenant in streams:  # every tenant is active in some phase...
+        if all(s is None for s in tenant):
+            tenant[0] = [0]
+    for p in range(num_phases):  # ...and every phase has an active tenant
+        if all(tenant[p] is None for tenant in streams):
+            streams[0][p] = [1]
+    workload = compose_phases(
+        streams,
+        names=[f"t{t}" for t in range(num_tenants)],
+        rates=[draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in range(num_tenants)],
+        seed=draw(st.integers(min_value=0, max_value=3)),
+    )
+    budget = draw(st.integers(min_value=1, max_value=24))
+    job = OnlineJob(
+        budget=budget,
+        window=draw(st.integers(min_value=1, max_value=60)),
+        epoch=draw(st.integers(min_value=1, max_value=30)),
+        method=draw(st.sampled_from(ALLOC_METHODS)),
+        decay=draw(st.sampled_from([0.0, 0.002, 0.5])),
+        rate=draw(st.sampled_from([1.0, 0.5, 0.25])),
+        move_cost=draw(st.sampled_from([0.0, 1.0])),
+        threshold=draw(st.sampled_from([0.01, 0.1])),
+        hysteresis=draw(st.integers(min_value=1, max_value=2)),
+        realloc_epochs=draw(st.integers(min_value=1, max_value=3)),
+        unit=draw(st.integers(min_value=1, max_value=min(budget, 8))),
+    )
+    return workload, job
+
+
 class TestReplayEngineDifferential:
     def test_batch_and_reference_engines_agree_end_to_end(self):
         """A full online run's static and oracle allocations match
@@ -687,6 +731,24 @@ class TestReplayEngineDifferential:
         workload = three_phase_pair(3000, seed=7)
         job = OnlineJob(budget=600, window=3000, epoch=1000, method="hull", rate=0.5)
         replay_lanes(workload, run_replay(workload, job), job)
+
+    @settings(max_examples=100)
+    @given(case=drifting_replays(), data=st.data())
+    def test_small_drifting_workloads(self, case, data):
+        """On small random workloads the lanes match the per-event oracle, a run
+        killed after a drawn snapshot resumes to the same result, and metrics
+        recording changes nothing."""
+        workload, job = case
+        result = run_replay(workload, job)
+        replay_lanes(workload, result, job)
+        step = data.draw(st.integers(min_value=1, max_value=len(result.epochs)))
+        plan = FaultPlan((FaultSpec(site="online.checkpoint", index=step, kind="error"),))
+        with tempfile.TemporaryDirectory() as store:
+            with install_faults(plan), pytest.raises(FaultInjected):
+                run_replay(workload, job, checkpoint_dir=store)
+            assert run_replay(workload, job, checkpoint_dir=store, resume=True) == result
+        with recording(MetricsRegistry()):
+            assert run_replay(workload, job) == result
 
 
 # --------------------------------------------------------------------------- #

@@ -102,7 +102,9 @@ class TestMetricsFlag:
         assert code == 0
         records = _validate_jsonl(metrics)
         names = {r["name"] for r in records[1:]}
-        assert {"online.events", "online.epochs", "online.replay", "online.profiles", "replay.lane_refs"} <= names
+        assert {
+            "online.events", "online.epochs", "online.replay", "online.profiles", "online.lanes", "replay.lane_refs"
+        } <= names
         series = [r for r in records if r["type"] == "series" and r["name"] == "online.epochs"]
         assert series, "online run recorded no per-epoch series"
         for row in (r["row"] for r in series):
