@@ -298,12 +298,11 @@ class _Progress:
 
     Together with the detector this is everything a snapshot holds:
     :func:`_snapshot` writes one key per field and :func:`_resume` reads them
-    back.  The next epoch's index is ``len(decisions)``; it starts at ``epoch_start``.
+    back.  The next epoch's index is ``len(decisions)``; it starts where the last one ended.
     """
 
     #: Refining after a flag or an applied move: the controller is consulted again next epoch.
     settling: bool = False
-    epoch_start: int = 0
     decisions: list[_Decision] = field(default_factory=list)
     profiled_references: int = 0
     profile_failures: int = 0
@@ -363,7 +362,7 @@ def _end_epoch(progress, job, boundaries, windows, controller, detector, anchors
     progress.decisions.append(
         _Decision(
             index=index,
-            start=progress.epoch_start,
+            start=progress.decisions[-1].end if progress.decisions else 0,
             end=end,
             # Label the epoch with the phase of its *last event*: when an epoch
             # ends exactly on a boundary, every recorded event belongs to the old regime.
@@ -375,14 +374,6 @@ def _end_epoch(progress, job, boundaries, windows, controller, detector, anchors
             adaptive_allocation=split,
         )
     )
-    progress.epoch_start = end
-    registry = get_registry()
-    if registry.enabled:
-        if changed:
-            registry.counter("online.phase_changes").inc()
-        if decision.applied:
-            registry.counter("online.reallocations").inc()
-            registry.counter("online.moved_blocks").add(decision.moved_blocks)
     # The controller's pricing of the decision and the sketch sample volume:
     # purely observational, never read back.
     return dict(
@@ -396,7 +387,10 @@ def _run_lanes(workload, stops, ends, lanes, oracle_allocations, decisions, obse
     The oracle lane resizes at each phase boundary and the adaptive lane at
     each epoch end whose decision applied.  ``observed`` holds the series
     extras of the last ``len(observed)`` epochs, the ones decided in this
-    process: only those record an ``online.epochs`` row.
+    process: only those record an ``online.epochs`` row and bump the
+    ``online.phase_changes``, ``online.reallocations`` and
+    ``online.moved_blocks`` counters, so a run that fails while deciding
+    records neither.
     """
     items, ids, boundaries = workload.composed.trace.accesses, workload.composed.tenant_ids, workload.boundaries
     counters = {name: [0, 0] for name in ("static", "adaptive", "oracle")}  # [hits, misses] this epoch
@@ -420,6 +414,11 @@ def _run_lanes(workload, stops, ends, lanes, oracle_allocations, decisions, obse
     if registry.enabled:
         for stats, extras in zip(epochs[len(epochs) - len(observed) :], observed):
             registry.series("online.epochs").record(**stats.row(), **extras)
+            if stats.phase_change:
+                registry.counter("online.phase_changes").inc()
+            if stats.reallocated:
+                registry.counter("online.reallocations").inc()
+                registry.counter("online.moved_blocks").add(stats.moved_blocks)
     return epochs
 
 
@@ -527,8 +526,9 @@ def run_replay(
         # Decide first: no decision reads a lane, so the epoch ends alone
         # drive the windows, the detector and the controller.
         observed = []  # the series extras of the epochs decided in this process
+        resumed_at = progress.decisions[-1].end if progress.decisions else 0
         for end in sorted(ends):
-            if end <= progress.epoch_start:  # decided before the resume point
+            if end <= resumed_at:  # decided before the resume point
                 continue
             observed.append(
                 _end_epoch(progress, job, workload.boundaries, windows, controller, detector, anchors, end, initial)

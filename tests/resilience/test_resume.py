@@ -105,7 +105,6 @@ class TestSnapshotLayout:
         assert keys == progress | {"detectors"}
         assert keys == {
             "settling",
-            "epoch_start",
             "decisions",
             "profiled_references",
             "profile_failures",
@@ -167,7 +166,7 @@ class TestResumeRederivesWindows:
 
         monkeypatch.setattr(replay_module, "_windowed_profile", counted)
         assert run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True) == baseline
-        assert sorted(end for end in calls if end <= state["epoch_start"]) == sorted(set(anchors))
+        assert sorted(end for end in calls if end <= state["decisions"][-1][2]) == sorted(set(anchors))
 
 
 class TestReplaySigkill:

@@ -70,6 +70,14 @@ class TestFlagsMatchJobFields:
                 assert hasattr(args, field.name), f"{job_type.__name__}.{field.name} has no flag"
                 assert getattr(args, field.name) == field.default, f"{job_type.__name__}.{field.name}"
 
+    def test_profile_mode_default_matches_the_job(self):
+        import numpy as np
+
+        from repro.profiling.engine import ProfileJob
+
+        args = build_parser().parse_args(["profile", "t.trace"])
+        assert args.mode == ProfileJob(trace=np.arange(4)).mode == "shards"
+
     def test_derived_flag_parses_with_the_field_type(self):
         args = build_parser().parse_args(["online", "--budget", "64", "--window", "200", "--epoch", "100",
                                           "--horizon-epochs", "3", "--move-cost", "0.5"])
