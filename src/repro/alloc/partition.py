@@ -338,7 +338,7 @@ def _profile_length(profile: ProfileJob, budget: int) -> int:
     elif profile.mode == "shards" and profile.smax is None:
         flat = int(np.ceil(np.float64(size) / (rate_threshold(profile.rate) / HASH_SPACE)))
     elif profile.mode == "reuse":
-        buckets = ReuseTimeHistogram(fine_limit=profile.fine_limit, coarse_per_octave=profile.coarse_per_octave)
+        buckets = ReuseTimeHistogram()
         flat = buckets.bucket_upper_edge(buckets.bucket_index(max(size - 1, 1))) + 1
     else:
         return budget

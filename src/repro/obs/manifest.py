@@ -10,6 +10,8 @@ written as the first line of every exported metrics file (``"type":
 
 from __future__ import annotations
 
+import functools
+import os
 import platform
 import subprocess
 import sys
@@ -21,7 +23,20 @@ __all__ = ["RunManifest", "git_sha"]
 
 
 def git_sha(cwd: str | Path | None = None) -> str | None:
-    """The current git commit hash, or ``None`` outside a repository."""
+    """The current git commit hash, or ``None`` outside a repository.
+
+    Memoized per directory for the life of the process, so a run that opens
+    many checkpoint stores starts one ``git`` subprocess, not one per store.
+    """
+    try:
+        directory = os.path.abspath(os.getcwd() if cwd is None else cwd)
+    except OSError:  # the working directory was removed
+        return None
+    return _git_sha(directory)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha(cwd: str) -> str | None:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

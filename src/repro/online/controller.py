@@ -83,7 +83,7 @@ class ReallocationController:
         controller apply any strictly-improving proposal.
     """
 
-    def __init__(self, *, budget: int, method: str = "hull", unit: int = 1, move_cost: float = 1.0):
+    def __init__(self, *, budget: int, method: str, unit: int, move_cost: float):
         check_choice("method", method, ALLOC_METHODS)
         self.budget = check_positive_int(budget, "budget")
         self.unit = check_positive_int(unit, "unit")

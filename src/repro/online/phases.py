@@ -70,7 +70,7 @@ class PhaseChangeDetector:
     [False]
     """
 
-    def __init__(self, tenants: int, *, threshold: float = 0.05, hysteresis: int = 2):
+    def __init__(self, tenants: int, *, threshold: float, hysteresis: int):
         if float(threshold) <= 0.0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         if int(hysteresis) < 1:

@@ -37,6 +37,8 @@ class ProfileJob:
 
     Exactly one of ``trace`` (an integer array) or ``path`` (a text trace
     file readable by :func:`repro.trace.io.read_text`) must be provided.
+    The ``reuse`` mode buckets reuse times in the default layout of
+    :class:`~repro.profiling.reuse.ReuseTimeHistogram`.
     """
 
     trace: np.ndarray | None = None
@@ -49,8 +51,6 @@ class ProfileJob:
     smax: int | None = knob(None, "fixed-size SHARDS: max distinct sampled items")
     seed: int = knob(0, "base hash seed for sampling")
     n_seeds: int = knob(2, "number of pooled SHARDS hash functions", flag="--seeds")
-    fine_limit: int = 4096
-    coarse_per_octave: int = 256
     max_cache_size: int | None = knob(None, "largest cache size to report", flag="--max-size")
 
     def __post_init__(self):
@@ -108,12 +108,7 @@ def run_job(job: ProfileJob) -> ProfileResult:
                 max_cache_size=job.max_cache_size,
             )
         else:  # reuse
-            curve = reuse_mrc(
-                arr,
-                max_cache_size=job.max_cache_size or None,
-                fine_limit=job.fine_limit,
-                coarse_per_octave=job.coarse_per_octave,
-            )
+            curve = reuse_mrc(arr, max_cache_size=job.max_cache_size or None)
     get_registry().counter("profiling.accesses", mode=job.mode).add(int(arr.size))
     return ProfileResult(name=job.name, mode=job.mode, curve=curve, accesses=int(arr.size), seconds=timer.seconds)
 

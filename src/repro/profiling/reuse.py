@@ -229,7 +229,12 @@ class ReuseTimeProfiler:
     profiled.
     """
 
-    def __init__(self, *, fine_limit: int = 4096, coarse_per_octave: int = 256):
+    def __init__(
+        self,
+        *,
+        fine_limit: int = ReuseTimeHistogram.fine_limit,
+        coarse_per_octave: int = ReuseTimeHistogram.coarse_per_octave,
+    ):
         self.histogram = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave)
         self._last_seen: dict[int, int] = {}
         self._position = 0
@@ -281,8 +286,8 @@ def reuse_mrc(
     trace: Sequence[int] | np.ndarray | Iterator[int] | Iterable[int],
     *,
     max_cache_size: int | None = None,
-    fine_limit: int = 4096,
-    coarse_per_octave: int = 256,
+    fine_limit: int = ReuseTimeHistogram.fine_limit,
+    coarse_per_octave: int = ReuseTimeHistogram.coarse_per_octave,
 ) -> MissRatioCurve:
     """One-pass approximate miss-ratio curve of a trace or reference stream.
 

@@ -220,10 +220,13 @@ def shards_mrc(
     smax: int | None = None,
     seed: int = 0,
     n_seeds: int = 2,
-    adjust: bool = True,
     max_cache_size: int | None = None,
 ) -> MissRatioCurve:
     """Approximate LRU miss-ratio curve by SHARDS sampling.
+
+    The ``SHARDS-adj`` correction always applies: the curve is renormalised
+    to the *expected* sample size, and the count mismatch is charged to the
+    smallest cache size.
 
     Parameters
     ----------
@@ -238,9 +241,6 @@ def shards_mrc(
         ``n_seeds`` independent hash functions (seeds ``seed .. seed+n_seeds-1``)
         are pooled; more seeds cost proportionally more but cut the variance
         contributed by hot items near the sampling threshold.
-    adjust:
-        Apply the ``SHARDS-adj`` correction: renormalise to the *expected*
-        sample size and charge the count mismatch to the smallest cache size.
     max_cache_size:
         Crop or extend (with the final value) the returned curve to this
         length; by default the curve extends to the largest rescaled distance.
@@ -275,9 +275,5 @@ def shards_mrc(
     pooled = np.zeros(length, dtype=np.float64)
     for h in histograms:
         pooled[: h.size] += h
-    if adjust:
-        pooled[0] += expected_total - sampled_total
-        denominator = expected_total
-    else:
-        denominator = float(sampled_total)
-    return histogram_to_mrc(pooled, denominator, int(arr.size), max_cache_size=max_cache_size)
+    pooled[0] += expected_total - sampled_total
+    return histogram_to_mrc(pooled, expected_total, int(arr.size), max_cache_size=max_cache_size)

@@ -21,11 +21,12 @@ those failure modes a deterministic recovery path without ever changing
 
 Examples
 --------
-A retry policy's backoff schedule is a pure function of its seed:
+A retry policy's backoff schedule is fixed and seeded, so every delay is a
+pure function of the task index and the attempt:
 
 >>> from repro.resilience import RetryPolicy
->>> policy = RetryPolicy(retries=2, backoff=0.1, seed=42)
->>> policy.delay(3, 1) == policy.delay(3, 1)
+>>> policy = RetryPolicy(retries=2)
+>>> policy.delay(3, 1) == RetryPolicy().delay(3, 1)
 True
 >>> policy.attempts
 3

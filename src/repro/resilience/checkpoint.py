@@ -64,6 +64,10 @@ __all__ = [
 #: state, which a resume re-measures from the decisions).
 CHECKPOINT_SCHEMA = 3
 
+#: Snapshots a store retains: the newest three, so a snapshot recycles a
+#: pruned file while two others remain to resume from.
+KEEP = 3
+
 _MANIFEST = "MANIFEST.json"
 
 
@@ -200,7 +204,6 @@ def write_checkpoint(
     *,
     fingerprint: str,
     command: str = "checkpoint",
-    keep: int = 3,
     durable: bool = False,
 ) -> Path:
     """Atomically persist one self-checksummed snapshot.
@@ -208,7 +211,7 @@ def write_checkpoint(
     ``state`` is pickled (numpy arrays, frozen dataclasses and plain
     containers all round-trip); ``fingerprint`` names the logical run the
     store belongs to — a store started by a different run is rejected rather
-    than overwritten.  The newest ``keep`` snapshots are retained, older
+    than overwritten.  The newest :data:`KEEP` snapshots are retained, older
     files are pruned.  Returns the snapshot's path.
 
     The tmp-write + ``os.replace`` protocol makes every snapshot safe
@@ -221,8 +224,6 @@ def write_checkpoint(
     step = int(step)
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
-    if int(keep) < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
 
     known = _OPEN_STORES.get(root)
     signature = _signature(os.path.join(root, _MANIFEST))
@@ -239,13 +240,13 @@ def write_checkpoint(
     path = os.path.join(root, name)
     if (step, name) not in snapshots:
         bisect.insort(snapshots, (step, name))
-    stale = [os.path.join(root, old) for _, old in snapshots[: -int(keep)]]
-    if stale and int(keep) > 1:
-        # Creating a file is a snapshot's dearest call: with another kept to resume from, reuse a pruned one.
+    stale = [os.path.join(root, old) for _, old in snapshots[:-KEEP]]
+    if stale:
+        # Creating a file is a snapshot's dearest call: with two others kept to resume from, reuse a pruned one.
         with contextlib.suppress(FileNotFoundError):
             os.replace(stale[0], path + ".tmp")
     _atomic_write(path, header.encode("ascii") + payload, durable=durable)
-    del snapshots[: -int(keep)]
+    del snapshots[:-KEEP]
     for old in stale:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(old)

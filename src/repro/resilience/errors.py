@@ -11,7 +11,7 @@ are exactly what this module replaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "CheckpointError",
@@ -93,21 +93,17 @@ class CheckpointError(RuntimeError):
     """A checkpoint directory/manifest cannot be used (missing, wrong run, wrong schema)."""
 
 
-@dataclass(frozen=True)
-class _IntegrityDetail:
-    """Expected-vs-found detail attached to checkpoint integrity failures."""
-
-    path: str
-    expected: object = None
-    found: object = None
-    extra: dict = field(default_factory=dict)
-
-
 class CheckpointIntegrityError(CheckpointError):
-    """A checkpoint file exists but fails its checksum or schema validation."""
+    """A checkpoint file exists but fails its checksum or schema validation.
+
+    Carries the offending ``path`` plus the ``expected`` and ``found``
+    values (byte count or digest), as :class:`TraceIntegrityError` does.
+    """
 
     def __init__(self, path: str, *, reason: str, expected: object = None, found: object = None):
-        self.detail = _IntegrityDetail(path=str(path), expected=expected, found=found)
+        self.path = str(path)
+        self.expected = expected
+        self.found = found
         message = f"checkpoint integrity violation in {path}: {reason}"
         if expected is not None or found is not None:
             message += f" (expected {expected!r}, found {found!r})"

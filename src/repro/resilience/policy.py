@@ -2,11 +2,12 @@
 
 A :class:`RetryPolicy` turns :func:`repro.engine.runner.pool_map` into the
 resilient pool: per-task timeouts, bounded retries with exponential backoff,
-and a final inline degradation step.  The backoff *jitter* is seeded — every
-delay is a pure function of ``(seed, task index, attempt)`` — so a retried
-run sleeps the same schedule every time instead of sampling wall-clock
-entropy.  Results are always merged in task order, so retries never change
-what a run computes, only whether it survives.
+and a final inline degradation step.  The backoff schedule is fixed by the
+module constants below, and its *jitter* is seeded — every delay is a pure
+function of ``(task index, attempt)`` — so a retried run sleeps the same
+schedule every time instead of sampling wall-clock entropy.  Results are
+always merged in task order, so retries never change what a run computes,
+only whether it survives.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ import random
 from dataclasses import dataclass
 
 __all__ = ["RetryPolicy"]
+
+#: Seconds before the first retry; retry ``k`` waits
+#: ``BACKOFF * MULTIPLIER**(k-1)``, capped at ``MAX_BACKOFF``.
+BACKOFF = 0.05
+MULTIPLIER = 2.0
+MAX_BACKOFF = 2.0
+#: Fraction of the backoff added as seeded jitter (up to +50%), drawn from
+#: :data:`SEED`, never from wall-clock entropy.
+JITTER = 0.5
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -33,17 +44,6 @@ class RetryPolicy:
         arrive).  ``None`` waits forever, which re-creates the pre-policy
         hang; the default keeps dead workers detectable.  Inline attempts
         cannot be preempted and therefore ignore the timeout.
-    backoff:
-        Base delay in seconds before retry ``k`` (grows as
-        ``backoff * multiplier**(k-1)``, capped at ``max_backoff``).
-    multiplier, max_backoff:
-        Exponential growth factor and cap of the backoff schedule.
-    jitter:
-        Fraction of the backoff added as seeded jitter (``0.5`` adds up to
-        +50%); drawn from :attr:`seed`, never from wall-clock entropy.
-    seed:
-        Seed of the jitter stream; two runs with equal policies sleep
-        identical schedules.
     inline_fallback:
         Whether tasks that exhaust their pooled retries are re-run inline in
         the parent (the last rung of the degradation ladder) before the run
@@ -52,11 +52,6 @@ class RetryPolicy:
 
     retries: int = 2
     timeout: float | None = 30.0
-    backoff: float = 0.05
-    multiplier: float = 2.0
-    max_backoff: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
     inline_fallback: bool = True
 
     def __post_init__(self):
@@ -64,13 +59,6 @@ class RetryPolicy:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout is not None and float(self.timeout) <= 0.0:
             raise ValueError(f"timeout must be positive (or None), got {self.timeout}")
-        for name in ("backoff", "max_backoff"):
-            if float(getattr(self, name)) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if float(self.multiplier) < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= float(self.jitter) <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     @property
     def attempts(self) -> int:
@@ -81,12 +69,12 @@ class RetryPolicy:
         """Seconds to sleep before retrying task ``index`` for the ``attempt``-th time.
 
         ``attempt`` counts from 1 (the first *retry*).  Deterministic: the
-        jitter comes from a :class:`random.Random` keyed by ``(seed, index,
+        jitter comes from a :class:`random.Random` keyed by ``(SEED, index,
         attempt)``, so the whole schedule replays identically.
         """
         attempt = int(attempt)
         if attempt < 1:
             raise ValueError(f"attempt counts retries from 1, got {attempt}")
-        base = min(float(self.backoff) * float(self.multiplier) ** (attempt - 1), float(self.max_backoff))
-        jitter = random.Random(f"{int(self.seed)}:{int(index)}:{attempt}").random() * float(self.jitter)
+        base = min(BACKOFF * MULTIPLIER ** (attempt - 1), MAX_BACKOFF)
+        jitter = random.Random(f"{SEED}:{int(index)}:{attempt}").random() * JITTER
         return base * (1.0 + jitter)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .._util import check_positive_int, ensure_rng
 from .generators import zipfian_trace
-from .tenancy import MultiTenantTrace
+from .tenancy import MultiTenantTrace, _interleave
 from .trace import Trace
 
 __all__ = [
@@ -215,47 +215,8 @@ def compose_phases(
     if any(all(arr is None or arr.size == 0 for arr in streams) for streams in arrays):
         raise ValueError("every tenant must be active in at least one phase")
 
-    # One fixed namespace offset per tenant, wide enough for all its phases.
-    offsets: list[int] = []
-    base = 0
-    for streams in arrays:
-        offsets.append(base)
-        top = max(int(arr.max()) for arr in streams if arr is not None and arr.size)
-        base += top + 1
-
-    rng = ensure_rng(seed)
-    phase_items: list[np.ndarray] = []
-    phase_ids: list[np.ndarray] = []
-    boundaries: list[int] = []
-    position = 0
-    for p in range(num_phases):
-        boundaries.append(position)
-        merged_items: list[np.ndarray] = []
-        merged_times: list[np.ndarray] = []
-        merged_ids: list[np.ndarray] = []
-        for t, streams in enumerate(arrays):
-            arr = streams[p]
-            if arr is None or arr.size == 0:
-                continue
-            merged_items.append(arr + offsets[t])
-            merged_times.append(np.cumsum(rng.exponential(1.0 / float(rates[t]), size=arr.size)))
-            merged_ids.append(np.full(arr.size, t, dtype=np.int64))
-        if not merged_items:
-            raise ValueError(f"phase {p} has no active tenant")
-        items = np.concatenate(merged_items)
-        order = np.argsort(np.concatenate(merged_times), kind="stable")
-        phase_items.append(items[order])
-        phase_ids.append(np.concatenate(merged_ids)[order])
-        position += items.size
-
-    composed = MultiTenantTrace(
-        trace=Trace(np.concatenate(phase_items), name=name),
-        names=tuple(str(n) for n in names),
-        rates=tuple(float(r) for r in rates),
-        offsets=tuple(offsets),
-        tenant_ids=np.concatenate(phase_ids),
-    )
-    return DriftingWorkload(composed=composed, boundaries=tuple(boundaries))
+    composed, boundaries = _interleave(arrays, rates, ensure_rng(seed), names=[str(n) for n in names], name=name)
+    return DriftingWorkload(composed=composed, boundaries=boundaries)
 
 
 def three_phase_pair(

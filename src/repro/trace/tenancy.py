@@ -157,38 +157,65 @@ def compose_tenants(
     """
     if not tenants:
         raise ValueError("need at least one tenant to compose")
-    rng = ensure_rng(seed)
     arrays = [spec.accesses for spec in tenants]
     if any(arr.size == 0 for arr in arrays):
         raise ValueError("every tenant trace must be non-empty")
     # Raw-array tenants bypass Trace's label validation; a negative label
-    # would silently break the disjoint-offset scheme below.
+    # would silently break the disjoint-offset scheme.
     if any(int(arr.min()) < 0 for arr in arrays):
         raise ValueError("tenant item labels must be non-negative")
 
-    offsets: list[int] = []
-    base = 0
-    shifted: list[np.ndarray] = []
-    for arr in arrays:
-        offsets.append(base)
-        shifted.append(arr.astype(np.int64) + base)
-        base += int(arr.max()) + 1
-
-    # Virtual arrival times: per-tenant cumulative exponential gaps.  Tenants
-    # are processed in spec order so the draw sequence (hence the interleave)
-    # is a pure function of the seed.
-    times = [np.cumsum(rng.exponential(1.0 / float(spec.rate), size=arr.size)) for spec, arr in zip(tenants, arrays)]
-    all_items = np.concatenate(shifted)
-    all_times = np.concatenate(times)
-    all_ids = np.concatenate([np.full(arr.size, t, dtype=np.int64) for t, arr in enumerate(arrays)])
-    order = np.argsort(all_times, kind="stable")
     names: list[str] = []
     for index, spec in enumerate(tenants):
         names.append(spec.name if spec.name not in names else f"{spec.name}-{index}")
-    return MultiTenantTrace(
-        trace=Trace(all_items[order], name=name),
+    streams = [[np.asarray(arr, dtype=np.int64)] for arr in arrays]  # one phase
+    return _interleave(streams, [spec.rate for spec in tenants], ensure_rng(seed), names=names, name=name)[0]
+
+
+def _interleave(
+    streams: Sequence[Sequence[np.ndarray | None]],
+    rates: Sequence[float],
+    rng: np.random.Generator,
+    *,
+    names: Sequence[str],
+    name: str,
+) -> tuple[MultiTenantTrace, tuple[int, ...]]:
+    """The seeded merge behind :func:`compose_tenants` and :func:`~repro.trace.drift.compose_phases`.
+
+    ``streams[t][p]`` is tenant ``t``'s int64 stream in phase ``p`` (``None``
+    or empty where the tenant is absent), already validated; every tenant is
+    active in some phase.  Each phase is merged on its own and the phases are
+    concatenated.  Returns the composed trace and each phase's start position.
+    """
+    # One fixed namespace offset per tenant, wide enough for all its phases.
+    offsets: list[int] = []
+    base = 0
+    for phases in streams:
+        offsets.append(base)
+        base += max(int(arr.max()) for arr in phases if arr is not None and arr.size) + 1
+
+    items: list[np.ndarray] = []
+    ids: list[np.ndarray] = []
+    boundaries: list[int] = []
+    position = 0
+    for p in range(len(streams[0])):
+        active = [(t, phases[p]) for t, phases in enumerate(streams) if phases[p] is not None and phases[p].size]
+        if not active:
+            raise ValueError(f"phase {p} has no active tenant")
+        # Virtual arrival times: per-tenant cumulative exponential gaps.
+        # Tenants draw in spec order, so the interleave is a pure function of
+        # the seed.
+        times = [np.cumsum(rng.exponential(1.0 / float(rates[t]), size=arr.size)) for t, arr in active]
+        order = np.argsort(np.concatenate(times), kind="stable")
+        items.append(np.concatenate([arr + offsets[t] for t, arr in active])[order])
+        ids.append(np.concatenate([np.full(arr.size, t, dtype=np.int64) for t, arr in active])[order])
+        boundaries.append(position)
+        position += order.size
+    composed = MultiTenantTrace(
+        trace=Trace(items[0] if len(items) == 1 else np.concatenate(items), name=name),
         names=tuple(names),
-        rates=tuple(float(spec.rate) for spec in tenants),
+        rates=tuple(float(rate) for rate in rates),
         offsets=tuple(offsets),
-        tenant_ids=all_ids[order],
+        tenant_ids=ids[0] if len(ids) == 1 else np.concatenate(ids),
     )
+    return composed, tuple(boundaries)

@@ -116,6 +116,25 @@ class TestManifest:
         assert record["kernel"] == kernel_name() in ("native", "numpy")
         assert f"kernel={record['kernel']}" in summarize_records([record])
 
+    def test_git_runs_once_per_directory(self, tmp_path, monkeypatch):
+        from repro.obs import manifest
+
+        calls = []
+        run = manifest.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest.subprocess, "run", counting_run)
+        manifest._git_sha.cache_clear()
+        first = RunManifest.collect("cmd")
+        assert RunManifest.collect("cmd").git == first.git
+        assert len(calls) == 1
+        manifest.git_sha(tmp_path)
+        manifest.git_sha(tmp_path)
+        assert calls[1:] == [str(tmp_path)]
+
 
 class TestTrajectory:
     def test_record_perf_replaces_by_key(self, tmp_path):

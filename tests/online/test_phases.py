@@ -28,12 +28,12 @@ def observe(detector: PhaseChangeDetector, curve: np.ndarray):
 class TestDetectorMechanics:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            PhaseChangeDetector(1, threshold=0.0)
+            PhaseChangeDetector(1, threshold=0.0, hysteresis=2)
         with pytest.raises(ValueError):
             PhaseChangeDetector(1, threshold=0.1, hysteresis=0)
 
     def test_first_observation_anchors_reference(self):
-        detector = PhaseChangeDetector(1, threshold=0.1)
+        detector = PhaseChangeDetector(1, threshold=0.1, hysteresis=2)
         distance, changed = observe(detector, flat_curve(0.5))
         assert not changed and distance == 0.0
         assert detector.state_dict()[0]["reference"] is not None
@@ -157,7 +157,7 @@ class TestMatrixDetectorDifferential:
         assert [a.tolist() for a in vars(got).values()] == [a.tolist() for a in vars(want).values()]
 
     def test_rejects_curves_of_another_width(self):
-        detector = PhaseChangeDetector(2, threshold=0.1)
+        detector = PhaseChangeDetector(2, threshold=0.1, hysteresis=2)
         detector.observe(np.zeros((1, 3)), [1])
         with pytest.raises(ValueError, match="3"):
             detector.observe(np.zeros((1, 4)), [0])

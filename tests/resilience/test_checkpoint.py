@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import shutil
 from unittest import mock
@@ -59,16 +61,16 @@ class TestRoundTrip:
 class TestPruning:
     def test_keep_bounds_the_store(self, tmp_path):
         for step in range(1, 7):
-            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp", keep=3)
+            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp")
         snapshots = sorted(p.name for p in tmp_path.glob("step-*.ckpt"))
         assert snapshots == ["step-00000004.ckpt", "step-00000005.ckpt", "step-00000006.ckpt"]
         assert latest_step(tmp_path) == 6
 
     def test_a_new_process_prunes_snapshots_it_did_not_write(self, tmp_path, monkeypatch):
         for step in range(1, 4):
-            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp", keep=3)
+            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp")
         monkeypatch.setattr(checkpoint, "_OPEN_STORES", {})  # as a resumed run in a fresh process
-        write_checkpoint(tmp_path, 4, {"s": 4}, fingerprint="fp", keep=3)
+        write_checkpoint(tmp_path, 4, {"s": 4}, fingerprint="fp")
         assert [p.name for p in sorted(tmp_path.glob("step-*.ckpt"))] == [
             "step-00000002.ckpt",
             "step-00000003.ckpt",
@@ -84,10 +86,22 @@ class TestPruning:
         assert load_checkpoint(store, fingerprint="fp").state == {"s": 2}
 
     def test_a_pruned_snapshot_file_is_recycled_and_cut_to_size(self, tmp_path):
-        write_checkpoint(tmp_path, 1, {"s": "x" * 10_000}, fingerprint="fp", keep=3)
+        write_checkpoint(tmp_path, 1, {"s": "x" * 10_000}, fingerprint="fp")
         inode = (tmp_path / "step-00000001.ckpt").stat().st_ino
-        for step in (2, 3, 4):
-            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp", keep=3)
+        for step in (2, 3):
+            write_checkpoint(tmp_path, step, {"s": step}, fingerprint="fp")
+        replace = checkpoint.os.replace
+        seen = []
+
+        def watching_replace(source, target):
+            # While the pruned file is recycled, two other snapshots remain to resume from.
+            seen.append((os.path.basename(source), sorted(p.name for p in tmp_path.glob("step-*.ckpt"))))
+            replace(source, target)
+
+        with mock.patch.object(checkpoint.os, "replace", watching_replace):
+            write_checkpoint(tmp_path, 4, {"s": 4}, fingerprint="fp")
+        assert seen[0] == ("step-00000001.ckpt", ["step-00000001.ckpt", "step-00000002.ckpt", "step-00000003.ckpt"])
+        assert seen[1][1] == ["step-00000002.ckpt", "step-00000003.ckpt"]
         assert (tmp_path / "step-00000004.ckpt").stat().st_ino == inode
         assert load_checkpoint(tmp_path, fingerprint="fp").state == {"s": 4}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -97,33 +111,12 @@ class TestPruning:
             "step-00000004.ckpt",
         ]
 
-    def test_a_lone_snapshot_is_not_recycled(self, tmp_path):
-        # With keep=1 the old snapshot is the only one to resume from until the new one is in place.
-        write_checkpoint(tmp_path, 1, {"s": 1}, fingerprint="fp", keep=1)
-        inode = (tmp_path / "step-00000001.ckpt").stat().st_ino
-        replace = checkpoint.os.replace
-        seen = []
-
-        def watching_replace(source, target):
-            seen.append((os.path.basename(source), os.path.exists(tmp_path / "step-00000001.ckpt")))
-            replace(source, target)
-
-        with mock.patch.object(checkpoint.os, "replace", watching_replace):
-            write_checkpoint(tmp_path, 2, {"s": 2}, fingerprint="fp", keep=1)
-        assert seen == [("step-00000002.ckpt.tmp", True)]
-        assert (tmp_path / "step-00000002.ckpt").stat().st_ino != inode
-        assert [p.name for p in tmp_path.glob("step-*.ckpt")] == ["step-00000002.ckpt"]
-
     def test_a_longer_leftover_tmp_file_is_cut_to_size(self, tmp_path):
         write_checkpoint(tmp_path, 1, {"s": 1}, fingerprint="fp")
         (tmp_path / "step-00000002.ckpt.tmp").write_bytes(b"\xff" * 10_000)  # as a crashed write leaves it
         write_checkpoint(tmp_path, 2, {"s": 2}, fingerprint="fp")
         assert load_checkpoint(tmp_path, step=2).state == {"s": 2}
         assert not list(tmp_path.glob("*.tmp"))
-
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="keep"):
-            write_checkpoint(tmp_path, 1, {}, fingerprint="fp", keep=0)
 
 
 class TestRejection:
@@ -151,6 +144,10 @@ class TestRejection:
         message = str(excinfo.value)
         assert path.name in message
         assert "expected" in message and "found" in message
+        error = excinfo.value
+        assert error.path == str(path)
+        assert error.expected == json.loads(payload[: payload.index(b"\n")])["sha256"]
+        assert error.found == hashlib.sha256(bytes(payload[payload.index(b"\n") + 1 :])).hexdigest()
 
     def test_deleted_snapshot_is_reported(self, tmp_path):
         path = write_checkpoint(tmp_path, 1, {"s": 1}, fingerprint="fp")
@@ -165,8 +162,6 @@ class TestRejection:
             load_checkpoint(tmp_path)
 
     def test_schema_mismatch(self, tmp_path):
-        import json
-
         write_checkpoint(tmp_path, 1, {}, fingerprint="fp")
         manifest_path = tmp_path / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

@@ -18,8 +18,8 @@ from repro.obs import MetricsRegistry, recording
 from repro.resilience import PoolFailureError, RetryPolicy
 from repro.resilience.faults import FaultPlan, install_faults, kill, stall, transient
 
-#: Fast-retry policy for tests: generous timeout (slow CI), tiny backoff.
-FAST = RetryPolicy(retries=2, timeout=60.0, backoff=0.01, max_backoff=0.05, seed=1)
+#: Retry policy for tests: generous timeout (slow CI), the fixed backoff schedule.
+FAST = RetryPolicy(retries=2, timeout=60.0)
 
 
 def _square(x: int) -> int:
@@ -68,13 +68,13 @@ class TestResilientPoolRecovery:
         # timeout declares the worker lost instead of hanging forever.
         self._recovers(
             FaultPlan((kill("pool.task", 2),)),
-            RetryPolicy(retries=2, timeout=15.0, backoff=0.01, max_backoff=0.05, seed=1),
+            RetryPolicy(retries=2, timeout=15.0),
         )
 
     def test_stalled_task_times_out_and_retries(self):
         self._recovers(
             FaultPlan((stall("pool.task", 5, seconds=2.0),)),
-            RetryPolicy(retries=2, timeout=0.3, backoff=0.01, max_backoff=0.05, seed=1),
+            RetryPolicy(retries=2, timeout=0.3),
         )
 
     def test_seeded_chaos_round_trip_is_deterministic(self):
@@ -122,7 +122,7 @@ class TestPoolFailure:
         assert "task 3 failed after 4 attempt(s)" in message
 
     def test_inline_fallback_disabled_fails_after_pool_retries(self):
-        policy = RetryPolicy(retries=1, timeout=60.0, backoff=0.01, max_backoff=0.05, seed=1, inline_fallback=False)
+        policy = RetryPolicy(retries=1, timeout=60.0, inline_fallback=False)
         plan = FaultPlan((transient("pool.task", 0, attempts=(1, 2)),))
         with install_faults(plan), pytest.raises(PoolFailureError) as excinfo:
             pool_map(_square, list(range(4)), workers=2, policy=policy)
@@ -142,12 +142,16 @@ class TestPolicyValidation:
     def test_attempts_counts_first_try(self):
         assert RetryPolicy(retries=2).attempts == 3
 
-    def test_delay_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff=0.1, multiplier=2.0, max_backoff=0.3, jitter=0.5, seed=4)
-        first = policy.delay(3, 1)
-        assert first == policy.delay(3, 1)
-        assert 0.1 <= first <= 0.1 * 1.5
-        assert policy.delay(3, 5) <= 0.3 * 1.5  # capped then jittered
+    def test_delay_is_the_fixed_seeded_schedule(self):
+        policy = RetryPolicy()
+        assert policy.delay(0, 1) == 0.06532865279427695
+        assert policy.delay(5, 4) == 0.47692359547114516
+        assert policy.delay(3, 1) == RetryPolicy(retries=0, timeout=None).delay(3, 1)
+        for attempt in range(1, 12):
+            base = min(0.05 * 2.0 ** (attempt - 1), 2.0)  # capped then jittered
+            assert base <= policy.delay(3, attempt) <= base * 1.5
+        with pytest.raises(ValueError):
+            policy.delay(0, 0)
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):

@@ -43,7 +43,7 @@ class TestFlagsMatchJobFields:
     """Every defaulted job knob is a flag of its subcommand, with the job's default."""
 
     #: Job fields the subcommands take as inputs or parse from other flags, or leave at the job's default.
-    NOT_FLAGS = {"name", "trace", "path", "tenants", "policies", "capacities", "fine_limit", "coarse_per_octave"}
+    NOT_FLAGS = {"name", "trace", "path", "tenants", "policies", "capacities"}
 
     @staticmethod
     def _job_cases():

@@ -750,6 +750,28 @@ class TestReplayEngineDifferential:
         with recording(MetricsRegistry()):
             assert run_replay(workload, job) == result
 
+    def test_resume_at_every_epoch_keeps_settling(self):
+        """Two tenants swap a 12- and a 3-item loop.  Epoch 2 flags the swap and
+        epoch 3, off the every-4th cadence, re-partitions only because the
+        controller is still settling: a resume from epoch 2's snapshot must
+        restore that flag, and a kill after any snapshot resumes to the same run."""
+
+        def loop(size, first=0):
+            return (np.arange(60) % size + first).tolist()
+
+        workload = compose_phases([[loop(12), loop(3, 100)], [loop(3), loop(12, 100)]], names=["a", "b"], seed=0)
+        job = OnlineJob(budget=15, window=80, epoch=40, threshold=0.1, hysteresis=2)
+        result = run_replay(workload, job)
+        settled = result.epochs[3]
+        assert settled.reallocated and not settled.phase_change and result.epochs[2].phase_change
+        assert 3 % job.realloc_epochs
+        for step in range(1, len(result.epochs) + 1):
+            plan = FaultPlan((FaultSpec(site="online.checkpoint", index=step, kind="error"),))
+            with tempfile.TemporaryDirectory() as store:
+                with install_faults(plan), pytest.raises(FaultInjected):
+                    run_replay(workload, job, checkpoint_dir=store)
+                assert run_replay(workload, job, checkpoint_dir=store, resume=True) == result, f"killed after {step}"
+
 
 # --------------------------------------------------------------------------- #
 # Metrics recording is purely observational

@@ -3,9 +3,8 @@
 Three layers keep the documentation honest (and back the CI ``docs`` job):
 
 1. every ``>>>`` snippet in ``docs/*.md`` runs as a doctest,
-2. every ``Examples`` section in the public package/subpackage docstrings
-   (and the new :mod:`repro.alloc` / :mod:`repro.trace.tenancy` modules)
-   runs as a doctest,
+2. every docstring example of every ``repro`` module whose source holds
+   a ``>>>`` runs as a doctest,
 3. every ``python -m repro …`` command line in ``docs/cli.md`` is executed,
    in order, in one temporary directory — a broken CLI example fails the
    suite.
@@ -20,33 +19,25 @@ from pathlib import Path
 
 import pytest
 
+import repro
+
 DOCS_DIR = Path(__file__).resolve().parent.parent / "docs"
 DOC_PAGES = sorted(DOCS_DIR.glob("*.md"))
 
-#: Modules whose docstring examples are part of the public documentation.
-DOCTESTED_MODULES = [
-    "repro",
-    "repro.api",
-    "repro.engine",
-    "repro.core",
-    "repro.trace",
-    "repro.trace.tenancy",
-    "repro.cache",
-    "repro.cache.mrc",
-    "repro.profiling",
-    "repro.sim",
-    "repro.ml",
-    "repro.alloc",
-    "repro.alloc.curves",
-    "repro.alloc.allocators",
-    "repro.online",
-    "repro.online.windowed",
-    "repro.online.phases",
-    "repro.trace.drift",
-    "repro.analysis",
-    "repro.obs",
-    "repro.resilience",
-]
+PACKAGE_DIR = Path(repro.__file__).resolve().parent
+
+
+def doctested_modules() -> list[str]:
+    """Every ``repro`` module whose source holds a ``>>>`` example, by dotted name."""
+    names = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if ">>>" in path.read_text(encoding="utf-8"):
+            parts = path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts
+            names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return names
+
+
+DOCTESTED_MODULES = doctested_modules()
 
 
 @pytest.mark.parametrize("page", DOC_PAGES, ids=[p.name for p in DOC_PAGES])
